@@ -9,32 +9,17 @@ still exits 0. All subcommands are deterministic given inputs and seed, and
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import cnf, features, fractal, graph, portfolio
 
 DEFAULT_SEED = 42
 MODELS = ("vig", "cvig", "cig")
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    inputs: tuple[str, ...]
-    model: str = "vig"
-    weighted: bool = False
-    ordering: str = "desc_degree"
-    fit_lo: int = 1
-    fit_hi: int = 5
-    monotone_clamp: bool = False
-    seed: int = DEFAULT_SEED
-    workers: int = 1
-    out_format: str = "csv"
 
 
 def _resolve_seed(arg_seed) -> int:
@@ -73,10 +58,11 @@ def _emit(text: str, out_path: str | None):
 # features
 
 
-def _feature_config(cfg: RunConfig) -> features.FeatureConfig:
-    return features.FeatureConfig(seed=cfg.seed, fit_lo=cfg.fit_lo,
-                                  fit_hi=cfg.fit_hi, ordering=cfg.ordering,
-                                  monotone_clamp=cfg.monotone_clamp)
+def _feature_config(args) -> features.FeatureConfig:
+    return features.FeatureConfig(seed=_resolve_seed(args.seed),
+                                  fit_lo=args.fit_lo, fit_hi=args.fit_hi,
+                                  ordering=args.ordering,
+                                  monotone_clamp=args.monotone_clamp)
 
 
 def _features_one(job) -> tuple[str, str | None, object]:
@@ -86,25 +72,25 @@ def _features_one(job) -> tuple[str, str | None, object]:
     family = Path(path).parent.name if family_from_dir else None
     try:
         formula = cnf.parse_dimacs(Path(path).read_bytes())
-        vec = features.extract_features(formula, _feature_config(cfg))
+        vec = features.extract_features(formula, cfg)
         return instance, family, vec
     except Exception as exc:  # batch-continue contract
         return instance, family, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_features(args) -> int:
-    cfg = _config_from(args, "features", tuple(args.inputs))
-    _check_readable(cfg.inputs)
-    jobs = [(p, args.family_from_dir, cfg) for p in cfg.inputs]
-    if cfg.workers > 1:
-        with multiprocessing.Pool(cfg.workers) as pool:
+    cfg = _feature_config(args)
+    _check_readable(args.inputs)
+    jobs = [(p, args.family_from_dir, cfg) for p in args.inputs]
+    if args.workers > 1:
+        with multiprocessing.Pool(args.workers) as pool:
             results = pool.map(_features_one, jobs)
     else:
         results = [_features_one(j) for j in jobs]
     for instance, _, res in results:
         if isinstance(res, str):
             print(f"warning: {instance}: {res}", file=sys.stderr)
-    if cfg.out_format == "json":
+    if args.format == "json":
         out = []
         for instance, family, res in results:
             if isinstance(res, str):
@@ -115,15 +101,16 @@ def cmd_features(args) -> int:
                     features.FeatureMatrix([row])))[0])
         _emit(json.dumps(out, indent=2) + "\n", args.output)
     else:
-        text = [features.CSV_HEADER + "\n"]
+        text = io.StringIO()
+        writer = features.csv_writer(text)
+        writer.writerow(features.CSV_HEADER.split(","))
         for instance, family, res in results:
             if isinstance(res, str):
-                text.append(f"{instance},ERROR,,,,,,,,,,\n")
+                writer.writerow([instance, "ERROR"] + [""] * 10)
             else:
-                row = features.FeatureRow(instance, family, res)
-                text.append(features.matrix_to_csv(
-                    features.FeatureMatrix([row])).splitlines(True)[1])
-        _emit("".join(text), args.output)
+                writer.writerow(features.csv_row(
+                    features.FeatureRow(instance, family, res)))
+        _emit(text.getvalue(), args.output)
     return 0
 
 
@@ -132,17 +119,16 @@ def cmd_features(args) -> int:
 
 
 def cmd_ndr(args) -> int:
-    cfg = _config_from(args, "ndr", (args.input,))
-    _check_readable(cfg.inputs)
+    _check_readable((args.input,))
     formula = cnf.parse_dimacs(Path(args.input).read_bytes())
-    g = _build_graph(formula, cfg.model, cfg.weighted)
-    curve = fractal.cover_curve(g, r_stop=args.r_stop, ordering=cfg.ordering,
-                                monotone_clamp=cfg.monotone_clamp)
+    g = _build_graph(formula, args.model, args.weighted)
+    curve = fractal.cover_curve(g, r_stop=args.r_stop, ordering=args.ordering,
+                                monotone_clamp=args.monotone_clamp)
     try:
-        fit = fractal.fit_dimension(curve, cfg.fit_lo, cfg.fit_hi)
+        fit = fractal.fit_dimension(curve, args.fit_lo, args.fit_hi)
     except ValueError:
         fit = None
-    if cfg.out_format == "json":
+    if args.format == "json":
         payload = {
             "r": curve.rs.tolist(),
             "N": curve.counts.tolist(),
@@ -160,23 +146,9 @@ def cmd_ndr(args) -> int:
 # evolution
 
 
-def _dims(f: cnf.CnfFormula, cfg: RunConfig) -> tuple[float, float]:
-    g = graph.build_vig(f, weighted=False)
-    d = fractal.fit_dimension(
-        fractal.cover_curve(g, r_stop=cfg.fit_hi, ordering=cfg.ordering,
-                            monotone_clamp=cfg.monotone_clamp),
-        cfg.fit_lo, cfg.fit_hi).d
-    gb = graph.build_cvig(f, weighted=False)
-    d_b = fractal.fit_dimension(
-        fractal.cover_curve(gb, r_stop=cfg.fit_hi, ordering=cfg.ordering,
-                            monotone_clamp=cfg.monotone_clamp),
-        cfg.fit_lo, cfg.fit_hi).d
-    return d, d_b
-
-
 def cmd_evolution(args) -> int:
-    cfg = _config_from(args, "evolution", (args.input, args.trace))
-    _check_readable(cfg.inputs)
+    cfg = _feature_config(args)
+    _check_readable((args.input, args.trace))
     formula = cnf.parse_dimacs(Path(args.input).read_bytes())
     trace = cnf.parse_trace(Path(args.trace).read_text())
     if args.checkpoints:
@@ -186,18 +158,25 @@ def cmd_evolution(args) -> int:
             raise ValueError(f"checkpoints not in trace: {missing}")
     else:
         checkpoints = list(trace.decision_counts)
+
+    def dims(f: cnf.CnfFormula) -> tuple[float, float]:
+        # unlike extract_features, no canonical clause order: the augmented
+        # formulas are measured as built
+        return tuple(features.cover_and_fit(build(f, weighted=False), cfg)[1].d
+                     for build in (graph.build_vig, graph.build_cvig))
+
     rows = []
     for idx, ck in enumerate(checkpoints):
         status = []
         d_l = db_l = d_r = db_r = None
         try:
             aug = cnf.augment_with_learnt(formula, trace, ck)
-            d_l, db_l = _dims(aug, cfg)
+            d_l, db_l = dims(aug)
         except cnf.PropagationConflict:
             status.append("conflict_learnt")
         try:
             rnd = cnf.random_replacement(formula, trace, ck, cfg.seed + idx)
-            d_r, db_r = _dims(rnd, cfg)
+            d_r, db_r = dims(rnd)
         except cnf.PropagationConflict:
             status.append("conflict_random")
         rows.append({
@@ -206,7 +185,7 @@ def cmd_evolution(args) -> int:
             "d_random": d_r, "d_b_random": db_r,
             "status": "+".join(status) if status else "ok",
         })
-    if cfg.out_format == "json":
+    if args.format == "json":
         _emit(json.dumps(rows, indent=2) + "\n", args.output)
     else:
         def fmt(x):
@@ -225,13 +204,13 @@ def cmd_evolution(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = _config_from(args, "gen", ())
+    seed = _resolve_seed(args.seed)
     if args.n < 3:
         raise ValueError("random 3-CNF needs n >= 3")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
-        formula = cnf.random_3cnf(args.n, args.m, cfg.seed + k)
+        formula = cnf.random_3cnf(args.n, args.m, seed + k)
         path = outdir / f"rand_n{args.n}_m{args.m}_s{k}.cnf"
         path.write_text(cnf.write_dimacs(formula))
         print(path, file=sys.stderr)
@@ -282,22 +261,6 @@ def cmd_portfolio(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _config_from(args, sub: str, inputs: tuple[str, ...]) -> RunConfig:
-    return RunConfig(
-        subcommand=sub,
-        inputs=inputs,
-        model=getattr(args, "model", "vig"),
-        weighted=getattr(args, "weighted", False),
-        ordering=getattr(args, "ordering", "desc_degree"),
-        fit_lo=getattr(args, "fit_lo", 1),
-        fit_hi=getattr(args, "fit_hi", 5),
-        monotone_clamp=getattr(args, "monotone_clamp", False),
-        seed=_resolve_seed(getattr(args, "seed", None)),
-        workers=getattr(args, "workers", 1),
-        out_format=getattr(args, "format", "csv"),
-    )
 
 
 def _add_common(p, fit=True):

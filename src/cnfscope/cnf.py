@@ -141,7 +141,7 @@ def parse_dimacs(source) -> CnfFormula:
     Duplicate literals within a clause are collapsed and tautological clauses
     are kept but flagged in formula.warnings. If the declared clause count
     disagrees with the actual one, the actual count wins and a warning is
-    recorded.
+    recorded. A line starting with `%` ends the formula, as in SATLIB files.
     """
     text = _decode(source)
     num_vars = None
@@ -150,6 +150,8 @@ def parse_dimacs(source) -> CnfFormula:
     current: list[int] = []
     for line in text.splitlines():
         line = line.strip()
+        if line.startswith("%"):
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):

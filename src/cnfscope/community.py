@@ -4,7 +4,6 @@ weighted VIG, with community aggregation between levels)."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,66 +83,30 @@ class ModularityResult:
 
 
 class _LevelGraph:
-    """Working graph during folding: CSR without self-loops plus a per-node
-    self-loop weight (a self-loop of weight w adds w to w_in and 2w to
-    strength)."""
+    """Working graph during folding: a Graph without self-loops plus a
+    per-node self-loop weight (a self-loop of weight w adds w to w_in and 2w
+    to strength)."""
 
-    def __init__(self, indptr, indices, weights, selfw):
-        self.n = indptr.size - 1
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
+    def __init__(self, g: Graph, selfw: np.ndarray):
+        self.g = g
         self.selfw = selfw
-        deg_w = np.zeros(self.n)
-        nonempty = np.diff(indptr) > 0
-        if weights.size:
-            deg_w[nonempty] = np.add.reduceat(weights, indptr[:-1][nonempty])
+        deg_w = np.zeros(g.node_count)
+        nonempty = g.degrees > 0
+        if g.weights.size:
+            deg_w[nonempty] = np.add.reduceat(g.weights, g.indptr[:-1][nonempty])
         self.strength = deg_w + 2.0 * selfw
-        self.total = float(weights.sum()) / 2.0 + float(selfw.sum())
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "_LevelGraph":
-        return cls(g.indptr, g.indices, g.weights,
-                   np.zeros(g.node_count))
+        self.total = g.total_weight + float(selfw.sum())
 
     def aggregate(self, labels: np.ndarray, n_comm: int) -> "_LevelGraph":
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-        mask = src < self.indices
-        u = labels[src[mask]]
-        v = labels[self.indices[mask]]
-        w = self.weights[mask]
+        u, v, w = self.g.edge_arrays()
+        u, v = labels[u], labels[v]
         selfw = np.bincount(labels, weights=self.selfw, minlength=n_comm)
         loop = u == v
         if loop.any():
             selfw += np.bincount(u[loop], weights=w[loop], minlength=n_comm)
         keep = ~loop
-        u, v, w = u[keep], v[keep], w[keep]
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        if u.size:
-            key = lo * np.int64(n_comm) + hi
-            order = np.lexsort((w, key))
-            key, w = key[order], w[order]
-            boundary = np.empty(key.size, dtype=bool)
-            boundary[0] = True
-            np.not_equal(key[1:], key[:-1], out=boundary[1:])
-            starts = np.nonzero(boundary)[0]
-            ukey = key[starts]
-            uw = np.add.reduceat(w, starts)
-            eu = ukey // n_comm
-            ev = ukey % n_comm
-            src = np.concatenate((eu, ev))
-            dst = np.concatenate((ev, eu))
-            ww = np.concatenate((uw, uw))
-            order = np.lexsort((dst, src))
-            src, dst, ww = src[order], dst[order], ww[order]
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-            ww = np.empty(0)
-        indptr = np.zeros(n_comm + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n_comm), out=indptr[1:])
-        return _LevelGraph(indptr, dst, ww, selfw)
+        return _LevelGraph(Graph.from_edges(n_comm, u[keep], v[keep], w[keep]),
+                           selfw)
 
 
 def _local_moving(lg: _LevelGraph, rng: np.random.Generator,
@@ -154,15 +117,15 @@ def _local_moving(lg: _LevelGraph, rng: np.random.Generator,
     Plain-list state: the loop is node-at-a-time by nature and python list
     indexing beats numpy scalar access by a wide margin here.
     """
-    n = lg.n
+    n = lg.g.node_count
     comm = list(range(n))
     strength = lg.strength.tolist()
     sigma = lg.strength.tolist()
     total_w = lg.total
     two_w2 = 2.0 * total_w * total_w
-    indptr = lg.indptr.tolist()
-    indices = lg.indices.tolist()
-    weights = lg.weights.tolist()
+    indptr = lg.g.indptr.tolist()
+    indices = lg.g.indices.tolist()
+    weights = lg.g.weights.tolist()
     total_gain = 0.0
     passes = 0
     while True:
@@ -211,7 +174,7 @@ def _fold_once(g: Graph, lg: _LevelGraph, rng: np.random.Generator,
         n_comm = uniq.size
         compact = np.searchsorted(uniq, labels)
         flat = compact[flat]
-        if n_comm == lg.n or gain <= min_gain:
+        if n_comm == lg.g.node_count or gain <= min_gain:
             break
         lg = lg.aggregate(compact, n_comm)
         levels += 1
@@ -231,7 +194,7 @@ def fold_communities(g: Graph, seed: int = 42, min_gain: float = 1e-6,
     """
     if g.node_count < 1:
         raise ValueError("graph must have at least one node")
-    base = _LevelGraph.from_graph(g)
+    base = _LevelGraph(g, np.zeros(g.node_count))
     if base.total == 0.0:
         return ModularityResult(0.0, Partition.singletons(g.node_count), 0, 0, 0.0)
     if restarts is None:
@@ -246,22 +209,3 @@ def fold_communities(g: Graph, seed: int = 42, min_gain: float = 1e-6,
             best = ModularityResult(q, part, levels, passes, q_inc)
     return best
 
-
-# ---------------------------------------------------------------------------
-# Exports
-
-
-def partition_to_csv(p: Partition) -> str:
-    lines = ["node,community\n"]
-    for node, c in enumerate(p.assignment.tolist()):
-        lines.append(f"{node},{c}\n")
-    return "".join(lines)
-
-
-def result_to_json(res: ModularityResult) -> str:
-    return json.dumps({
-        "q": res.q,
-        "communities": res.partition.community_count,
-        "levels": res.levels,
-        "passes": res.passes,
-    }, indent=2)

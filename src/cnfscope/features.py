@@ -4,6 +4,8 @@ variable ratio, plus min-max normalization for distance-based learning."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
@@ -12,8 +14,8 @@ import numpy as np
 
 from .cnf import CnfFormula
 from .community import fold_communities
-from .fractal import cover_curve, fit_dimension
-from .graph import build_cvig, build_vig
+from .fractal import CoverCurve, DimensionFit, cover_curve, fit_dimension
+from .graph import Graph, build_cvig, build_vig
 from .scalefree import fit_alpha, occurrence_histogram
 
 FEATURE_NAMES = ("alpha", "q", "d", "d_b", "ratio")
@@ -83,11 +85,6 @@ class FeatureMatrix:
         names = FEATURE_NAMES if names is None else names
         return np.array([r.vector.as_array(names) for r in self.rows])
 
-    def subset(self, instance_ids) -> "FeatureMatrix":
-        wanted = set(instance_ids)
-        return FeatureMatrix([r for r in self.rows if r.instance in wanted],
-                             self.normalization, self.excluded)
-
     def drop(self, instance_id: str) -> "FeatureMatrix":
         return FeatureMatrix([r for r in self.rows if r.instance != instance_id],
                              self.normalization, self.excluded)
@@ -107,6 +104,14 @@ def _canonical_clause_order(f: CnfFormula) -> CnfFormula:
                       tuple(i for i, old in enumerate(order) if old in taut))
 
 
+def cover_and_fit(g: Graph, cfg: FeatureConfig
+                  ) -> tuple[CoverCurve, DimensionFit]:
+    """Greedy cover curve of g up to r = fit_hi and its dimension fit."""
+    curve = cover_curve(g, r_stop=cfg.fit_hi, ordering=cfg.ordering,
+                        monotone_clamp=cfg.monotone_clamp)
+    return curve, fit_dimension(curve, cfg.fit_lo, cfg.fit_hi)
+
+
 def extract_features(f: CnfFormula, config: FeatureConfig | None = None
                      ) -> FeatureVector:
     """Full feature pipeline for one formula.
@@ -121,15 +126,8 @@ def extract_features(f: CnfFormula, config: FeatureConfig | None = None
     f = _canonical_clause_order(f)
     alpha = fit_alpha(occurrence_histogram(f)).alpha
 
-    vig = build_vig(f, weighted=False)
-    curve = cover_curve(vig, r_stop=cfg.fit_hi, ordering=cfg.ordering,
-                        monotone_clamp=cfg.monotone_clamp)
-    fit_v = fit_dimension(curve, cfg.fit_lo, cfg.fit_hi)
-
-    cvig = build_cvig(f, weighted=False)
-    curve_b = cover_curve(cvig, r_stop=cfg.fit_hi, ordering=cfg.ordering,
-                          monotone_clamp=cfg.monotone_clamp)
-    fit_b = fit_dimension(curve_b, cfg.fit_lo, cfg.fit_hi)
+    curve, fit_v = cover_and_fit(build_vig(f, weighted=False), cfg)
+    _, fit_b = cover_and_fit(build_cvig(f, weighted=False), cfg)
 
     wvig = build_vig(f, weighted=True)
     q = fold_communities(wvig, seed=cfg.seed, min_gain=cfg.min_gain).q
@@ -191,34 +189,49 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def csv_row(r: FeatureRow) -> list[str]:
+    """The cells of one feature CSV row, in CSV_HEADER order."""
+    v = r.vector
+    cells = [r.instance, r.family or "",
+             _fmt(v.alpha), _fmt(v.q), _fmt(v.d), _fmt(v.d_b), _fmt(v.ratio)]
+    return cells + [_fmt(v.extras.get(n)) for n in EXTRA_NAMES]
+
+
+def csv_writer(out):
+    """CSV writer with '\\n' line ends; fields holding a comma or a quote
+    (such as instance names) are quoted."""
+    return csv.writer(out, lineterminator="\n")
+
+
 def matrix_to_csv(matrix: FeatureMatrix) -> str:
-    lines = [CSV_HEADER + "\n"]
-    for r in matrix.rows:
-        v = r.vector
-        extras = [v.extras.get(n) for n in EXTRA_NAMES]
-        cells = [r.instance, r.family or "",
-                 _fmt(v.alpha), _fmt(v.q), _fmt(v.d), _fmt(v.d_b), _fmt(v.ratio)]
-        cells += [_fmt(e) for e in extras]
-        lines.append(",".join(cells) + "\n")
-    return "".join(lines)
+    out = io.StringIO()
+    writer = csv_writer(out)
+    writer.writerow(CSV_HEADER.split(","))
+    writer.writerows(csv_row(r) for r in matrix.rows)
+    return out.getvalue()
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    """The nonblank rows of a CSV text."""
+    return [row for row in csv.reader(io.StringIO(text))
+            if any(cell.strip() for cell in row)]
 
 
 def matrix_from_csv(text: str, skip_errors: bool = False) -> FeatureMatrix:
     """Read a feature CSV. Rows marked ERROR (from batch extraction failures)
     raise unless skip_errors is set, in which case they are dropped with a
     warning."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    rows = csv_rows(text)
+    if not rows:
         raise ValueError("empty feature CSV")
-    header = lines[0].split(",")
+    header = rows[0]
     expected = CSV_HEADER.split(",")
     if header[:len(expected)] != expected:
-        raise ValueError(f"unexpected feature CSV header: {lines[0]!r}")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
+        raise ValueError(f"unexpected feature CSV header: {','.join(header)!r}")
+    out = []
+    for cells in rows[1:]:
         if len(cells) < 7:
-            raise ValueError(f"short feature CSV row: {ln!r}")
+            raise ValueError(f"short feature CSV row: {','.join(cells)!r}")
         instance, family = cells[0], cells[1] or None
         if family == "ERROR":
             if skip_errors:
@@ -230,9 +243,9 @@ def matrix_from_csv(text: str, skip_errors: bool = False) -> FeatureMatrix:
         for name, cell in zip(EXTRA_NAMES, cells[7:12]):
             if cell:
                 extras[name] = float(cell)
-        rows.append(FeatureRow(instance, family,
-                               FeatureVector(alpha, q, d, d_b, ratio, extras)))
-    return FeatureMatrix(rows)
+        out.append(FeatureRow(instance, family,
+                              FeatureVector(alpha, q, d, d_b, ratio, extras)))
+    return FeatureMatrix(out)
 
 
 def matrix_to_json(matrix: FeatureMatrix) -> str:

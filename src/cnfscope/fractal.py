@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, bfs_distances, connected_components, gather_neighbors
+from .graph import Graph, bfs_layers, connected_components
 
 ORDERINGS = ("desc_degree", "asc_degree")
 
@@ -27,39 +27,6 @@ def _node_order(g: Graph, ordering: str) -> np.ndarray:
     if ordering == "asc_degree":
         return np.lexsort((ids, deg))
     raise ValueError(f"unknown ordering {ordering!r} (expected one of {ORDERINGS})")
-
-
-class _BallScratch:
-    """Reusable epoch-stamped visit buffer for repeated truncated BFS."""
-
-    def __init__(self, n: int):
-        self.stamp = np.zeros(n, dtype=np.int64)
-        self.epoch = 0
-
-    def ball(self, g: Graph, source: int, max_depth: int) -> np.ndarray:
-        """Nodes within max_depth hops of source (inclusive)."""
-        if max_depth == 0:
-            return np.array([source], dtype=np.int64)
-        if max_depth == 1:
-            return np.concatenate((np.array([source], dtype=np.int64),
-                                   g.neighbors(source)))
-        self.epoch += 1
-        epoch = self.epoch
-        stamp = self.stamp
-        stamp[source] = epoch
-        frontier = np.array([source], dtype=np.int64)
-        parts = [frontier]
-        for _ in range(max_depth):
-            neigh = gather_neighbors(g, frontier)
-            if neigh.size == 0:
-                break
-            fresh = neigh[stamp[neigh] != epoch]
-            if fresh.size == 0:
-                break
-            frontier = np.unique(fresh)
-            stamp[frontier] = epoch
-            parts.append(frontier)
-        return np.concatenate(parts)
 
 
 def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree"
@@ -75,15 +42,19 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree"
     order = _node_order(g, ordering)
     if r == 1:
         return g.node_count, order.copy()
-    burned = np.zeros(g.node_count, dtype=bool)
-    scratch = _BallScratch(g.node_count)
+    # stamp[x] is the number of the last circle that reached x, 0 if none:
+    # nonzero means burned, and each circle's BFS marks with a fresh number
+    stamp = np.zeros(g.node_count, dtype=np.int64)
     centers = []
     for u in order.tolist():
-        if burned[u]:
+        if stamp[u]:
             continue
-        ball = scratch.ball(g, u, r - 1)
-        burned[ball] = True
         centers.append(u)
+        if r == 2:
+            stamp[u] = 1
+            stamp[g.neighbors(u)] = 1
+        else:
+            bfs_layers(g, [u], stamp, len(centers), r - 1)
     return len(centers), np.asarray(centers, dtype=np.int64)
 
 
@@ -93,17 +64,7 @@ def verify_cover(g: Graph, centers, r: int) -> bool:
     if centers.size == 0:
         return g.node_count == 0
     covered = np.zeros(g.node_count, dtype=bool)
-    covered[centers] = True
-    frontier = centers
-    for _ in range(r - 1):
-        neigh = gather_neighbors(g, frontier)
-        if neigh.size == 0:
-            break
-        fresh = neigh[~covered[neigh]]
-        if fresh.size == 0:
-            break
-        frontier = np.unique(fresh)
-        covered[frontier] = True
+    bfs_layers(g, centers, covered, True, r - 1)
     return bool(covered.all())
 
 
@@ -113,12 +74,14 @@ def verify_cover(g: Graph, centers, r: int) -> bool:
 
 
 def _ball_masks(g: Graph, r: int) -> list[int]:
+    """Bitmask per node of the nodes within hop distance < r of it."""
+    seen = np.zeros(g.node_count, dtype=np.int64)
     masks = []
     for c in range(g.node_count):
-        d = bfs_distances(g, c, radius_cap=r - 1)
         mask = 0
-        for v in np.nonzero(np.isfinite(d))[0]:
-            mask |= 1 << int(v)
+        for layer in bfs_layers(g, [c], seen, c + 1, r - 1):
+            for v in layer.tolist():
+                mask |= 1 << v
         masks.append(mask)
     return masks
 
@@ -213,13 +176,7 @@ def exact_box_cover_count(g: Graph, size: int, max_nodes: int = 16) -> int:
     if size == 1:
         return n
     # close[i] = bitmask of j != i with dist(i, j) < size
-    close = []
-    for i in range(n):
-        d = bfs_distances(g, i, radius_cap=size - 1)
-        mask = 0
-        for v in np.nonzero(np.isfinite(d))[0]:
-            mask |= 1 << int(v)
-        close.append(mask & ~(1 << i))
+    close = [m & ~(1 << i) for i, m in enumerate(_ball_masks(g, size))]
     maximal = _maximal_cliques(close, n)
     by_low: dict[int, list[int]] = {i: [] for i in range(n)}
     for b in maximal:
@@ -381,8 +338,3 @@ def fit_to_dict(fit: DimensionFit) -> dict:
         "intercept_semilog": fit.intercept_semilog,
     }
 
-
-def fit_to_csv(fit: DimensionFit) -> str:
-    d = fit_to_dict(fit)
-    keys = list(d)
-    return ",".join(keys) + "\n" + ",".join(repr(d[k]) for k in keys) + "\n"

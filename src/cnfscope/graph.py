@@ -222,47 +222,51 @@ def gather_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
     return g.indices[idx]
 
 
+def bfs_layers(g: Graph, sources, seen: np.ndarray, token,
+               max_depth: int | None = None) -> list[np.ndarray]:
+    """Breadth-first layers from a set of sources, sources first.
+
+    A node counts as visited when seen[node] == token; every node reached,
+    sources included, is marked that way, so callers stamp repeated searches
+    with fresh tokens instead of clearing seen. Layer 0 is the sources; layer
+    k holds the nodes first reached after k hops, sorted, up to max_depth
+    hops (no cap on None).
+    """
+    frontier = np.asarray(sources, dtype=np.int64)
+    seen[frontier] = token
+    layers = [frontier]
+    while max_depth is None or len(layers) <= max_depth:
+        neigh = gather_neighbors(g, frontier)
+        fresh = neigh[seen[neigh] != token]
+        if fresh.size == 0:
+            break
+        frontier = np.unique(fresh)
+        seen[frontier] = token
+        layers.append(frontier)
+    return layers
+
+
 def bfs_distances(g: Graph, source: int, radius_cap: int | None = None) -> np.ndarray:
     """Hop distances from source (np.inf when unreachable or beyond the cap)."""
     if source < 0 or source >= g.node_count:
         raise ValueError(f"source {source} out of range")
     dist = np.full(g.node_count, np.inf)
-    dist[source] = 0.0
-    frontier = np.array([source], dtype=np.int64)
-    depth = 0
-    while frontier.size:
-        if radius_cap is not None and depth >= radius_cap:
-            break
-        neigh = gather_neighbors(g, frontier)
-        if neigh.size == 0:
-            break
-        fresh = neigh[np.isinf(dist[neigh])]
-        if fresh.size == 0:
-            break
-        frontier = np.unique(fresh)
-        depth += 1
-        dist[frontier] = depth
+    seen = np.zeros(g.node_count, dtype=bool)
+    for depth, layer in enumerate(bfs_layers(g, [source], seen, True, radius_cap)):
+        dist[layer] = depth
     return dist
 
 
 def connected_components(g: Graph) -> tuple[int, np.ndarray]:
     """(component_count, component id per node), BFS sweep."""
+    # comp doubles as the visit marks: a neighbour of component c is either
+    # unlabelled (-1) or already labelled c
     comp = np.full(g.node_count, -1, dtype=np.int64)
     count = 0
     for start in range(g.node_count):
         if comp[start] != -1:
             continue
-        comp[start] = count
-        frontier = np.array([start], dtype=np.int64)
-        while frontier.size:
-            neigh = gather_neighbors(g, frontier)
-            if neigh.size == 0:
-                break
-            fresh = neigh[comp[neigh] == -1]
-            if fresh.size == 0:
-                break
-            frontier = np.unique(fresh)
-            comp[frontier] = count
+        bfs_layers(g, [start], comp, count)
         count += 1
     return count, comp
 

@@ -5,13 +5,15 @@ no pruning)."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FEATURE_NAMES, FeatureMatrix, FeatureVector, normalize
+from .features import (FEATURE_NAMES, FeatureMatrix, FeatureVector, csv_rows,
+                       csv_writer, normalize)
 
 TIMEOUT = "TIMEOUT"
 
@@ -58,19 +60,18 @@ class RuntimeMatrix:
     @classmethod
     def from_csv(cls, text: str, timeout_value: float | None = None
                  ) -> "RuntimeMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
+        table = csv_rows(text)
+        if not table:
             raise ValueError("empty runtime CSV")
-        header = lines[0].split(",")
+        header = table[0]
         if header[0] != "instance" or len(header) < 2:
-            raise ValueError(f"bad runtime CSV header: {lines[0]!r}")
+            raise ValueError(f"bad runtime CSV header: {','.join(header)!r}")
         solvers = header[1:]
         instances = []
         rows = []
-        for ln in lines[1:]:
-            cells = ln.split(",")
+        for cells in table[1:]:
             if len(cells) != len(header):
-                raise ValueError(f"bad runtime CSV row: {ln!r}")
+                raise ValueError(f"bad runtime CSV row: {','.join(cells)!r}")
             instances.append(cells[0])
             rows.append([np.inf if c.strip() == TIMEOUT else float(c)
                          for c in cells[1:]])
@@ -83,14 +84,16 @@ class RuntimeMatrix:
         return cls(instances, solvers, times, timeout_value)
 
     def to_csv(self) -> str:
-        lines = ["instance," + ",".join(self.solvers) + "\n"]
+        out = io.StringIO()
+        writer = csv_writer(out)
+        writer.writerow(["instance"] + list(self.solvers))
         for i, inst in enumerate(self.instances):
             cells = [inst]
             for j in range(len(self.solvers)):
                 t = self.times[i, j]
                 cells.append(TIMEOUT if math.isinf(t) else repr(float(t)))
-            lines.append(",".join(cells) + "\n")
-        return "".join(lines)
+            writer.writerow(cells)
+        return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

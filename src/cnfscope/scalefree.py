@@ -9,7 +9,6 @@ and the fitted tail distributions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,18 +97,3 @@ def fit_alpha(h: OccurrenceHistogram, max_discard: int = 5) -> AlphaFit:
             "degenerate occurrence tail: need >= 2 distinct occurrence counts")
     return best
 
-
-def histogram_to_csv(h: OccurrenceHistogram) -> str:
-    lines = ["k,f\n"]
-    for k, f_ in h.entries:
-        lines.append(f"{k},{f_}\n")
-    return "".join(lines)
-
-
-def alpha_fit_to_json(fit: AlphaFit) -> str:
-    return json.dumps({
-        "alpha": fit.alpha,
-        "k_min": fit.k_min,
-        "discarded": fit.discarded,
-        "ks_error": fit.ks_error,
-    }, indent=2)

@@ -2,8 +2,11 @@
 
 Nothing here shares algorithmic machinery with the library paths it checks:
 coloring is plain backtracking, partition search enumerates every set
-partition, and the power-law sampler inverts the exact discrete CDF.
+partition, breadth-first search walks adjacency sets with a deque, and the
+power-law sampler inverts the exact discrete CDF.
 """
+
+from collections import deque
 
 import numpy as np
 
@@ -40,6 +43,36 @@ def random_connected_graph(rng, n, extra_edges=2) -> Graph:
         if i != j:
             edges.add((min(int(i), int(j)), max(int(i), int(j))))
     return graph_from_edges(n, sorted(edges))
+
+
+def hop_distances(adj: list[set[int]], sources, cap=None) -> dict[int, int]:
+    """Hops from the nearest source to every node reached within cap hops."""
+    dist = {s: 0 for s in sources}
+    queue = deque(dist)
+    while queue:
+        u = queue.popleft()
+        if cap is not None and dist[u] >= cap:
+            continue
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def greedy_centers(g: Graph, r: int, descending: bool = True) -> list[int]:
+    """Greedy burning by degree order (ties by node id): every node no
+    earlier circle reached becomes a center burning all nodes < r hops away."""
+    adj = adjacency_sets(g)
+    sign = -1 if descending else 1
+    order = sorted(range(g.node_count), key=lambda u: (sign * len(adj[u]), u))
+    burned: set[int] = set()
+    centers = []
+    for u in order:
+        if u not in burned:
+            centers.append(u)
+            burned.update(hop_distances(adj, [u], r - 1))
+    return centers
 
 
 def random_formula(rng, max_vars=8, max_clauses=8, min_clause=1, max_clause=3

@@ -4,6 +4,7 @@ import pytest
 
 from cnfscope.cli import main
 from cnfscope.cnf import parse_dimacs, random_3cnf, write_dimacs
+from cnfscope.features import matrix_from_csv
 
 
 @pytest.fixture()
@@ -71,6 +72,18 @@ class TestFeatures:
         assert len(lines) == 3
         assert "bad.cnf,ERROR" in out
         assert "warning" in err
+
+    def test_comma_names_quoted(self, tmp_path, capsys):
+        good = tmp_path / "a,b.cnf"
+        good.write_text(write_dimacs(random_3cnf(20, 80, seed=4)))
+        bad = tmp_path / "c,d.cnf"
+        bad.write_text("not a cnf at all\n")
+        code, out, _ = _run(capsys, "features", good, bad, "--seed", 1)
+        assert code == 0
+        assert '\n"c,d.cnf",ERROR,,,,,,,,,,\n' in out
+        with pytest.warns(UserWarning, match="ERROR row"):
+            matrix = matrix_from_csv(out, skip_errors=True)
+        assert matrix.instance_ids == ["a,b.cnf"]
 
     def test_workers_identical_output(self, tmp_path, capsys):
         paths = []

@@ -45,6 +45,11 @@ class TestParseDimacs:
         f = parse_dimacs("p cnf 3 1\n1 2\n3 0\n")
         assert f.clauses == ((1, 2, 3),)
 
+    def test_satlib_percent_trailer(self):
+        f = parse_dimacs("p cnf 3 1\n1 -2 3 0\n%\n0\n")
+        assert f.clauses == ((1, -2, 3),)
+        assert f.warnings == ()
+
     def test_count_mismatch_actual_wins(self):
         f = parse_dimacs("p cnf 2 5\n1 0\n2 0\n")
         assert f.num_clauses == 2

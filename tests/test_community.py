@@ -3,12 +3,9 @@ import pytest
 
 from cnfscope.cnf import random_3cnf
 from cnfscope.community import (
-    ModularityResult,
     Partition,
     fold_communities,
     modularity,
-    partition_to_csv,
-    result_to_json,
 )
 from cnfscope.graph import Graph, build_vig
 from oracles import graph_from_edges, modularity_optimum, random_graph
@@ -173,14 +170,3 @@ class TestModularStructure:
         res = fold_communities(g, seed=0)
         assert res.q > 0.85
 
-
-class TestExports:
-    def test_partition_csv(self):
-        p = Partition(np.array([0, 1, 0]), 2)
-        assert partition_to_csv(p) == "node,community\n0,0\n1,1\n2,0\n"
-
-    def test_result_json(self):
-        p = Partition(np.array([0, 0]), 1)
-        text = result_to_json(ModularityResult(0.25, p, 1, 2, 0.25))
-        assert '"q": 0.25' in text
-        assert '"communities": 1' in text

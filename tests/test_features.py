@@ -129,6 +129,7 @@ class TestInterchange:
                                      {"beta": 1.0, "beta_b": 0.5, "n": 10.0,
                                       "m": 42.0, "r_max": 4.0})),
             FeatureRow("b.cnf", None, FeatureVector(2.9, 0.3, 5.0, 3.0, 1.0)),
+            FeatureRow("a,b.cnf", "fam", FeatureVector(1.5, 0.1, 2.0, 1.0, 3.0)),
         ]
         m = FeatureMatrix(rows)
         text = matrix_to_csv(m)
@@ -138,6 +139,10 @@ class TestInterchange:
         assert back.rows[0].vector == rows[0].vector
         assert back.rows[1].family is None
         assert back.rows[1].vector.extras == {}
+        assert back.instance_ids == ["a.cnf", "b.cnf", "a,b.cnf"]
+        assert back.rows[2].family == "fam"
+        assert back.rows[2].vector == rows[2].vector
+        assert text.splitlines()[1].startswith("a.cnf,fam1,2.1,")
 
     def test_header(self):
         text = matrix_to_csv(_matrix([1.0]))

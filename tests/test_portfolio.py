@@ -107,9 +107,11 @@ class TestSelectSolver:
 
 class TestRuntimeMatrix:
     def test_csv_round_trip(self):
-        m = _times(["a", "b"], ["s1", "s2"], [[1.5, "T"], [3.0, 10.0]])
+        m = _times(["a", "b", "a,b.cnf"], ["s1", "s2"],
+                   [[1.5, "T"], [3.0, 10.0], [2.0, 4.0]])
         back = RuntimeMatrix.from_csv(m.to_csv(), timeout_value=1000.0)
-        assert back.instances == ["a", "b"]
+        assert back.instances == ["a", "b", "a,b.cnf"]
+        assert back.time("a,b.cnf", "s2") == 4.0
         assert back.is_timeout("a", "s2")
         assert back.time("b", "s2") == 10.0
 

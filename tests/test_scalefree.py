@@ -3,11 +3,8 @@ import pytest
 
 from cnfscope.cnf import CnfFormula
 from cnfscope.scalefree import (
-    AlphaFit,
     OccurrenceHistogram,
-    alpha_fit_to_json,
     fit_alpha,
-    histogram_to_csv,
     occurrence_histogram,
 )
 from oracles import histogram_from_samples, sample_discrete_powerlaw
@@ -100,13 +97,3 @@ class TestFitAlpha:
         fit = fit_alpha(OccurrenceHistogram(ks, fs, int(fs.sum())))
         assert fit.ks_error < 0.2
 
-
-class TestExports:
-    def test_csv(self):
-        f = CnfFormula.from_clauses(3, [[1, 2], [1, 3]])
-        assert histogram_to_csv(occurrence_histogram(f)) == "k,f\n1,2\n2,1\n"
-
-    def test_json(self):
-        text = alpha_fit_to_json(AlphaFit(2.5, 2, 1, 0.25))
-        assert '"alpha": 2.5' in text
-        assert '"discarded": 1' in text
