@@ -14,6 +14,7 @@ from .cnf import (
     parse_trace,
     random_3cnf,
     random_replacement,
+    read_input,
     unit_propagate,
     write_dimacs,
     write_trace,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -65,17 +64,56 @@ def _feature_config(args) -> features.FeatureConfig:
                                   monotone_clamp=args.monotone_clamp)
 
 
+def _job_labels(job) -> tuple[str, str | None]:
+    path, family_from_dir, _ = job
+    return Path(path).name, Path(path).parent.name if family_from_dir else None
+
+
 def _features_one(job) -> tuple[str, str | None, object]:
     """Worker: returns (instance, family, FeatureVector | error string)."""
-    path, family_from_dir, cfg = job
-    instance = Path(path).name
-    family = Path(path).parent.name if family_from_dir else None
+    path, _, cfg = job
+    instance, family = _job_labels(job)
     try:
-        formula = cnf.parse_dimacs(Path(path).read_bytes())
+        formula = cnf.parse_dimacs(cnf.read_input(path))
         vec = features.extract_features(formula, cfg)
         return instance, family, vec
     except Exception as exc:  # batch-continue contract
         return instance, family, f"{type(exc).__name__}: {exc}"
+
+
+def _features_pool(jobs, workers: int) -> list:
+    """_features_one over a process pool, results in job order.
+
+    A worker killed from outside (say by the out-of-memory killer) breaks
+    the pool, and every job not finished by then fails with it. Each such
+    job is re-run alone in a fresh process, so only a job that kills its
+    process again becomes an error, whichever jobs shared the pool with it.
+    """
+    # imported here: the pool machinery adds ~20 ms to start-up, which
+    # single-process runs do not need
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # spawned, not forked: the executor runs a thread in this process
+    spawn = multiprocessing.get_context("spawn")
+
+    def run(batch, n):
+        """One result per job, None where the pool broke before it ended."""
+        with ProcessPoolExecutor(n, mp_context=spawn) as pool:
+            futures = [pool.submit(_features_one, job) for job in batch]
+            return [None if isinstance(f.exception(), BrokenProcessPool)
+                    else f.result() for f in futures]
+
+    results = run(jobs, min(workers, len(jobs)))
+    for i, res in enumerate(results):
+        if res is None:
+            res = run([jobs[i]], 1)[0]
+        if res is None:
+            res = (*_job_labels(jobs[i]),
+                   "BrokenProcessPool: the worker process died")
+        results[i] = res
+    return results
 
 
 def cmd_features(args) -> int:
@@ -83,8 +121,7 @@ def cmd_features(args) -> int:
     _check_readable(args.inputs)
     jobs = [(p, args.family_from_dir, cfg) for p in args.inputs]
     if args.workers > 1:
-        with multiprocessing.Pool(args.workers) as pool:
-            results = pool.map(_features_one, jobs)
+        results = _features_pool(jobs, args.workers)
     else:
         results = [_features_one(j) for j in jobs]
     for instance, _, res in results:
@@ -120,7 +157,7 @@ def cmd_features(args) -> int:
 
 def cmd_ndr(args) -> int:
     _check_readable((args.input,))
-    formula = cnf.parse_dimacs(Path(args.input).read_bytes())
+    formula = cnf.parse_dimacs(cnf.read_input(args.input))
     g = _build_graph(formula, args.model, args.weighted)
     curve = fractal.cover_curve(g, r_stop=args.r_stop, ordering=args.ordering,
                                 monotone_clamp=args.monotone_clamp)
@@ -149,8 +186,8 @@ def cmd_ndr(args) -> int:
 def cmd_evolution(args) -> int:
     cfg = _feature_config(args)
     _check_readable((args.input, args.trace))
-    formula = cnf.parse_dimacs(Path(args.input).read_bytes())
-    trace = cnf.parse_trace(Path(args.trace).read_text())
+    formula = cnf.parse_dimacs(cnf.read_input(args.input))
+    trace = cnf.parse_trace(cnf.read_input(args.trace))
     if args.checkpoints:
         checkpoints = [int(c) for c in args.checkpoints.split(",")]
         missing = [c for c in checkpoints if c not in trace.decision_counts]

@@ -4,9 +4,13 @@ clause augmentation (learnt clauses from a solver trace, or random stand-ins).
 
 from __future__ import annotations
 
+import bz2
+import gzip
+import lzma
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -122,6 +126,17 @@ class ClauseTrace:
 
 # ---------------------------------------------------------------------------
 # DIMACS I/O
+
+
+_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open}
+
+
+def read_input(path) -> bytes:
+    """Raw bytes of a DIMACS or trace file. A `.gz`, `.bz2` or `.xz` suffix
+    (any case) selects the matching decompressor."""
+    opener = _OPENERS.get(Path(path).suffix.lower(), open)
+    with opener(path, "rb") as fh:
+        return fh.read()
 
 
 def _decode(source) -> str:

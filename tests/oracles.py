@@ -152,6 +152,26 @@ def modularity_optimum(g: Graph) -> tuple[float, list[list[int]]]:
     return float(best_q), best_part
 
 
+def best_move_gain(g: Graph, labels, groups=None) -> float:
+    """Largest rise of modularity, recomputed from scratch, over moving one
+    group of nodes (by default one node) into the community of a node next
+    to the group; -inf when no such move exists."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if groups is None:
+        groups = [[u] for u in range(g.node_count)]
+    adj = adjacency_sets(g)
+    base = modularity(g, Partition.from_labels(labels))
+    best = -np.inf
+    for group in groups:
+        own = int(labels[group[0]])
+        targets = {int(labels[v]) for u in group for v in adj[u]} - {own}
+        for c in targets:
+            trial = labels.copy()
+            trial[group] = c
+            best = max(best, modularity(g, Partition.from_labels(trial)) - base)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Discrete power-law sampling by exact inverse CDF.
 

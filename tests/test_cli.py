@@ -1,4 +1,11 @@
+import bz2
+import gzip
 import json
+import lzma
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +123,89 @@ class TestFeatures:
         code, _, err = _run(capsys, "features", "/nope/missing.cnf")
         assert code == 1
         assert "not readable" in err
+
+
+# Run as a script: extract_features SIGKILLs its own process for formulas
+# over 13 variables, as the out-of-memory killer would. Spawned workers import
+# the script as __mp_main__, so the patch reaches them too.
+_KILLER = """
+import os, signal, sys
+from cnfscope import cli, features
+real = features.extract_features
+def killer(formula, config=None):
+    if formula.num_vars == 13:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(formula, config)
+features.extract_features = killer
+if __name__ == "__main__":
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestKilledWorker:
+    def test_error_row_not_hang(self, tmp_path, capsys):
+        dead, alive = tmp_path / "dead.cnf", tmp_path / "alive.cnf"
+        dead.write_text(write_dimacs(random_3cnf(13, 50, seed=1)))
+        alive.write_text(write_dimacs(random_3cnf(20, 80, seed=2)))
+        _, expected, _ = _run(capsys, "features", alive, "--seed", 1)
+        script = tmp_path / "killer.py"
+        script.write_text(_KILLER)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(script), "features", str(dead), str(alive),
+             "--workers", "2", "--seed", "1"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == expected.splitlines()[0]
+        assert lines[1] == "dead.cnf,ERROR,,,,,,,,,,"
+        assert lines[2] == expected.splitlines()[1]
+        assert len(lines) == 3
+        assert "warning: dead.cnf: BrokenProcessPool" in proc.stderr
+
+
+_COMPRESS = {".gz": gzip.compress, ".bz2": bz2.compress, ".xz": lzma.compress}
+
+
+class TestCompressedInputs:
+    @pytest.fixture()
+    def plain(self, tmp_path):
+        p = tmp_path / "c.cnf"
+        p.write_text(write_dimacs(random_3cnf(30, 120, seed=3)))
+        return p
+
+    @staticmethod
+    def _compressed(path, suffix):
+        out = path.with_name(path.name + suffix)
+        out.write_bytes(_COMPRESS[suffix](path.read_bytes()))
+        return out
+
+    def test_features_same_cells(self, plain, capsys):
+        paths = [plain] + [self._compressed(plain, s) for s in _COMPRESS]
+        code, out, err = _run(capsys, "features", *paths, "--seed", 1)
+        assert code == 0 and "warning" not in err
+        rows = out.splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == [p.name for p in paths]
+        cells = {r.split(",", 1)[1] for r in rows}
+        assert len(cells) == 1 and "ERROR" not in cells.pop()
+
+    @pytest.mark.parametrize("suffix", sorted(_COMPRESS))
+    def test_ndr_and_evolution(self, plain, tmp_path, capsys, suffix):
+        trace = tmp_path / "t.trace"
+        trace.write_text("t 5\n1 2 -3 0\nt 9\n-4 5 0\n")
+        for argv in (["ndr", "{cnf}"],
+                     ["evolution", "{cnf}", "--trace", "{trace}"]):
+            outs = []
+            for cnf_path, trace_path in (
+                    (plain, trace),
+                    (self._compressed(plain, suffix),
+                     self._compressed(trace, suffix))):
+                args = [a.format(cnf=cnf_path, trace=trace_path) for a in argv]
+                code, out, _ = _run(capsys, *args)
+                assert code == 0
+                outs.append(out)
+            assert outs[0] == outs[1]
 
 
 class TestNdr:

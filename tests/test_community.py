@@ -4,11 +4,18 @@ import pytest
 from cnfscope.cnf import random_3cnf
 from cnfscope.community import (
     Partition,
+    _LevelGraph,
+    _local_moving,
     fold_communities,
     modularity,
 )
 from cnfscope.graph import Graph, build_vig
-from oracles import graph_from_edges, modularity_optimum, random_graph
+from oracles import (
+    best_move_gain,
+    graph_from_edges,
+    modularity_optimum,
+    random_graph,
+)
 
 
 def _clique_edges(nodes):
@@ -150,6 +157,44 @@ class TestFoldCommunities:
         g = build_vig(f, weighted=True)
         res = fold_communities(g, seed=0)
         assert 0.0 < res.q < 0.6
+
+
+def _random_weighted_graph(rng, integer_weights):
+    n = int(rng.integers(4, 30))
+    iu, iv = np.triu_indices(n, 1)
+    keep = rng.random(iu.size) < rng.uniform(0.1, 0.5)
+    size = int(keep.sum())
+    w = rng.integers(1, 4, size).astype(float) if integer_weights \
+        else rng.uniform(0.1, 3.0, size)
+    return Graph.from_edges(n, iu[keep], iv[keep], w)
+
+
+class TestLocalMoving:
+    # half the graphs have small integer weights, which makes ties common
+    CASES = [(seed, seed % 2 == 0) for seed in range(40)]
+
+    @pytest.mark.parametrize("seed,integer_weights", CASES)
+    def test_no_single_node_move_raises_q(self, seed, integer_weights):
+        g = _random_weighted_graph(np.random.default_rng(seed), integer_weights)
+        lg = _LevelGraph(g, np.zeros(g.node_count))
+        labels, gain, _ = _local_moving(lg, np.random.default_rng(seed))
+        assert best_move_gain(g, labels) <= 1e-12
+        singles = modularity(g, Partition.singletons(g.node_count))
+        q = modularity(g, Partition.from_labels(labels))
+        assert q == pytest.approx(singles + gain, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_level_graph_no_block_move_raises_q(self, seed):
+        # on the aggregated graph a node is a level-0 community and carries a
+        # self-loop: moving it moves the whole block in the original graph
+        g = _random_weighted_graph(np.random.default_rng(100 + seed), False)
+        rng = np.random.default_rng(seed)
+        lg = _LevelGraph(g, np.zeros(g.node_count))
+        labels, _, _ = _local_moving(lg, rng)
+        uniq, compact = np.unique(labels, return_inverse=True)
+        upper, _, _ = _local_moving(lg.aggregate(compact, uniq.size), rng)
+        blocks = [np.flatnonzero(compact == b) for b in range(uniq.size)]
+        assert best_move_gain(g, upper[compact], blocks) <= 1e-12
 
 
 class TestModularStructure:
