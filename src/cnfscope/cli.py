@@ -133,9 +133,8 @@ def cmd_features(args) -> int:
             if isinstance(res, str):
                 out.append({"instance": instance, "error": res})
             else:
-                row = features.FeatureRow(instance, family, res)
-                out.append(json.loads(features.matrix_to_json(
-                    features.FeatureMatrix([row])))[0])
+                out.append(features.row_to_dict(
+                    features.FeatureRow(instance, family, res)))
         _emit(json.dumps(out, indent=2) + "\n", args.output)
     else:
         text = io.StringIO()

@@ -9,6 +9,7 @@ import gzip
 import lzma
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -53,15 +54,17 @@ class CnfFormula:
     """A CNF formula over variables 1..num_vars.
 
     Clauses are tuples of nonzero integer literals (sign = polarity). The
-    direct constructor trusts its input; use from_clauses() or parse_dimacs()
-    to normalize and validate. `tautological` lists the indices of clauses
-    that contain a complementary literal pair (kept, but they count each
-    variable only once for graph and histogram purposes).
+    direct constructor CnfFormula(num_vars, clauses, warnings=()) trusts its
+    literals to be in range; use from_clauses() or parse_dimacs() to
+    normalize and validate. Two views are derived from the clauses on first
+    use and cached: `clause_vars`, the distinct variables of each clause,
+    which the graph builders and the occurrence histogram read, and
+    `tautological`, the indices of clauses holding a complementary literal
+    pair (such a clause is kept, and counts each variable once).
     """
 
     num_vars: int
     clauses: tuple[Clause, ...]
-    tautological: tuple[int, ...] = ()
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     @property
@@ -73,13 +76,37 @@ class CnfFormula:
         """Clause/variable ratio m/n."""
         return len(self.clauses) / self.num_vars
 
+    @cached_property
+    def clause_vars(self) -> tuple[np.ndarray, np.ndarray]:
+        """Clause-to-variable incidence in CSR form, (indptr, vars): the
+        distinct 0-based variables of clause i, ascending, are
+        vars[indptr[i]:indptr[i + 1]]."""
+        m, n = len(self.clauses), max(self.num_vars, 1)
+        lengths = np.fromiter(map(len, self.clauses), dtype=np.int64, count=m)
+        flat = np.fromiter(chain.from_iterable(self.clauses), dtype=np.int64,
+                           count=int(lengths.sum()))
+        # clause-major keys arrive nearly sorted, which a stable sort exploits
+        # and np.unique does not
+        key = np.repeat(np.arange(m, dtype=np.int64) * n, lengths)
+        key += np.abs(flat) - 1
+        key.sort(kind="stable")
+        clause_ids, vars_ = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(clause_ids, minlength=m), out=indptr[1:])
+        return indptr, vars_
+
+    @cached_property
+    def tautological(self) -> tuple[int, ...]:
+        """Indices of the clauses holding both some literal l and -l."""
+        return tuple(ci for ci, c in enumerate(self.clauses)
+                     if not set(c).isdisjoint([-lit for lit in c]))
+
     @classmethod
     def from_clauses(cls, num_vars: int, clauses) -> "CnfFormula":
         """Normalize and validate raw clauses (lists of literals)."""
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
         norm = []
-        taut_idx = []
         warns = []
         for ci, raw in enumerate(clauses):
             raw = tuple(raw)
@@ -90,10 +117,9 @@ class CnfFormula:
             if had_dup:
                 warns.append(f"clause {ci}: duplicate literal collapsed")
             if taut:
-                taut_idx.append(ci)
                 warns.append(f"clause {ci}: tautological (kept)")
             norm.append(clause)
-        return cls(num_vars, tuple(norm), tuple(taut_idx), tuple(warns))
+        return cls(num_vars, tuple(norm), tuple(warns))
 
 
 @dataclass(frozen=True)
@@ -206,7 +232,7 @@ def parse_dimacs(source) -> CnfFormula:
         extra = (f"header declares {declared_m} clauses, found {len(lits_raw)} "
                  "(actual count wins)",)
         formula = CnfFormula(formula.num_vars, formula.clauses,
-                             formula.tautological, formula.warnings + extra)
+                             formula.warnings + extra)
     return formula
 
 
@@ -313,15 +339,6 @@ def _random_clause(rng: np.random.Generator, n: int, size: int) -> Clause:
 # Unit propagation
 
 
-def _scan_tautological(clauses) -> tuple[int, ...]:
-    out = []
-    for ci, c in enumerate(clauses):
-        s = set(c)
-        if any(-lit in s for lit in c):
-            out.append(ci)
-    return tuple(out)
-
-
 def unit_propagate(f: CnfFormula) -> tuple[CnfFormula, dict[int, bool]]:
     """Propagate unit clauses to fixpoint.
 
@@ -363,7 +380,7 @@ def unit_propagate(f: CnfFormula) -> tuple[CnfFormula, dict[int, bool]]:
                 if len(c) == 1:
                     queue.append(c[0])
     remaining = tuple(tuple(c) for ci, c in enumerate(clauses) if alive[ci])
-    result = CnfFormula(f.num_vars, remaining, _scan_tautological(remaining))
+    result = CnfFormula(f.num_vars, remaining)
     return result, assignment
 
 
@@ -390,7 +407,7 @@ def augment_with_learnt(f: CnfFormula, trace: ClauseTrace, checkpoint: int) -> C
     """
     learnt = _normalized_learnt(f, trace.learnt_at(checkpoint))
     combined = f.clauses + tuple(learnt)
-    base = CnfFormula(f.num_vars, combined, _scan_tautological(combined))
+    base = CnfFormula(f.num_vars, combined)
     result, _ = unit_propagate(base)
     return result
 
@@ -403,53 +420,6 @@ def random_replacement(f: CnfFormula, trace: ClauseTrace, checkpoint: int,
     rng = np.random.default_rng(seed)
     added = [_random_clause(rng, f.num_vars, len(c)) for c in learnt]
     combined = f.clauses + tuple(added)
-    base = CnfFormula(f.num_vars, combined, _scan_tautological(combined))
+    base = CnfFormula(f.num_vars, combined)
     result, _ = unit_propagate(base)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Structure helper shared by graph builders and the occurrence histogram.
-
-
-def _var_groups(f: CnfFormula) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Group clauses by distinct-variable count.
-
-    Returns {k: (clause_ids, vars)} where vars is a (count, k) int64 array of
-    0-based variable ids. Tautological clauses count each variable once.
-    """
-    m = f.num_clauses
-    if m == 0:
-        return {}
-    taut = set(f.tautological)
-    lengths = np.fromiter(map(len, f.clauses), dtype=np.int64, count=m)
-    flat = np.fromiter(chain.from_iterable(f.clauses), dtype=np.int64,
-                       count=int(lengths.sum()))
-    np.abs(flat, out=flat)
-    flat -= 1
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    groups: dict[int, tuple[list, list]] = {}
-
-    def _put(k: int, cid: int, vs):
-        ids, rows = groups.setdefault(k, ([], []))
-        ids.append(cid)
-        rows.append(vs)
-
-    for size in np.unique(lengths):
-        size = int(size)
-        sel = np.nonzero(lengths == size)[0]
-        plain = sel[~np.isin(sel, list(taut))] if taut else sel
-        if plain.size:
-            rows = flat[starts[plain][:, None] + np.arange(size)]
-            ids, acc = groups.setdefault(size, ([], []))
-            ids.extend(plain.tolist())
-            acc.append(rows)
-    for cid in sorted(taut):
-        vs = sorted({abs(l) - 1 for l in f.clauses[cid]})
-        _put(len(vs), cid, np.array([vs], dtype=np.int64))
-
-    out = {}
-    for k, (ids, rows) in groups.items():
-        mats = [r if r.ndim == 2 else r[None, :] for r in rows]
-        out[k] = (np.asarray(ids, dtype=np.int64), np.vstack(mats))
-    return out

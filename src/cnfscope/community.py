@@ -10,6 +10,12 @@ import numpy as np
 
 from .graph import Graph
 
+# A level that raises Q by no more than MIN_GAIN ends a restart.
+MIN_GAIN = 1e-6
+# Graphs of up to SMALL_GRAPH nodes are folded SMALL_GRAPH_RESTARTS times,
+# larger ones once.
+SMALL_GRAPH, SMALL_GRAPH_RESTARTS = 2000, 10
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -188,8 +194,8 @@ def _local_moving(lg: _LevelGraph,
     return np.asarray(comm, dtype=np.int64), total_gain, rounds
 
 
-def _fold_once(g: Graph, lg: _LevelGraph, rng: np.random.Generator,
-               min_gain: float) -> tuple[np.ndarray, float, int, int]:
+def _fold_once(g: Graph, lg: _LevelGraph, rng: np.random.Generator
+               ) -> tuple[np.ndarray, float, int, int]:
     flat = np.arange(g.node_count, dtype=np.int64)
     q_inc = modularity(g, Partition.singletons(g.node_count))
     levels = 0
@@ -202,22 +208,21 @@ def _fold_once(g: Graph, lg: _LevelGraph, rng: np.random.Generator,
         n_comm = uniq.size
         compact = np.searchsorted(uniq, labels)
         flat = compact[flat]
-        if n_comm == lg.g.node_count or gain <= min_gain:
+        if n_comm == lg.g.node_count or gain <= MIN_GAIN:
             break
         lg = lg.aggregate(compact, n_comm)
         levels += 1
     return flat, q_inc, levels, passes
 
 
-def fold_communities(g: Graph, seed: int = 42, min_gain: float = 1e-6,
-                     restarts: int | None = None) -> ModularityResult:
+def fold_communities(g: Graph, seed: int = 42) -> ModularityResult:
     """Approximate maximum modularity by multilevel folding.
 
     Each restart alternates seeded local moving (queue-based, run to a local
     optimum) with community aggregation until a level improves Q by no more
-    than min_gain; the best restart wins. Small graphs are cheap to re-run,
-    so they default to 10 restarts (local moving is order-sensitive there);
-    large graphs get one.
+    than MIN_GAIN; the best restart wins. Small graphs are cheap to re-run,
+    so graphs of up to 2000 nodes get 10 restarts (local moving is
+    order-sensitive there) and larger graphs get one.
     The reported q is recomputed from scratch on the returned flat partition;
     q_incremental tracks the accumulated move gains for cross-checking.
     """
@@ -226,12 +231,11 @@ def fold_communities(g: Graph, seed: int = 42, min_gain: float = 1e-6,
     base = _LevelGraph(g, np.zeros(g.node_count))
     if base.total == 0.0:
         return ModularityResult(0.0, Partition.singletons(g.node_count), 0, 0, 0.0)
-    if restarts is None:
-        restarts = 10 if g.node_count <= 2000 else 1
+    restarts = SMALL_GRAPH_RESTARTS if g.node_count <= SMALL_GRAPH else 1
     best = None
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
-        flat, q_inc, levels, passes = _fold_once(g, base, rng, min_gain)
+        flat, q_inc, levels, passes = _fold_once(g, base, rng)
         part = Partition.from_labels(flat)
         q = modularity(g, part)
         if best is None or q > best.q:

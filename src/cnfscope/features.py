@@ -30,7 +30,6 @@ class FeatureConfig:
     fit_hi: int = 5
     ordering: str = "desc_degree"
     monotone_clamp: bool = False
-    min_gain: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -98,10 +97,7 @@ def _canonical_clause_order(f: CnfFormula) -> CnfFormula:
     degree-tie iteration) do not depend on the input clause order."""
     def key(c):
         return tuple(sorted(c, key=lambda l: (abs(l), l < 0)))
-    order = sorted(range(f.num_clauses), key=lambda i: key(f.clauses[i]))
-    taut = set(f.tautological)
-    return CnfFormula(f.num_vars, tuple(f.clauses[i] for i in order),
-                      tuple(i for i, old in enumerate(order) if old in taut))
+    return CnfFormula(f.num_vars, tuple(sorted(f.clauses, key=key)))
 
 
 def cover_and_fit(g: Graph, cfg: FeatureConfig
@@ -130,7 +126,7 @@ def extract_features(f: CnfFormula, config: FeatureConfig | None = None
     _, fit_b = cover_and_fit(build_cvig(f, weighted=False), cfg)
 
     wvig = build_vig(f, weighted=True)
-    q = fold_communities(wvig, seed=cfg.seed, min_gain=cfg.min_gain).q
+    q = fold_communities(wvig, seed=cfg.seed).q
 
     extras = {
         "beta": fit_v.beta,
@@ -248,13 +244,16 @@ def matrix_from_csv(text: str, skip_errors: bool = False) -> FeatureMatrix:
     return FeatureMatrix(out)
 
 
+def row_to_dict(r: FeatureRow) -> dict:
+    """One feature row as a JSON object: instance, family, the five
+    features and whichever extras the row has, in CSV_HEADER order."""
+    v = r.vector
+    entry = {"instance": r.instance, "family": r.family,
+             "alpha": v.alpha, "q": v.q, "d": v.d, "d_b": v.d_b,
+             "ratio": v.ratio}
+    entry.update({k: v.extras[k] for k in EXTRA_NAMES if k in v.extras})
+    return entry
+
+
 def matrix_to_json(matrix: FeatureMatrix) -> str:
-    out = []
-    for r in matrix.rows:
-        v = r.vector
-        entry = {"instance": r.instance, "family": r.family,
-                 "alpha": v.alpha, "q": v.q, "d": v.d, "d_b": v.d_b,
-                 "ratio": v.ratio}
-        entry.update({k: v.extras[k] for k in EXTRA_NAMES if k in v.extras})
-        out.append(entry)
-    return json.dumps(out, indent=2)
+    return json.dumps([row_to_dict(r) for r in matrix.rows], indent=2)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import CnfFormula, _var_groups
+from .cnf import CnfFormula
 
 VARIABLE = "variable"
 CLAUSE = "clause"
@@ -128,18 +128,19 @@ def build_vig(f: CnfFormula, weighted: bool = False) -> Graph:
     """Variable incidence graph: one node per variable, edges between
     variables sharing a clause. Weighted mode spreads weight 1 over the
     C(k,2) pairs of each clause with k distinct variables."""
-    groups = _var_groups(f)
+    indptr, vars_ = f.clause_vars
+    sizes = np.diff(indptr)
     us, vs, ws = [], [], []
-    for k, (_, V) in sorted(groups.items()):
-        if k < 2:
-            continue
+    # each clause size k >= 2 present (np.unique is ~10x slower here)
+    for k in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
+        # one row per clause of k variables, ascending, so row[i] < row[j]
+        rows = vars_[indptr[:-1][sizes == k][:, None] + np.arange(k)]
         wgt = 1.0 / (k * (k - 1) / 2) if weighted else 1.0
         for i in range(k):
             for j in range(i + 1, k):
-                a, b = V[:, i], V[:, j]
-                us.append(np.minimum(a, b))
-                vs.append(np.maximum(a, b))
-                ws.append(np.full(a.size, wgt))
+                us.append(rows[:, i])
+                vs.append(rows[:, j])
+                ws.append(np.full(rows.shape[0], wgt))
     if us:
         u = np.concatenate(us)
         v = np.concatenate(vs)
@@ -157,24 +158,13 @@ def build_cvig(f: CnfFormula, weighted: bool = False) -> Graph:
     followed by clause nodes n..n+m-1, one edge per occurrence. Weighted mode
     gives each clause's star total weight 1."""
     n, m = f.num_vars, f.num_clauses
-    groups = _var_groups(f)
-    us, vs, ws = [], [], []
-    for k, (cids, V) in sorted(groups.items()):
-        if k < 1:
-            continue
-        us.append(V.ravel())
-        vs.append(np.repeat(cids + n, k))
-        wgt = 1.0 / k if weighted else 1.0
-        ws.append(np.full(V.size, wgt))
-    if us:
-        u = np.concatenate(us)
-        v = np.concatenate(vs)
-        w = np.concatenate(ws)
-    else:
-        u = v = np.empty(0, dtype=np.int64)
-        w = np.empty(0, dtype=np.float64)
+    indptr, vars_ = f.clause_vars
+    sizes = np.diff(indptr)
+    clause_nodes = n + np.repeat(np.arange(m, dtype=np.int64), sizes)
+    w = 1.0 / np.repeat(sizes, sizes) if weighted else None
     mode = "sum" if weighted else "unit"
-    return Graph.from_edges(n + m, u, v, w, variable_count=n, weight_mode=mode)
+    return Graph.from_edges(n + m, vars_, clause_nodes, w, variable_count=n,
+                            weight_mode=mode)
 
 
 def build_cig(f: CnfFormula) -> Graph:

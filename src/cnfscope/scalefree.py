@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import CnfFormula, _var_groups
+from .cnf import CnfFormula
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,7 @@ class AlphaFit:
 def occurrence_histogram(f: CnfFormula) -> OccurrenceHistogram:
     """Count occurrences of each variable over all clauses (a variable
     occurring with both polarities in a clause counts once)."""
-    groups = _var_groups(f)
-    if groups:
-        allvars = np.concatenate([V.ravel() for _, V in groups.values()])
-        occ = np.bincount(allvars, minlength=f.num_vars)
-    else:
-        occ = np.zeros(f.num_vars, dtype=np.int64)
+    occ = np.bincount(f.clause_vars[1], minlength=f.num_vars)
     occ = occ[occ > 0]
     ks, fs = np.unique(occ, return_counts=True)
     return OccurrenceHistogram(ks, fs, f.num_vars)

@@ -11,7 +11,14 @@ import pytest
 
 from cnfscope.cli import main
 from cnfscope.cnf import parse_dimacs, random_3cnf, write_dimacs
-from cnfscope.features import matrix_from_csv
+from cnfscope.features import (
+    FeatureConfig,
+    FeatureMatrix,
+    FeatureRow,
+    extract_features,
+    matrix_from_csv,
+    matrix_to_json,
+)
 
 
 @pytest.fixture()
@@ -110,6 +117,14 @@ class TestFeatures:
         data = json.loads(out)
         assert data[0]["instance"] == "small.cnf"
         assert "alpha" in data[0]
+
+    def test_json_row_matches_matrix_to_json(self, cnf_file, capsys):
+        _, out, _ = _run(capsys, "features", cnf_file, "--format", "json",
+                         "--seed", 1)
+        vec = extract_features(parse_dimacs(cnf_file.read_text()),
+                               FeatureConfig(seed=1))
+        row = FeatureRow("small.cnf", None, vec)
+        assert out == matrix_to_json(FeatureMatrix([row])) + "\n"
 
     def test_family_from_dir(self, tmp_path, capsys):
         fam = tmp_path / "crypto"

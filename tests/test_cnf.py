@@ -16,6 +16,7 @@ from cnfscope.cnf import (
     write_dimacs,
     write_trace,
 )
+from cnfscope.graph import build_cvig, build_vig
 
 
 class TestParseDimacs:
@@ -92,6 +93,50 @@ class TestWriteDimacs:
         text = "c hi\np cnf 4 3\n1 1 -2 0 3 -4 0\n2 0\n"
         once = write_dimacs(parse_dimacs(text))
         assert write_dimacs(parse_dimacs(once)) == once
+
+
+class TestDerivedViews:
+    """clause_vars and tautological come from the clauses alone, whichever
+    constructor built the formula."""
+
+    def test_direct_constructor_tautology(self):
+        f = CnfFormula(3, ((1, -1, 2), (2, 3)))
+        parsed = parse_dimacs(write_dimacs(f))
+        assert parsed == f
+        assert f.tautological == parsed.tautological == (0,)
+        builders = (lambda h: build_vig(h), lambda h: build_vig(h, weighted=True),
+                    lambda h: build_cvig(h), lambda h: build_cvig(h, weighted=True))
+        for build in builders:
+            a, b = build(f), build(parsed)
+            for name in ("indptr", "indices", "weights"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_clause_vars_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            clauses = []
+            for _ in range(int(rng.integers(0, 60))):
+                size = int(rng.integers(0, min(n, 6) + 1))
+                vs = rng.choice(n, size=size, replace=False) + 1
+                c = [int(v) * int(s) for v, s in
+                     zip(vs, rng.integers(0, 2, size=size) * 2 - 1)]
+                if c and rng.random() < 0.2:
+                    c.insert(int(rng.integers(len(c) + 1)), c[0])   # duplicate
+                if c and rng.random() < 0.2:
+                    c.insert(int(rng.integers(len(c) + 1)), -c[-1])  # tautology
+                clauses.append(tuple(c))
+            for f in (CnfFormula(n, tuple(clauses)),
+                      CnfFormula.from_clauses(n, [c for c in clauses if c])):
+                indptr, vars_ = f.clause_vars
+                assert f.clause_vars[1] is vars_  # cached, built once
+                assert indptr.size == f.num_clauses + 1
+                for i, c in enumerate(f.clauses):
+                    got = vars_[indptr[i]:indptr[i + 1]].tolist()
+                    assert got == sorted({abs(l) - 1 for l in c})
+                assert f.tautological == tuple(
+                    i for i, c in enumerate(f.clauses)
+                    if any(-l in c for l in c))
 
 
 class TestRandom3Cnf:

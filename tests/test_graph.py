@@ -150,6 +150,13 @@ class TestBuildCig:
         f = CnfFormula.from_clauses(2, [[1, -1, 2]])
         g = build_cig(f)
         assert g.edge_count == 0
+        # the direct constructor keeps the complementary pair as given; no
+        # builder may turn it into a self-loop
+        f = CnfFormula(3, ((1, -1, 2), (2, 3)))
+        assert build_cig(f).edge_count == 0
+        assert build_vig(f).edge_arrays()[0].tolist() == [0, 1]
+        assert build_vig(f).edge_arrays()[1].tolist() == [1, 2]
+        assert build_cvig(f).degrees.tolist() == [1, 2, 1, 2, 2]
 
 
 class TestBfs:

@@ -31,6 +31,9 @@ class TestOccurrenceHistogram:
         f = CnfFormula.from_clauses(2, [[1, -1, 2]])
         h = occurrence_histogram(f)
         assert h.entries == [(1, 2)]
+        # the direct constructor keeps the complementary pair as given
+        f = CnfFormula(3, ((1, -1, 2), (2, 3)))
+        assert occurrence_histogram(f).entries == [(1, 2), (2, 1)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
