@@ -112,9 +112,9 @@ def extract_features(f: CnfFormula, config: FeatureConfig | None = None
                      ) -> FeatureVector:
     """Full feature pipeline for one formula.
 
-    Fractal fits run on the unweighted VIG and CVIG, alpha on the occurrence
-    histogram, q by folding the weighted VIG. Deterministic per config seed,
-    and invariant under clause permutation (clause order is canonicalized).
+    Fractal fits run on the VIG and CVIG, alpha on the occurrence histogram,
+    q by folding the weighted VIG. Deterministic per config seed, and
+    invariant under clause permutation (clause order is canonicalized).
     """
     cfg = config or FeatureConfig()
     if f.num_vars == 0 or f.num_clauses == 0:
@@ -122,11 +122,13 @@ def extract_features(f: CnfFormula, config: FeatureConfig | None = None
     f = _canonical_clause_order(f)
     alpha = fit_alpha(occurrence_histogram(f)).alpha
 
-    curve, fit_v = cover_and_fit(build_vig(f, weighted=False), cfg)
+    # covers ignore weights, so the weighted VIG serves both; it is dropped
+    # before the CVIG is built, so the two graphs are never held together
+    vig = build_vig(f, weighted=True)
+    curve, fit_v = cover_and_fit(vig, cfg)
+    q = fold_communities(vig, seed=cfg.seed).q
+    del vig
     _, fit_b = cover_and_fit(build_cvig(f, weighted=False), cfg)
-
-    wvig = build_vig(f, weighted=True)
-    q = fold_communities(wvig, seed=cfg.seed).q
 
     extras = {
         "beta": fit_v.beta,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, bfs_layers, connected_components
+from .graph import Graph, bfs_layers, connected_components, gather_neighbors
 
 ORDERINGS = ("desc_degree", "asc_degree")
 
@@ -29,13 +29,27 @@ def _node_order(g: Graph, ordering: str) -> np.ndarray:
     raise ValueError(f"unknown ordering {ordering!r} (expected one of {ORDERINGS})")
 
 
+def _burn(g: Graph, sources, stamp: np.ndarray, token, r: int) -> None:
+    """Set stamp to token on every node within hop distance < r of sources.
+
+    A BFS builds the layers up to r - 2 hops; the last hop only stamps the
+    neighbours of the deepest layer, unfiltered and undeduped, since no
+    caller reads that largest layer.
+    """
+    layers = bfs_layers(g, sources, stamp, token, max(r - 2, 0))
+    if len(layers) == r - 1:
+        stamp[gather_neighbors(g, layers[-1])] = token
+
+
 def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree"
                        ) -> tuple[int, np.ndarray]:
     """Greedy burning estimate of N(r); returns (count, selected centers).
 
     Nodes are visited by the chosen degree ordering (ascending node id breaks
     ties); an unburned node is selected as a center and its radius-r circle
-    burned. The selected circles always cover the whole graph.
+    burned. The selected circles always cover the whole graph. A circle is
+    the center's BFS layers up to r - 2 hops plus the neighbours of the last
+    one, which are stamped but never built into a layer.
     """
     if r < 1:
         raise ValueError("radius must be >= 1")
@@ -54,17 +68,19 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree"
             stamp[u] = 1
             stamp[g.neighbors(u)] = 1
         else:
-            bfs_layers(g, [u], stamp, len(centers), r - 1)
+            _burn(g, [u], stamp, len(centers), r)
     return len(centers), np.asarray(centers, dtype=np.int64)
 
 
 def verify_cover(g: Graph, centers, r: int) -> bool:
     """True when every node lies within hop distance < r of some center."""
+    if r < 1:
+        raise ValueError("radius must be >= 1")
     centers = np.unique(np.asarray(centers, dtype=np.int64))
     if centers.size == 0:
         return g.node_count == 0
     covered = np.zeros(g.node_count, dtype=bool)
-    bfs_layers(g, centers, covered, True, r - 1)
+    _burn(g, centers, covered, True, r)
     return bool(covered.all())
 
 

@@ -50,8 +50,11 @@ class Graph:
         hi = np.maximum(u, v)
         if u.size:
             key = lo * np.int64(node_count) + hi
-            # secondary sort on w keeps float summation order canonical
-            order = np.lexsort((w, key))
+            if weight_mode == "unit":
+                order = np.argsort(key, kind="stable")
+            else:
+                # secondary sort on w keeps float summation order canonical
+                order = np.lexsort((w, key))
             key = key[order]
             w = w[order]
             boundary = np.empty(key.size, dtype=bool)
@@ -74,7 +77,8 @@ class Graph:
         src = np.concatenate((eu, ev))
         dst = np.concatenate((ev, eu))
         ww = np.concatenate((uw, uw))
-        order = np.lexsort((dst, src))
+        # (src, dst) pairs are distinct, so one key orders them fully
+        order = np.argsort(src * np.int64(node_count) + dst, kind="stable")
         src = src[order]
         dst = dst[order]
         ww = ww[order]
@@ -201,14 +205,20 @@ def build_cig(f: CnfFormula) -> Graph:
 
 
 def gather_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor lists of all frontier nodes (with repeats)."""
-    starts = g.indptr[frontier]
-    counts = g.indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=g.indices.dtype)
-    offsets = np.cumsum(counts) - counts
-    idx = np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
+    """Concatenated neighbor lists of all frontier nodes (with repeats).
+
+    A one-node frontier gets its CSR row itself: a view into g.indices,
+    which callers must not write to."""
+    if frontier.size == 1:
+        u = frontier[0]
+        return g.indices[g.indptr[u]:g.indptr[u + 1]]
+    ends = g.indptr[frontier + 1]
+    counts = ends - g.indptr[frontier]
+    # output position p of row k reads indices[p + start_k - counts[:k].sum()],
+    # and start_k - counts[:k].sum() == end_k - counts[:k + 1].sum()
+    ends -= counts.cumsum()
+    idx = ends.repeat(counts)
+    idx += np.arange(idx.size)
     return g.indices[idx]
 
 
@@ -219,8 +229,12 @@ def bfs_layers(g: Graph, sources, seen: np.ndarray, token,
     A node counts as visited when seen[node] == token; every node reached,
     sources included, is marked that way, so callers stamp repeated searches
     with fresh tokens instead of clearing seen. Layer 0 is the sources; layer
-    k holds the nodes first reached after k hops, sorted, up to max_depth
-    hops (no cap on None).
+    k holds the nodes first reached after k hops, sorted and distinct, up to
+    max_depth hops (no cap on None).
+
+    A new layer is deduped by an in-place sort and an adjacent-difference
+    mask (np.unique is several times slower on large layers), except after a
+    one-node frontier, whose CSR row is already sorted and distinct.
     """
     frontier = np.asarray(sources, dtype=np.int64)
     seen[frontier] = token
@@ -230,7 +244,13 @@ def bfs_layers(g: Graph, sources, seen: np.ndarray, token,
         fresh = neigh[seen[neigh] != token]
         if fresh.size == 0:
             break
-        frontier = np.unique(fresh)
+        if frontier.size > 1:
+            fresh.sort()
+            keep = np.empty(fresh.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(fresh[1:], fresh[:-1], out=keep[1:])
+            fresh = fresh[keep]
+        frontier = fresh
         seen[frontier] = token
         layers.append(frontier)
     return layers

@@ -2,8 +2,9 @@
 
 Nothing here shares algorithmic machinery with the library paths it checks:
 coloring is plain backtracking, partition search enumerates every set
-partition, breadth-first search walks adjacency sets with a deque, and the
-power-law sampler inverts the exact discrete CDF.
+partition, breadth-first search walks adjacency sets with a deque, CSR
+arrays are built edge by edge from a dict, and the power-law sampler inverts
+the exact discrete CDF.
 """
 
 from collections import deque
@@ -25,6 +26,29 @@ def graph_from_edges(n, edges, weights=None) -> Graph:
 
 def adjacency_sets(g: Graph) -> list[set[int]]:
     return [set(g.neighbors(u).tolist()) for u in range(g.node_count)]
+
+
+def reference_csr(n, u, v, w, weight_mode):
+    """CSR arrays built edge by edge: parallel edges in either direction
+    collapse into one whose weight is the sum of theirs in ascending order
+    (or 1 in 'unit' mode); each row lists its neighbours in ascending order."""
+    merged: dict[tuple[int, int], list[float]] = {}
+    for a, b, x in zip(u, v, w):
+        merged.setdefault((min(a, b), max(a, b)), []).append(x)
+    rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for (a, b), ws in merged.items():
+        total = 0.0
+        for x in sorted(ws):
+            total += x
+        weight = 1.0 if weight_mode == "unit" else total
+        rows[a].append((b, weight))
+        rows[b].append((a, weight))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(row) for row in rows])
+    pairs = [p for row in rows for p in sorted(row)]
+    indices = np.array([b for b, _ in pairs], dtype=np.int64)
+    weights = np.array([x for _, x in pairs], dtype=np.float64)
+    return indptr, indices, weights
 
 
 def random_graph(rng, n, p) -> Graph:

@@ -1,17 +1,28 @@
 """Every breadth-first search of the library against the deque oracle, on
-seeded random graphs that include disconnected ones and isolated nodes."""
+seeded random graphs that include disconnected ones and isolated nodes, and
+on bipartite CVIGs of small random formulas. Also the CSR arrays the searches
+walk: a one-node frontier's row is used as a layer as it is, so each row must
+be sorted and distinct."""
 
 import numpy as np
 import pytest
 
 from cnfscope.fractal import greedy_cover_count, verify_cover
-from cnfscope.graph import bfs_distances, bfs_layers, connected_components
+from cnfscope.graph import (
+    Graph,
+    bfs_distances,
+    bfs_layers,
+    build_cvig,
+    connected_components,
+)
 from oracles import (
     adjacency_sets,
     greedy_centers,
     hop_distances,
     random_connected_graph,
+    random_formula,
     random_graph,
+    reference_csr,
 )
 
 
@@ -21,6 +32,12 @@ def _graphs():
               ((1, 0.5), (12, 0.1), (25, 0.08), (30, 0.2), (40, 0.05))]
     graphs += [random_connected_graph(rng, n, extra) for n, extra in
                ((15, 0), (30, 4), (50, 10))]
+    # clause-variable graphs: hubs of high degree next to long bipartite
+    # paths, some with unit clauses and unused variables
+    graphs += [build_cvig(random_formula(rng, max_vars=v, max_clauses=c,
+                                         max_clause=k))
+               for v, c, k in ((6, 4, 2), (12, 10, 3), (20, 14, 3),
+                               (30, 40, 4), (40, 25, 2))]
     return graphs
 
 
@@ -70,7 +87,7 @@ def test_connected_components(g):
 
 
 @pytest.mark.parametrize("g", GRAPHS)
-@pytest.mark.parametrize("r", (2, 3, 4))
+@pytest.mark.parametrize("r", (2, 3, 4, 5, 6))
 @pytest.mark.parametrize("ordering", ("desc_degree", "asc_degree"))
 def test_greedy_balls(g, r, ordering):
     adj = adjacency_sets(g)
@@ -86,8 +103,51 @@ def test_verify_cover(g):
     adj = adjacency_sets(g)
     rng = np.random.default_rng(g.node_count + 1)
     for _ in range(20):
-        r = int(rng.integers(1, 5))
+        r = int(rng.integers(1, 7))
         k = int(rng.integers(1, g.node_count + 1))
         centers = rng.choice(g.node_count, size=k, replace=True)
         want = len(hop_distances(adj, set(centers.tolist()), r - 1)) == g.node_count
         assert verify_cover(g, centers, r) == want
+
+
+def _random_multigraph(rng, n, edges):
+    """Edge arrays with many parallel edges given in both directions, and
+    weights that are multiples of 1/16, so that their sums are exact in any
+    order."""
+    u = rng.integers(0, n, size=edges)
+    v = (u + rng.integers(1, n, size=edges)) % n
+    w = rng.integers(1, 64, size=edges) / 16.0
+    return u, v, w
+
+
+@pytest.mark.parametrize("weight_mode", ("sum", "unit"))
+def test_from_edges_oracle(weight_mode):
+    rng = np.random.default_rng(77)
+    for _ in range(30):
+        n = int(rng.integers(2, 25))
+        u, v, w = _random_multigraph(rng, n, int(rng.integers(0, 4 * n)))
+        g = Graph.from_edges(n, u, v, w, weight_mode=weight_mode)
+        want = reference_csr(n, u.tolist(), v.tolist(), w.tolist(),
+                              weight_mode)
+        for got, ref in zip((g.indptr, g.indices, g.weights), want):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+
+def test_from_edges_sum_order_canonical():
+    """Weight sums do not depend on the order or direction the parallel
+    edges arrive in, even where float addition is not associative."""
+    rng = np.random.default_rng(78)
+    for _ in range(30):
+        n = int(rng.integers(2, 12))
+        u, v, _ = _random_multigraph(rng, n, 6 * n)
+        w = 1.0 / rng.integers(1, 12, size=u.size) + rng.random(u.size)
+        g = Graph.from_edges(n, u, v, w)
+        perm = rng.permutation(u.size)
+        flip = rng.random(u.size) < 0.5
+        pu = np.where(flip, v, u)[perm]
+        pv = np.where(flip, u, v)[perm]
+        h = Graph.from_edges(n, pu, pv, w[perm])
+        assert np.array_equal(g.indptr, h.indptr)
+        assert np.array_equal(g.indices, h.indices)
+        assert np.array_equal(g.weights, h.weights)

@@ -64,6 +64,12 @@ class TestGreedyCover:
         with pytest.raises(ValueError):
             greedy_cover_count(_path(3), 0)
 
+    @pytest.mark.parametrize("r", (0, -3))
+    def test_verify_cover_bad_radius(self, r):
+        # a circle of radius < 1 holds no node; rejected as in greedy
+        with pytest.raises(ValueError, match="radius must be >= 1"):
+            verify_cover(_path(3), [0, 1, 2], r)
+
     def test_bad_ordering(self):
         with pytest.raises(ValueError):
             greedy_cover_count(_path(3), 2, ordering="by_id")
