@@ -48,15 +48,12 @@ from .fractal import (
 )
 from .graph import (
     Graph,
-    GraphStats,
     bfs_distances,
     build_cig,
     build_cvig,
     build_vig,
     connected_components,
     eccentricities,
-    graph_stats,
-    write_edgelist,
 )
 from .portfolio import (
     ClassificationReport,

@@ -372,9 +372,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_fit_window(parser, args) -> None:
+    """A fit needs radii 1 <= --fit-lo < --fit-hi; anything else is a usage
+    error (exit 2), not a failure of every file."""
+    if not hasattr(args, "fit_lo"):
+        return
+    if args.fit_lo < 1:
+        parser.error(f"argument --fit-lo: must be >= 1, got {args.fit_lo}")
+    if args.fit_hi <= args.fit_lo:
+        parser.error(f"argument --fit-hi: must be greater than --fit-lo "
+                     f"({args.fit_lo}), got {args.fit_hi}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_fit_window(parser, args)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # DimacsError/TraceError included

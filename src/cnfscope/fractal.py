@@ -306,7 +306,9 @@ class DimensionFit:
 
 def fit_dimension(curve: CoverCurve, r_lo: int = 1, r_hi: int = 5) -> DimensionFit:
     """Fit d and beta on the window r = r_lo..r_hi, truncated at the end of
-    the curve. Requires at least two points."""
+    the curve. Requires r_lo >= 1 and at least two points."""
+    if r_lo < 1:
+        raise ValueError(f"r_lo must be >= 1, got {r_lo}")
     hi = min(r_hi, len(curve))
     if hi - r_lo + 1 < 2:
         raise ValueError(

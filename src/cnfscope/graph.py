@@ -7,14 +7,9 @@ counts; edge weights only matter for modularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cnf import CnfFormula
-
-VARIABLE = "variable"
-CLAUSE = "clause"
 
 
 class Graph:
@@ -37,51 +32,51 @@ class Graph:
         Coinciding edges collapse into one; weight_mode 'sum' adds their
         weights, 'unit' sets every retained edge weight to 1. Self-loops are
         rejected.
+
+        Edges travel as int64 keys lo * node_count + hi. In 'unit' mode
+        equal keys are identical edges, so the keys themselves are sorted
+        (numpy's plain sort, several times faster than any argsort) and no
+        permutation is built.
         """
+        if weight_mode not in ("sum", "unit"):
+            raise ValueError(f"unknown weight_mode {weight_mode!r}")
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        if w is None:
-            w = np.ones(u.size, dtype=np.float64)
-        else:
-            w = np.asarray(w, dtype=np.float64)
         if u.size and (u == v).any():
             raise ValueError("self-loops are not allowed")
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        if u.size:
-            key = lo * np.int64(node_count) + hi
-            if weight_mode == "unit":
-                order = np.argsort(key, kind="stable")
-            else:
-                # secondary sort on w keeps float summation order canonical
-                order = np.lexsort((w, key))
+        n = np.int64(node_count)
+        key = np.minimum(u, v)
+        key *= n
+        key += np.maximum(u, v)
+        if weight_mode == "unit":
+            key.sort()
+        else:
+            w = (np.ones(u.size) if w is None
+                 else np.asarray(w, dtype=np.float64))
+            # secondary sort on w keeps float summation order canonical
+            order = np.lexsort((w, key))
             key = key[order]
             w = w[order]
-            boundary = np.empty(key.size, dtype=bool)
-            boundary[0] = True
-            np.not_equal(key[1:], key[:-1], out=boundary[1:])
-            starts = np.nonzero(boundary)[0]
-            ukey = key[starts]
-            if weight_mode == "unit":
-                uw = np.ones(starts.size, dtype=np.float64)
-            elif weight_mode == "sum":
-                uw = np.add.reduceat(w, starts)
-            else:
-                raise ValueError(f"unknown weight_mode {weight_mode!r}")
-            eu = ukey // node_count
-            ev = ukey % node_count
+        boundary = np.empty(key.size, dtype=bool)
+        boundary[:1] = True
+        np.not_equal(key[1:], key[:-1], out=boundary[1:])
+        starts = np.flatnonzero(boundary)
+        key = key[starts]
+        # both directions of every edge, keyed src * node_count + dst
+        lo, hi = np.divmod(key, n)
+        hi *= n
+        hi += lo
+        key = np.concatenate((key, hi))
+        if weight_mode == "unit":
+            key.sort()
+            ww = np.ones(key.size)
         else:
-            eu = np.empty(0, dtype=np.int64)
-            ev = np.empty(0, dtype=np.int64)
-            uw = np.empty(0, dtype=np.float64)
-        src = np.concatenate((eu, ev))
-        dst = np.concatenate((ev, eu))
-        ww = np.concatenate((uw, uw))
-        # (src, dst) pairs are distinct, so one key orders them fully
-        order = np.argsort(src * np.int64(node_count) + dst, kind="stable")
-        src = src[order]
-        dst = dst[order]
-        ww = ww[order]
+            # the keys are distinct, so any sort gives the same order
+            order = np.argsort(key)
+            key = key[order]
+            uw = np.add.reduceat(w, starts)
+            ww = np.concatenate((uw, uw))[order]
+        src, dst = np.divmod(key, n)
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
         if variable_count is None:
@@ -90,9 +85,6 @@ class Graph:
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
-
-    def edge_weights(self, u: int) -> np.ndarray:
-        return self.weights[self.indptr[u]:self.indptr[u + 1]]
 
     @property
     def degrees(self) -> np.ndarray:
@@ -109,19 +101,11 @@ class Graph:
     def total_weight(self) -> float:
         return float(self.weights.sum()) / 2.0
 
-    def node_kind(self, u: int) -> str:
-        return VARIABLE if u < self.variable_count else CLAUSE
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each undirected edge once, as (u, v, w) arrays with u < v."""
         src = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
         mask = src < self.indices
         return src[mask], self.indices[mask], self.weights[mask]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, v)
-        return bool(i < nb.size and nb[i] == v)
 
 
 # ---------------------------------------------------------------------------
@@ -139,19 +123,19 @@ def build_vig(f: CnfFormula, weighted: bool = False) -> Graph:
     for k in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
         # one row per clause of k variables, ascending, so row[i] < row[j]
         rows = vars_[indptr[:-1][sizes == k][:, None] + np.arange(k)]
-        wgt = 1.0 / (k * (k - 1) / 2) if weighted else 1.0
         for i in range(k):
             for j in range(i + 1, k):
                 us.append(rows[:, i])
                 vs.append(rows[:, j])
-                ws.append(np.full(rows.shape[0], wgt))
+        if weighted:
+            pairs = k * (k - 1) // 2
+            ws.append(np.full(rows.shape[0] * pairs, 1.0 / pairs))
     if us:
         u = np.concatenate(us)
         v = np.concatenate(vs)
-        w = np.concatenate(ws)
     else:
         u = v = np.empty(0, dtype=np.int64)
-        w = np.empty(0, dtype=np.float64)
+    w = np.concatenate(ws) if ws else None
     mode = "sum" if weighted else "unit"
     return Graph.from_edges(f.num_vars, u, v, w, variable_count=f.num_vars,
                             weight_mode=mode)
@@ -291,67 +275,3 @@ def eccentricities(g: Graph, max_nodes: int = 5000) -> np.ndarray:
         finite = d[np.isfinite(d)]
         ecc[u] = finite.max() if finite.size else 0.0
     return ecc
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    diameter: int
-    typical_distance: float
-    connected_components: int
-    diameter_is_exact: bool
-
-
-def _double_sweep(g: Graph, start: int) -> int:
-    d = bfs_distances(g, start)
-    d[np.isinf(d)] = -1.0
-    far = int(np.argmax(d))
-    d2 = bfs_distances(g, far)
-    d2[np.isinf(d2)] = -1.0
-    return int(d2.max())
-
-
-def graph_stats(g: Graph, sample_pairs: int = 1000, seed: int = 42) -> GraphStats:
-    """Diameter, typical distance L, component count.
-
-    The diameter is exact (all-pairs BFS) up to 2000 nodes, else a double
-    sweep lower bound flagged via diameter_is_exact=False. On disconnected
-    graphs the maximum over components is reported. L averages the distance
-    of sample_pairs random reachable node pairs, deterministically per seed.
-    """
-    n = g.node_count
-    ncomp, comp = connected_components(g)
-    if n <= 2000:
-        diameter = int(eccentricities(g).max()) if n else 0
-        exact = True
-    else:
-        diameter = 0
-        for c in range(ncomp):
-            start = int(np.argmax(comp == c))
-            diameter = max(diameter, _double_sweep(g, start))
-        exact = False
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    got = 0
-    attempts = 0
-    max_attempts = max(20 * sample_pairs, 100)
-    dist_cache: dict[int, np.ndarray] = {}
-    while got < sample_pairs and attempts < max_attempts and n > 1:
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        attempts += 1
-        if u == v or comp[u] != comp[v]:
-            continue
-        if u not in dist_cache:
-            if len(dist_cache) > 64:
-                dist_cache.clear()
-            dist_cache[u] = bfs_distances(g, u)
-        total += float(dist_cache[u][v])
-        got += 1
-    typical = total / got if got else 0.0
-    return GraphStats(diameter, typical, ncomp, exact)
-
-
-def write_edgelist(g: Graph) -> str:
-    """One `u v w` line per undirected edge, 0-based node ids."""
-    u, v, w = g.edge_arrays()
-    return "".join(f"{a} {b} {c:g}\n" for a, b, c in zip(u.tolist(), v.tolist(), w.tolist()))

@@ -134,6 +134,37 @@ def test_from_edges_oracle(weight_mode):
             assert np.array_equal(got, ref)
 
 
+def _large_multigraph(n, edges):
+    """About `edges` edges among the first 80 % of n nodes, so the rest are
+    isolated, with a fifth of them repeated and every other repeat given in
+    the opposite direction: arrays big enough for numpy's large-array sorts."""
+    rng = np.random.default_rng(n)
+    u, v, w = _random_multigraph(rng, int(0.8 * n), edges)
+    dup = rng.choice(u.size, size=u.size // 5, replace=False)
+    flip = np.arange(dup.size) % 2 == 1
+    u, v = (np.concatenate((u, np.where(flip, v[dup], u[dup]))),
+            np.concatenate((v, np.where(flip, u[dup], v[dup]))))
+    return u, v, np.concatenate((w, w[dup]))
+
+
+@pytest.mark.parametrize("weight_mode", ("sum", "unit"))
+@pytest.mark.parametrize("edges", (50_000, 0))
+@pytest.mark.parametrize("as_input", (
+    lambda a: a,
+    lambda a: a.astype(np.int32),
+    lambda a: a.tolist(),
+), ids=("int64", "int32", "list"))
+def test_from_edges_oracle_large(weight_mode, edges, as_input):
+    n = 5000
+    u, v, w = _large_multigraph(n, edges)
+    g = Graph.from_edges(n, as_input(u), as_input(v), w.tolist(),
+                         weight_mode=weight_mode)
+    want = reference_csr(n, u.tolist(), v.tolist(), w.tolist(), weight_mode)
+    for got, ref in zip((g.indptr, g.indices, g.weights), want):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
 def test_from_edges_sum_order_canonical():
     """Weight sums do not depend on the order or direction the parallel
     edges arrive in, even where float addition is not associative."""

@@ -258,6 +258,33 @@ class TestNdr:
         assert "error" in err
 
 
+class TestFitWindow:
+    """--fit-lo below 1, or --fit-hi not above --fit-lo, is a usage error
+    before any file is read."""
+
+    @pytest.mark.parametrize("window", (("--fit-lo", 0), ("--fit-lo", -1),
+                                        ("--fit-lo", 5, "--fit-hi", 2),
+                                        ("--fit-lo", 3, "--fit-hi", 3)),
+                             ids=("lo0", "lo-1", "lo5-hi2", "lo3-hi3"))
+    @pytest.mark.parametrize("command", ("features", "ndr", "evolution"))
+    def test_usage_error(self, cnf_file, tmp_path, capsys, command, window):
+        trace = tmp_path / "t.trace"
+        trace.write_text("t 10\n")
+        extra = ("--trace", trace) if command == "evolution" else ()
+        with pytest.raises(SystemExit) as exc:
+            _run(capsys, command, cnf_file, *extra, *window)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--fit-" in err
+        assert "Traceback" not in err
+
+    def test_smallest_window_accepted(self, cnf_file, capsys):
+        code, out, _ = _run(capsys, "ndr", cnf_file, "--fit-lo", 1,
+                            "--fit-hi", 2)
+        assert code == 0
+        assert "\nd," in out
+
+
 class TestEvolution:
     def test_empty_trace_identity(self, tmp_path, capsys):
         f = random_3cnf(40, 160, seed=2)

@@ -240,6 +240,12 @@ class TestFitDimension:
         with pytest.raises(ValueError):
             fit_dimension(curve)
 
+    @pytest.mark.parametrize("r_lo", (0, -2))
+    def test_window_below_radius_one(self, r_lo):
+        curve = CoverCurve(np.array([8.0, 4.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match="r_lo"):
+            fit_dimension(curve, r_lo, 4)
+
 
 class TestFormulaDimensions:
     def test_triangle_formula_curve(self):

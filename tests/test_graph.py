@@ -10,8 +10,6 @@ from cnfscope.graph import (
     build_vig,
     connected_components,
     eccentricities,
-    graph_stats,
-    write_edgelist,
 )
 from oracles import graph_from_edges, random_formula
 
@@ -31,7 +29,7 @@ class TestBuildVig:
         f = CnfFormula.from_clauses(2, [[1, 2], [1, 2]])
         g = build_vig(f, weighted=True)
         assert g.edge_count == 1
-        assert g.edge_weights(0).tolist() == [2.0]
+        assert g.weights[g.indptr[0]:g.indptr[1]].tolist() == [2.0]
 
     def test_unit_clause_isolated(self):
         f = CnfFormula.from_clauses(1, [[1]])
@@ -73,14 +71,14 @@ class TestBuildCvig:
         g = build_cvig(f, weighted=True)
         assert g.node_count == 4
         assert g.degree(3) == 3  # the clause node
-        assert np.allclose(g.edge_weights(3), 1 / 3)
+        assert np.allclose(g.weights[g.indptr[3]:g.indptr[4]], 1 / 3)
 
     def test_two_unit_clauses(self):
         f = CnfFormula.from_clauses(1, [[1], [1]])
         g = build_cvig(f, weighted=True)
         assert g.node_count == 3
         assert g.degree(0) == 2
-        assert np.allclose(g.edge_weights(0), 1.0)
+        assert np.allclose(g.weights[g.indptr[0]:g.indptr[1]], 1.0)
 
     def test_edge_count_is_occurrences(self):
         rng = np.random.default_rng(5)
@@ -125,8 +123,8 @@ class TestBuildCvig:
     def test_kind_tags(self):
         f = CnfFormula.from_clauses(2, [[1, 2]])
         g = build_cvig(f)
-        assert g.node_kind(0) == "variable"
-        assert g.node_kind(2) == "clause"
+        # nodes below variable_count are variables, the rest clauses
+        assert (g.node_count, g.variable_count) == (3, 2)
 
 
 class TestBuildCig:
@@ -144,7 +142,7 @@ class TestBuildCig:
         f = CnfFormula.from_clauses(2, [[1], [-1], [2]])
         g = build_cig(f)
         assert g.edge_count == 1
-        assert g.has_edge(0, 1)
+        assert g.neighbors(0).tolist() == [1]
 
     def test_tautological_no_self_loop(self):
         f = CnfFormula.from_clauses(2, [[1, -1, 2]])
@@ -180,39 +178,6 @@ class TestBfs:
             bfs_distances(_path(3), 5)
 
 
-class TestGraphStats:
-    def test_path5(self):
-        s = graph_stats(_path(5))
-        assert s.diameter == 4
-        assert s.diameter_is_exact
-
-    def test_k4(self):
-        g = graph_from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        s = graph_stats(g, sample_pairs=200, seed=0)
-        assert s.diameter == 1
-        assert s.typical_distance == pytest.approx(1.0)
-
-    def test_two_disjoint_edges(self):
-        g = graph_from_edges(4, [(0, 1), (2, 3)])
-        s = graph_stats(g)
-        assert s.connected_components == 2
-        assert s.diameter == 1
-
-    def test_deterministic(self):
-        g = graph_from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 2)])
-        a = graph_stats(g, sample_pairs=50, seed=3)
-        b = graph_stats(g, sample_pairs=50, seed=3)
-        assert a == b
-
-    def test_diameter_at_least_typical(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            f = random_3cnf(20, 50, int(rng.integers(1000)))
-            g = build_vig(f)
-            s = graph_stats(g, sample_pairs=100, seed=1)
-            assert s.diameter >= s.typical_distance >= 0
-
-
 class TestVigCvigDistances:
     def test_cvig_distance_is_twice_at_most_vig(self):
         rng = np.random.default_rng(13)
@@ -241,14 +206,6 @@ class TestComponentsAndEcc:
 
     def test_eccentricities_path(self):
         assert eccentricities(_path(5)).tolist() == [4, 3, 2, 3, 4]
-
-
-class TestEdgelist:
-    def test_export(self):
-        f = CnfFormula.from_clauses(3, [[1, 2, -3]])
-        g = build_vig(f, weighted=True)
-        lines = write_edgelist(g).splitlines()
-        assert lines == ["0 1 0.333333", "0 2 0.333333", "1 2 0.333333"]
 
 
 class TestFromEdges:
