@@ -266,13 +266,11 @@ def cmd_classify(args) -> int:
     matrix = _load_matrix(args.features)
     if any(r.family is None for r in matrix.rows):
         raise ValueError("feature CSV lacks family labels for some rows")
-    names = tuple(args.features_used.split(",")) if args.features_used else \
-        features.FEATURE_NAMES
     if args.mode == "tree-loo":
         report = portfolio.loo_classify(matrix, min_leaf=args.min_leaf,
-                                        features=names)
+                                        features=args.features_used)
     else:
-        report = portfolio.knn_loo_classify(matrix, features=names)
+        report = portfolio.knn_loo_classify(matrix, features=args.features_used)
     _emit(report.to_json() + "\n", args.output)
     return 0
 
@@ -297,6 +295,17 @@ def cmd_portfolio(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _feature_names(text: str) -> tuple[str, ...]:
+    """A comma-separated subset of FEATURE_NAMES; empty means all five."""
+    names = tuple(text.split(",")) if text else features.FEATURE_NAMES
+    unknown = [n for n in names if n not in features.FEATURE_NAMES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown feature(s) {', '.join(map(repr, unknown))}; choose "
+            f"from {', '.join(features.FEATURE_NAMES)}")
+    return names
 
 
 def _add_common(p, fit=True):
@@ -357,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("features")
     p.add_argument("--mode", choices=("tree-loo", "knn-loo"), default="tree-loo")
     p.add_argument("--min-leaf", type=int, default=1, dest="min_leaf")
-    p.add_argument("--features-used", default=None,
+    p.add_argument("--features-used", type=_feature_names,
+                   default=features.FEATURE_NAMES,
                    help="comma-separated feature subset (default: all five)")
     _add_common(p, fit=False)
     p.set_defaults(func=cmd_classify)

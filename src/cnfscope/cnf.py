@@ -34,19 +34,30 @@ class PropagationConflict(Exception):
         self.variable = variable
 
 
-def _normalize_clause(lits) -> tuple[Clause, bool, bool]:
-    """Collapse duplicate literals, keeping first-occurrence order.
+def _tautological(clause) -> bool:
+    """Whether a clause of distinct literals holds some l and -l."""
+    return len(set(map(abs, clause))) < len(clause)
 
-    Returns (clause, had_duplicates, is_tautological).
-    """
-    seen = set()
-    out = []
-    for lit in lits:
-        if lit not in seen:
-            seen.add(lit)
-            out.append(lit)
-    taut = any(-lit in seen for lit in out)
-    return tuple(out), len(out) < len(tuple(lits)), taut
+
+def _normalized(num_vars: int, clauses, error=ValueError, label="clause"
+                ) -> tuple[tuple[Clause, ...], tuple[str, ...]]:
+    """Collapse duplicate literals (first occurrences kept, in order) and
+    range-check the result. Returns the clauses and their warnings, in clause
+    order: duplicates collapsed, then tautologies (kept)."""
+    out, warns = [], []
+    for ci, raw in enumerate(clauses):
+        clause = tuple(dict.fromkeys(raw))
+        if len(clause) < len(raw):
+            warns.append(f"clause {ci}: duplicate literal collapsed")
+        if _tautological(clause):
+            warns.append(f"clause {ci}: tautological (kept)")
+        out.append(clause)
+    bad = next(((ci, lit) for ci, clause in enumerate(out) for lit in clause
+                if lit == 0 or abs(lit) > num_vars), None)
+    if bad:
+        raise error(f"literal {bad[1]} out of range in {label} {bad[0]} "
+                    f"(n={num_vars})")
+    return tuple(out), tuple(warns)
 
 
 @dataclass(frozen=True)
@@ -76,15 +87,22 @@ class CnfFormula:
         """Clause/variable ratio m/n."""
         return len(self.clauses) / self.num_vars
 
+    def literal_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lengths, literals): each clause's length and all literals in
+        clause order, as int64 arrays, built afresh on each call."""
+        lengths = np.fromiter(map(len, self.clauses), dtype=np.int64,
+                              count=len(self.clauses))
+        flat = np.fromiter(chain.from_iterable(self.clauses), dtype=np.int64,
+                           count=int(lengths.sum()))
+        return lengths, flat
+
     @cached_property
     def clause_vars(self) -> tuple[np.ndarray, np.ndarray]:
         """Clause-to-variable incidence in CSR form, (indptr, vars): the
         distinct 0-based variables of clause i, ascending, are
         vars[indptr[i]:indptr[i + 1]]."""
         m, n = len(self.clauses), max(self.num_vars, 1)
-        lengths = np.fromiter(map(len, self.clauses), dtype=np.int64, count=m)
-        flat = np.fromiter(chain.from_iterable(self.clauses), dtype=np.int64,
-                           count=int(lengths.sum()))
+        lengths, flat = self.literal_arrays()
         # clause-major keys arrive nearly sorted, which a stable sort exploits
         # and np.unique does not
         key = np.repeat(np.arange(m, dtype=np.int64) * n, lengths)
@@ -98,28 +116,14 @@ class CnfFormula:
     @cached_property
     def tautological(self) -> tuple[int, ...]:
         """Indices of the clauses holding both some literal l and -l."""
-        return tuple(ci for ci, c in enumerate(self.clauses)
-                     if not set(c).isdisjoint([-lit for lit in c]))
+        return tuple(ci for ci, c in enumerate(self.clauses) if _tautological(set(c)))
 
     @classmethod
     def from_clauses(cls, num_vars: int, clauses) -> "CnfFormula":
         """Normalize and validate raw clauses (lists of literals)."""
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        norm = []
-        warns = []
-        for ci, raw in enumerate(clauses):
-            raw = tuple(raw)
-            for lit in raw:
-                if lit == 0 or abs(lit) > num_vars:
-                    raise ValueError(f"literal {lit} out of range in clause {ci}")
-            clause, had_dup, taut = _normalize_clause(raw)
-            if had_dup:
-                warns.append(f"clause {ci}: duplicate literal collapsed")
-            if taut:
-                warns.append(f"clause {ci}: tautological (kept)")
-            norm.append(clause)
-        return cls(num_vars, tuple(norm), tuple(warns))
+        return cls(num_vars, *_normalized(num_vars, map(tuple, clauses)))
 
 
 @dataclass(frozen=True)
@@ -166,14 +170,52 @@ def read_input(path) -> bytes:
 
 
 def _decode(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    return data.decode("utf-8") if isinstance(data, bytes) else data
+
+
+def _read_blocks(text: str, tag: str, what: str, error
+                 ) -> list[tuple[str, list[list[int]]]]:
+    """Split DIMACS-style text into blocks: each directive line (one starting
+    with `tag`) with the 0-terminated clauses that follow it. Blank and `c`
+    lines are skipped, and a line starting with `%` ends the input, as in
+    SATLIB files. Malformed clause data raises `error`; `what` names the
+    directive in its messages."""
+    blocks: list[tuple[str, list[int]]] = []
+    for line in text.splitlines():
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "c":
+            continue
+        if tokens[0][0] == "%":
+            break
+        if tokens[0].startswith(tag):
+            blocks.append((line.strip(), []))
+            continue
+        if not blocks:
+            raise error(f"clause data before {what}")
+        try:
+            blocks[-1][1].extend(map(int, tokens))
+        except ValueError:
+            for tok in tokens:
+                try:
+                    int(tok)
+                except ValueError:
+                    raise error(f"bad token {tok!r}") from None
+    out = []
+    for i, (line, lits) in enumerate(blocks):
+        clauses, start = [], 0
+        for end in [j for j, lit in enumerate(lits) if not lit]:
+            clauses.append(lits[start:end])
+            start = end + 1
+        if start < len(lits):
+            raise error(f"clause not terminated by 0 before {what}"
+                        if i + 1 < len(blocks) else "last clause not terminated by 0")
+        out.append((line, clauses))
+    return out
+
+
+def _clause_lines(clauses) -> str:
+    return "".join(" ".join(map(str, clause)) + " 0\n" for clause in clauses)
 
 
 def parse_dimacs(source) -> CnfFormula:
@@ -184,114 +226,51 @@ def parse_dimacs(source) -> CnfFormula:
     disagrees with the actual one, the actual count wins and a warning is
     recorded. A line starting with `%` ends the formula, as in SATLIB files.
     """
-    text = _decode(source)
-    num_vars = None
-    declared_m = None
-    lits_raw: list[list[int]] = []
-    current: list[int] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("%"):
-            break
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            if num_vars is not None:
-                raise DimacsError("duplicate header line")
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsError(f"malformed header: {line!r}")
-            try:
-                num_vars = int(parts[2])
-                declared_m = int(parts[3])
-            except ValueError:
-                raise DimacsError(f"malformed header: {line!r}") from None
-            if num_vars < 0 or declared_m < 0:
-                raise DimacsError(f"malformed header: {line!r}")
-            continue
-        if num_vars is None:
-            raise DimacsError("clause data before 'p cnf' header")
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise DimacsError(f"bad token {tok!r}") from None
-            if lit == 0:
-                lits_raw.append(current)
-                current = []
-            else:
-                if abs(lit) > num_vars:
-                    raise DimacsError(f"literal {lit} out of range (n={num_vars})")
-                current.append(lit)
-    if num_vars is None:
+    blocks = _read_blocks(_decode(source), "p", "'p cnf' header", DimacsError)
+    if not blocks:
         raise DimacsError("missing 'p cnf' header")
-    if current:
-        raise DimacsError("last clause not terminated by 0")
-    formula = CnfFormula.from_clauses(num_vars, lits_raw)
-    if declared_m != len(lits_raw):
-        extra = (f"header declares {declared_m} clauses, found {len(lits_raw)} "
-                 "(actual count wins)",)
-        formula = CnfFormula(formula.num_vars, formula.clauses,
-                             formula.warnings + extra)
-    return formula
+    if len(blocks) > 1:
+        raise DimacsError("duplicate header line")
+    (header, raw), = blocks
+    parts = header.split()
+    try:
+        num_vars, declared_m = map(int, parts[2:])
+    except ValueError:
+        num_vars = declared_m = -1
+    if parts[:2] != ["p", "cnf"] or min(num_vars, declared_m) < 0:
+        raise DimacsError(f"malformed header: {header!r}")
+    clauses, warnings = _normalized(num_vars, raw, DimacsError)
+    if declared_m != len(raw):
+        warnings += (f"header declares {declared_m} clauses, found {len(raw)} "
+                     "(actual count wins)",)
+    return CnfFormula(num_vars, clauses, warnings)
 
 
 def write_dimacs(f: CnfFormula) -> str:
     """Serialize to DIMACS text; parse_dimacs(write_dimacs(f)) == f."""
-    lines = [f"p cnf {f.num_vars} {f.num_clauses}\n"]
-    for clause in f.clauses:
-        lines.append(" ".join(str(l) for l in clause) + " 0\n")
-    return "".join(lines)
+    return f"p cnf {f.num_vars} {f.num_clauses}\n" + _clause_lines(f.clauses)
 
 
 # ---------------------------------------------------------------------------
-# Trace I/O: lines `t <decision_count>` each followed by DIMACS-style clauses.
+# Trace I/O: lines `t <decision_count>` each followed by DIMACS-style clauses,
+# with DIMACS comments and `%` trailer.
 
 
 def parse_trace(source) -> ClauseTrace:
-    text = _decode(source)
-    checkpoints: list[tuple[int, list[Clause]]] = []
-    current: list[int] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("t"):
-            if current:
-                raise TraceError("clause not terminated by 0 before checkpoint line")
-            parts = line.split()
-            if len(parts) != 2:
-                raise TraceError(f"malformed checkpoint line: {line!r}")
-            try:
-                k = int(parts[1])
-            except ValueError:
-                raise TraceError(f"malformed checkpoint line: {line!r}") from None
-            checkpoints.append((k, []))
-            continue
-        if not checkpoints:
-            raise TraceError("clause data before first 't <decisions>' line")
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise TraceError(f"bad token {tok!r}") from None
-            if lit == 0:
-                checkpoints[-1][1].append(tuple(current))
-                current = []
-            else:
-                current.append(lit)
-    if current:
-        raise TraceError("last clause not terminated by 0")
-    return ClauseTrace(tuple((k, tuple(cs)) for k, cs in checkpoints))
+    checkpoints = []
+    for line, clauses in _read_blocks(_decode(source), "t", "'t <decisions>' line",
+                                      TraceError):
+        try:
+            k, = map(int, line.split()[1:])
+        except ValueError:
+            raise TraceError(f"malformed checkpoint line: {line!r}") from None
+        checkpoints.append((k, tuple(map(tuple, clauses))))
+    return ClauseTrace(tuple(checkpoints))
 
 
 def write_trace(trace: ClauseTrace) -> str:
-    lines = []
-    for k, clauses in trace.checkpoints:
-        lines.append(f"t {k}\n")
-        for clause in clauses:
-            lines.append(" ".join(str(l) for l in clause) + " 0\n")
-    return "".join(lines)
+    return "".join(f"t {k}\n" + _clause_lines(clauses)
+                   for k, clauses in trace.checkpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +367,16 @@ def unit_propagate(f: CnfFormula) -> tuple[CnfFormula, dict[int, bool]]:
 # Augmentation
 
 
-def _normalized_learnt(f: CnfFormula, learnt) -> list[Clause]:
-    out = []
-    for raw in learnt:
-        for lit in raw:
-            if lit == 0 or abs(lit) > f.num_vars:
-                raise ValueError(f"learnt literal {lit} out of range (n={f.num_vars})")
-        clause, _, _ = _normalize_clause(tuple(raw))
-        out.append(clause)
-    return out
+def _with_learnt(f: CnfFormula, trace: ClauseTrace, checkpoint: int,
+                 replace=None) -> CnfFormula:
+    """f plus the learnt clauses recorded at `checkpoint` (normalized, each
+    mapped through `replace` when given), unit-propagated."""
+    learnt, _ = _normalized(f.num_vars, trace.learnt_at(checkpoint),
+                            label="learnt clause")
+    if replace is not None:
+        learnt = tuple(map(replace, learnt))
+    result, _ = unit_propagate(CnfFormula(f.num_vars, f.clauses + learnt))
+    return result
 
 
 def augment_with_learnt(f: CnfFormula, trace: ClauseTrace, checkpoint: int) -> CnfFormula:
@@ -405,21 +385,13 @@ def augment_with_learnt(f: CnfFormula, trace: ClauseTrace, checkpoint: int) -> C
     Clauses are added verbatim (normalized, no deduplication against existing
     ones). Raises PropagationConflict when propagation hits a contradiction.
     """
-    learnt = _normalized_learnt(f, trace.learnt_at(checkpoint))
-    combined = f.clauses + tuple(learnt)
-    base = CnfFormula(f.num_vars, combined)
-    result, _ = unit_propagate(base)
-    return result
+    return _with_learnt(f, trace, checkpoint)
 
 
 def random_replacement(f: CnfFormula, trace: ClauseTrace, checkpoint: int,
                        seed: int) -> CnfFormula:
     """Like augment_with_learnt, but each learnt clause is replaced by a fresh
     uniformly random clause of the same size before propagation."""
-    learnt = _normalized_learnt(f, trace.learnt_at(checkpoint))
     rng = np.random.default_rng(seed)
-    added = [_random_clause(rng, f.num_vars, len(c)) for c in learnt]
-    combined = f.clauses + tuple(added)
-    base = CnfFormula(f.num_vars, combined)
-    result, _ = unit_propagate(base)
-    return result
+    return _with_learnt(f, trace, checkpoint,
+                        lambda c: _random_clause(rng, f.num_vars, len(c)))

@@ -25,21 +25,19 @@ class Graph:
         self.variable_count = int(variable_count)
 
     @classmethod
-    def from_edges(cls, node_count: int, u, v, w=None, variable_count=None,
-                   weight_mode: str = "sum") -> "Graph":
+    def from_edges(cls, node_count: int, u, v, w=None,
+                   variable_count=None) -> "Graph":
         """Build from parallel edge arrays.
 
-        Coinciding edges collapse into one; weight_mode 'sum' adds their
-        weights, 'unit' sets every retained edge weight to 1. Self-loops are
+        Coinciding edges collapse into one, whose weight is the sum of theirs;
+        without weights (w None) every retained edge weighs 1. Self-loops are
         rejected.
 
-        Edges travel as int64 keys lo * node_count + hi. In 'unit' mode
+        Edges travel as int64 keys lo * node_count + hi. Without weights
         equal keys are identical edges, so the keys themselves are sorted
         (numpy's plain sort, several times faster than any argsort) and no
         permutation is built.
         """
-        if weight_mode not in ("sum", "unit"):
-            raise ValueError(f"unknown weight_mode {weight_mode!r}")
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if u.size and (u == v).any():
@@ -48,11 +46,10 @@ class Graph:
         key = np.minimum(u, v)
         key *= n
         key += np.maximum(u, v)
-        if weight_mode == "unit":
+        if w is None:
             key.sort()
         else:
-            w = (np.ones(u.size) if w is None
-                 else np.asarray(w, dtype=np.float64))
+            w = np.asarray(w, dtype=np.float64)
             # secondary sort on w keeps float summation order canonical
             order = np.lexsort((w, key))
             key = key[order]
@@ -67,7 +64,7 @@ class Graph:
         hi *= n
         hi += lo
         key = np.concatenate((key, hi))
-        if weight_mode == "unit":
+        if w is None:
             key.sort()
             ww = np.ones(key.size)
         else:
@@ -136,9 +133,7 @@ def build_vig(f: CnfFormula, weighted: bool = False) -> Graph:
     else:
         u = v = np.empty(0, dtype=np.int64)
     w = np.concatenate(ws) if ws else None
-    mode = "sum" if weighted else "unit"
-    return Graph.from_edges(f.num_vars, u, v, w, variable_count=f.num_vars,
-                            weight_mode=mode)
+    return Graph.from_edges(f.num_vars, u, v, w)
 
 
 def build_cvig(f: CnfFormula, weighted: bool = False) -> Graph:
@@ -150,38 +145,30 @@ def build_cvig(f: CnfFormula, weighted: bool = False) -> Graph:
     sizes = np.diff(indptr)
     clause_nodes = n + np.repeat(np.arange(m, dtype=np.int64), sizes)
     w = 1.0 / np.repeat(sizes, sizes) if weighted else None
-    mode = "sum" if weighted else "unit"
-    return Graph.from_edges(n + m, vars_, clause_nodes, w, variable_count=n,
-                            weight_mode=mode)
+    return Graph.from_edges(n + m, vars_, clause_nodes, w, variable_count=n)
 
 
 def build_cig(f: CnfFormula) -> Graph:
     """Clause incidence graph: one node per clause, an edge when two clauses
     contain complementary occurrences of some variable. Unweighted."""
-    pos: dict[int, list[int]] = {}
-    neg: dict[int, list[int]] = {}
-    for ci, clause in enumerate(f.clauses):
-        for lit in set(clause):
-            (pos if lit > 0 else neg).setdefault(abs(lit), []).append(ci)
-    us, vs = [], []
-    for var, plist in pos.items():
-        nlist = neg.get(var)
-        if not nlist:
-            continue
-        p = np.asarray(plist, dtype=np.int64)
-        q = np.asarray(nlist, dtype=np.int64)
-        uu = np.repeat(p, q.size)
-        vv = np.tile(q, p.size)
-        keep = uu != vv
-        us.append(uu[keep])
-        vs.append(vv[keep])
-    if us:
-        u = np.concatenate(us)
-        v = np.concatenate(vs)
-    else:
-        u = v = np.empty(0, dtype=np.int64)
-    return Graph.from_edges(f.num_clauses, u, v, variable_count=0,
-                            weight_mode="unit")
+    m = max(f.num_clauses, 1)
+    lengths, lits = f.literal_arrays()
+    # one sorted key per distinct (variable, polarity, clause) occurrence;
+    # group 2(v-1) holds the clauses where v occurs positively, 2(v-1)+1
+    # those where it occurs negatively
+    key = np.abs(lits) * 2 - (lits > 0) - 1
+    key *= m
+    key += np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+    group, clause = np.divmod(np.unique(key), m)
+    # pair each positive occurrence with every negative one of its variable
+    pos = group % 2 == 0
+    lo = np.searchsorted(group, group[pos] + 1, "left")
+    counts = np.searchsorted(group, group[pos] + 1, "right") - lo
+    u = np.repeat(clause[pos], counts)
+    first = np.cumsum(counts) - counts
+    v = clause[np.arange(u.size) + np.repeat(lo - first, counts)]
+    keep = u != v
+    return Graph.from_edges(f.num_clauses, u[keep], v[keep], variable_count=0)
 
 
 # ---------------------------------------------------------------------------

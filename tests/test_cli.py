@@ -250,6 +250,15 @@ class TestNdr:
         assert payload["N"][0] == 30 + 120
         assert payload["fit"]["d"] > 0
 
+    def test_cig_model(self, tmp_path, capsys):
+        # each pair of the three clauses clashes on one variable: a triangle
+        p = tmp_path / "tri.cnf"
+        p.write_text("p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n")
+        code, out, _ = _run(capsys, "ndr", p, "--model", "cig",
+                            "--format", "json")
+        assert code == 0
+        assert json.loads(out)["N"][:2] == [3, 1]
+
     def test_parse_failure(self, tmp_path, capsys):
         p = tmp_path / "bad.cnf"
         p.write_text("garbage\n")
@@ -344,6 +353,22 @@ class TestClassifyPortfolio:
         code, out, _ = _run(capsys, "classify", features_csv, "--mode", "knn-loo")
         rep = json.loads(out)
         assert rep["accuracy"] == 1.0
+
+    @pytest.mark.parametrize("names", ("alpha,bogus", "beta"))
+    def test_classify_unknown_feature(self, features_csv, capsys, names):
+        # a usage error naming the allowed features, not a KeyError
+        with pytest.raises(SystemExit) as exc:
+            _run(capsys, "classify", features_csv, "--features-used", names)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "choose from alpha, q, d, d_b, ratio" in err
+
+    def test_classify_feature_subset(self, features_csv, capsys):
+        code, out, _ = _run(capsys, "classify", features_csv,
+                            "--features-used", "alpha,q")
+        assert code == 0
+        assert json.loads(out)["successes"] == 8
 
     def test_classify_missing_labels(self, tmp_path, capsys):
         p = tmp_path / "f.csv"

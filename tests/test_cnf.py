@@ -72,6 +72,30 @@ class TestParseDimacs:
         with pytest.raises(DimacsError):
             parse_dimacs("p cnf 2 1\n1 2\n")
 
+    @pytest.mark.parametrize("lit", ("-9223372036854775808",
+                                     "99999999999999999999"))
+    def test_literal_beyond_int64(self, lit):
+        # past the int64 range, or whose absolute value wraps in int64
+        with pytest.raises(DimacsError, match="out of range"):
+            parse_dimacs(f"p cnf 3 1\n1 {lit} 0\n")
+
+    def test_matches_from_clauses(self):
+        """Parsing raw clauses gives the formula and the warnings, text and
+        order, that from_clauses gives them."""
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            n = int(rng.integers(1, 8))
+            raw = [(rng.integers(1, n + 1, size=k)
+                    * rng.choice((-1, 1), size=k)).tolist()
+                   for k in rng.integers(0, 6, size=int(rng.integers(0, 12)))]
+            tokens = [str(lit) for c in raw for lit in c + [0]]
+            seps = rng.choice([" ", "\n", "  \n c x\n"], size=len(tokens))
+            text = f"p cnf {n} {len(raw)}\n" + "".join(
+                tok + sep for tok, sep in zip(tokens, seps))
+            parsed, built = parse_dimacs(text), CnfFormula.from_clauses(n, raw)
+            assert parsed == built
+            assert parsed.warnings == built.warnings
+
 
 class TestWriteDimacs:
     def test_smallest(self):
@@ -321,3 +345,12 @@ class TestTrace:
     def test_unterminated(self):
         with pytest.raises(TraceError):
             parse_trace("t 10\n1 2\n")
+
+    def test_comments_and_percent_trailer(self):
+        t = parse_trace("c solver log\nt 5\nc learnt\n1 -2 0\n%\n0\nt 3\n")
+        assert t.checkpoints == ((5, ((1, -2),)),)
+
+    @pytest.mark.parametrize("line", ("t", "t 1 2", "t x"))
+    def test_malformed_checkpoint_line(self, line):
+        with pytest.raises(TraceError, match="malformed checkpoint line"):
+            parse_trace(f"{line}\n1 0\n")

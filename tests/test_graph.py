@@ -11,7 +11,7 @@ from cnfscope.graph import (
     connected_components,
     eccentricities,
 )
-from oracles import graph_from_edges, random_formula
+from oracles import graph_from_edges, random_formula, reference_csr
 
 
 def _path(n):
@@ -143,6 +143,33 @@ class TestBuildCig:
         g = build_cig(f)
         assert g.edge_count == 1
         assert g.neighbors(0).tolist() == [1]
+
+    def test_oracle_clause_pairs(self):
+        """Against every clause pair checked by brute force, on formulas
+        built directly, so that duplicate literals and tautologies stay."""
+        rng = np.random.default_rng(21)
+        seen_dup = seen_taut = False
+        for _ in range(80):
+            n = int(rng.integers(1, 8))
+            sizes = rng.integers(0, 6, size=int(rng.integers(0, 15)))
+            clauses = [tuple((rng.integers(1, n + 1, size=k)
+                              * rng.choice((-1, 1), size=k)).tolist())
+                       for k in sizes]
+            f = CnfFormula(n, tuple(clauses))
+            seen_dup |= any(len(set(c)) < len(c) for c in clauses)
+            seen_taut |= bool(f.tautological)
+            pairs = [(i, j) for i, a in enumerate(clauses)
+                     for j, b in enumerate(clauses)
+                     if i < j and any(-lit in b for lit in a)]
+            want = reference_csr(len(clauses), [i for i, _ in pairs],
+                                 [j for _, j in pairs], [1.0] * len(pairs),
+                                 "unit")
+            g = build_cig(f)
+            assert g.node_count == len(clauses)
+            for got, ref in zip((g.indptr, g.indices, g.weights), want):
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref)
+        assert seen_dup and seen_taut
 
     def test_tautological_no_self_loop(self):
         f = CnfFormula.from_clauses(2, [[1, -1, 2]])
