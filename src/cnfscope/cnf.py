@@ -260,8 +260,11 @@ def parse_trace(source) -> ClauseTrace:
     checkpoints = []
     for line, clauses in _read_blocks(_decode(source), "t", "'t <decisions>' line",
                                       TraceError):
+        tag, *fields = line.split()
         try:
-            k, = map(int, line.split()[1:])
+            if tag != "t":
+                raise ValueError
+            k, = map(int, fields)
         except ValueError:
             raise TraceError(f"malformed checkpoint line: {line!r}") from None
         checkpoints.append((k, tuple(map(tuple, clauses))))

@@ -58,12 +58,11 @@ class FeatureRow:
 
 
 class FeatureMatrix:
-    """Feature rows plus optional per-feature min-max normalization captured
-    from a training subset. Constant features are excluded from distances."""
+    """Feature rows; `excluded` names the features left out of distances
+    (those constant on a normalization's training subset)."""
 
-    def __init__(self, rows, normalization=None, excluded=()):
+    def __init__(self, rows, excluded=()):
         self.rows: list[FeatureRow] = list(rows)
-        self.normalization: dict[str, tuple[float, float]] | None = normalization
         self.excluded: tuple[str, ...] = tuple(excluded)
 
     @property
@@ -86,7 +85,7 @@ class FeatureMatrix:
 
     def drop(self, instance_id: str) -> "FeatureMatrix":
         return FeatureMatrix([r for r in self.rows if r.instance != instance_id],
-                             self.normalization, self.excluded)
+                             self.excluded)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -174,7 +173,7 @@ def normalize(matrix: FeatureMatrix, training_ids) -> FeatureMatrix:
             vals[name] = x
         new_rows.append(FeatureRow(r.instance, r.family,
                                    replace(r.vector, **vals)))
-    return FeatureMatrix(new_rows, norm, tuple(excluded))
+    return FeatureMatrix(new_rows, excluded)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -21,7 +23,8 @@ TIMEOUT = "TIMEOUT"
 class RuntimeMatrix:
     """Instance x solver runtimes in seconds; timeouts are stored as inf and
     stay distinct from every finite value. Finite runtimes must lie in
-    (0, timeout_value]."""
+    (0, timeout_value]; NaN and -inf cannot be ranked and are rejected, as
+    are duplicate instance or solver names."""
 
     def __init__(self, instances, solvers, times, timeout_value: float):
         self.instances = list(instances)
@@ -30,11 +33,15 @@ class RuntimeMatrix:
         self.timeout_value = float(timeout_value)
         if self.times.shape != (len(self.instances), len(self.solvers)):
             raise ValueError("times shape does not match instances x solvers")
-        finite = self.times[np.isfinite(self.times)]
-        if finite.size and (finite <= 0).any():
-            raise ValueError("runtimes must be positive")
-        if finite.size and (finite > self.timeout_value).any():
+        bad = self.times[~(self.times > 0)]  # NaN compares False
+        if bad.size:
+            raise ValueError("runtimes must be positive seconds or timeouts, "
+                             f"got {bad[0]}")
+        if (self.times[np.isfinite(self.times)] > self.timeout_value).any():
             raise ValueError("finite runtime exceeds timeout_value")
+        for kind, names in (("instance", self.instances), ("solver", self.solvers)):
+            if dup := [x for x, c in Counter(names).items() if c > 1]:
+                raise ValueError(f"duplicate {kind} names: {dup}")
         self._row = {inst: i for i, inst in enumerate(self.instances)}
         self._col = {s: j for j, s in enumerate(self.solvers)}
 
@@ -47,11 +54,14 @@ class RuntimeMatrix:
 
     def effective_time(self, instance: str, solver: str) -> float:
         """Runtime with timeouts replaced by timeout_value."""
-        t = self.time(instance, solver)
-        return self.timeout_value if math.isinf(t) else t
+        return min(self.time(instance, solver), self.timeout_value)
 
-    def solved_by_any(self, instance: str) -> bool:
-        return bool(np.isfinite(self.times[self._row[instance]]).any())
+    def rows(self, instances) -> np.ndarray:
+        """The runtime rows of `instances`, in their order (inf = timeout)."""
+        missing = [i for i in instances if i not in self._row]
+        if missing:
+            raise ValueError(f"instances missing from runtime matrix: {missing}")
+        return self.times[[self._row[i] for i in instances]]
 
     def vbs_count(self) -> int:
         """Instances the virtual best solver would solve."""
@@ -66,9 +76,7 @@ class RuntimeMatrix:
         header = table[0]
         if header[0] != "instance" or len(header) < 2:
             raise ValueError(f"bad runtime CSV header: {','.join(header)!r}")
-        solvers = header[1:]
-        instances = []
-        rows = []
+        instances, rows = [], []
         for cells in table[1:]:
             if len(cells) != len(header):
                 raise ValueError(f"bad runtime CSV row: {','.join(cells)!r}")
@@ -81,27 +89,20 @@ class RuntimeMatrix:
             if finite.size == 0:
                 raise ValueError("cannot infer timeout_value: no finite runtimes")
             timeout_value = float(finite.max())
-        return cls(instances, solvers, times, timeout_value)
+        return cls(instances, header[1:], times, timeout_value)
 
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv_writer(out)
         writer.writerow(["instance"] + list(self.solvers))
-        for i, inst in enumerate(self.instances):
-            cells = [inst]
-            for j in range(len(self.solvers)):
-                t = self.times[i, j]
-                cells.append(TIMEOUT if math.isinf(t) else repr(float(t)))
-            writer.writerow(cells)
+        for inst, row in zip(self.instances, self.times):
+            writer.writerow([inst] + [TIMEOUT if math.isinf(t) else repr(float(t))
+                                      for t in row])
         return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # Inverse-distance-squared runtime prediction
-
-
-def _distances(test_vec: np.ndarray, train_arr: np.ndarray) -> np.ndarray:
-    return np.sqrt(((train_arr - test_vec) ** 2).sum(axis=1))
 
 
 def _as_vec(test, names) -> np.ndarray:
@@ -110,30 +111,44 @@ def _as_vec(test, names) -> np.ndarray:
     return np.asarray(test, dtype=np.float64)
 
 
+def _weights(test_vec: np.ndarray, train_arr: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, weights) of an inverse-distance-squared average: every training
+    row at weight 1/d^2 or, when some rows equal test_vec exactly, only those
+    rows at weight 1."""
+    # 1 / d**2 of the rooted distance: 1 / (sum of squares) can differ in the
+    # last bit, and so can every prediction and vote
+    d = np.sqrt(((train_arr - test_vec) ** 2).sum(axis=1))
+    exact = np.flatnonzero(d == 0.0)
+    if exact.size:
+        return exact, np.ones(exact.size)
+    return np.arange(d.size), 1.0 / d ** 2
+
+
+def _predictions(test, train: FeatureMatrix, times: RuntimeMatrix
+                 ) -> dict[str, float]:
+    if len(train) == 0:
+        raise ValueError("empty training set")
+    names = train.distance_features
+    rows, w = _weights(_as_vec(test, names), train.to_array(names))
+    t = np.minimum(times.rows(train.instance_ids)[rows], times.timeout_value)
+    # one 1-D sum per solver: `w @ t` would add in another order
+    return {s: float((t[:, j] * w).sum() / w.sum())
+            for j, s in enumerate(times.solvers)}
+
+
 def predict_runtime(test, train: FeatureMatrix, times: RuntimeMatrix,
                     solver: str) -> float:
     """Predicted runtime of `solver`: the inverse-square-distance weighted
     mean of its training runtimes (timeouts contribute timeout_value). When
     some training instance matches the test features exactly, the plain
     average over the exact matches is returned."""
-    if len(train) == 0:
-        raise ValueError("empty training set")
-    names = train.distance_features
-    test_vec = _as_vec(test, names)
-    train_arr = train.to_array(names)
-    t = np.array([times.effective_time(r.instance, solver) for r in train.rows])
-    d = _distances(test_vec, train_arr)
-    zero = d == 0.0
-    if zero.any():
-        return float(t[zero].mean())
-    w = 1.0 / d ** 2
-    return float((t * w).sum() / w.sum())
+    return _predictions(test, train, times)[solver]
 
 
 def select_solver(test, train: FeatureMatrix, times: RuntimeMatrix) -> str:
     """Solver with the minimal predicted runtime; ties break on name."""
-    preds = [(predict_runtime(test, train, times, s), s) for s in times.solvers]
-    return min(preds)[1]
+    return min((p, s) for s, p in _predictions(test, train, times).items())[1]
 
 
 @dataclass(frozen=True)
@@ -169,36 +184,26 @@ def loo_portfolio_sim(matrix: FeatureMatrix, times: RuntimeMatrix
     ids = matrix.instance_ids
     if len(ids) < 2:
         raise ValueError("need at least 2 instances")
-    missing = [i for i in ids if i not in times._row]
-    if missing:
-        raise ValueError(f"instances missing from runtime matrix: {missing}")
+    # the virtual best solver finishes an instance when any solver does
+    vbs = int(np.isfinite(times.rows(ids)).any(axis=1).sum())
     records = []
-    solved = 0
-    solved_total = 0.0
-    penalized_total = 0.0
+    solved, solved_total, penalized_total = 0, 0.0, 0.0
     for inst in ids:
-        train_ids = [i for i in ids if i != inst]
-        normed = normalize(matrix, train_ids)
-        test_row = normed.row(inst)
-        train = normed.drop(inst)
-        chosen = select_solver(test_row.vector, train, times)
+        normed = normalize(matrix, [i for i in ids if i != inst])
+        chosen = select_solver(normed.row(inst).vector, normed.drop(inst), times)
         t = times.time(inst, chosen)
         ok = math.isfinite(t)
         if ok:
             solved += 1
             solved_total += t
         penalized_total += t if ok else times.timeout_value
-        records.append({
-            "instance": inst,
-            "solver": chosen,
-            "solved": ok,
-            "time": (t if ok else None),
-        })
+        records.append({"instance": inst, "solver": chosen, "solved": ok,
+                        "time": (t if ok else None)})
     return SimulationReport(
         solved_count=solved,
         avg_time=(solved_total / solved if solved else 0.0),
         avg_time_penalized=penalized_total / len(ids),
-        vbs_count=sum(1 for i in ids if times.solved_by_any(i)),
+        vbs_count=vbs,
         per_instance=tuple(records),
     )
 
@@ -214,7 +219,6 @@ class TreeNode:
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     label: str | None = None
-    counts: dict | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -233,72 +237,57 @@ class DecisionTree:
             node = node.left if x[node.feature] <= node.threshold else node.right
         return node.label
 
-    def depth(self) -> int:
-        def walk(nd):
-            if nd.is_leaf:
-                return 0
-            return 1 + max(walk(nd.left), walk(nd.right))
-        return walk(self.root)
 
-
-def _entropy(labels) -> float:
-    n = len(labels)
+def _entropy(counts) -> float:
+    """Entropy of a label distribution, summed over `counts` in their order."""
+    n = sum(counts)
     h = 0.0
-    counts: dict[str, int] = {}
-    for y in labels:
-        counts[y] = counts.get(y, 0) + 1
-    for c in counts.values():
+    for c in counts:
         p = c / n
         h -= p * math.log2(p)
     return h
 
 
-def _majority(labels) -> tuple[str, dict]:
-    counts: dict[str, int] = {}
-    for y in labels:
-        counts[y] = counts.get(y, 0) + 1
-    best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-    return best, counts
+def _winner(counts: Counter) -> str:
+    """The label with the largest count (or vote); ties break on the label."""
+    return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
 def _grow(X: np.ndarray, y: list, min_leaf: int) -> TreeNode:
-    label, counts = _majority(y)
-    if len(set(y)) == 1 or len(y) < 2 * min_leaf:
-        return TreeNode(label=label, counts=counts)
-    h_parent = _entropy(y)
+    counts = Counter(y)
+    if len(counts) == 1 or len(y) < 2 * min_leaf:
+        return TreeNode(label=_winner(counts))
+    h_parent = _entropy(counts.values())
     n = len(y)
     candidates = []  # (gain, gain_ratio, feature, threshold, mask)
     for fi in range(X.shape[1]):
         vals = np.unique(X[:, fi])
-        if vals.size < 2:
-            continue
-        for lo, hi in zip(vals[:-1], vals[1:]):
-            thr = (lo + hi) / 2.0
+        for thr in (vals[:-1] + vals[1:]) / 2.0:
             mask = X[:, fi] <= thr
             nl = int(mask.sum())
             nr = n - nl
             if nl < min_leaf or nr < min_leaf:
                 continue
-            yl = [y[i] for i in np.nonzero(mask)[0]]
-            yr = [y[i] for i in np.nonzero(~mask)[0]]
-            gain = h_parent - (nl / n) * _entropy(yl) - (nr / n) * _entropy(yr)
+            # each side's terms in the order its labels first appear
+            gain = (h_parent
+                    - (nl / n) * _entropy(Counter(compress(y, mask)).values())
+                    - (nr / n) * _entropy(Counter(compress(y, ~mask)).values()))
             if gain <= 1e-12:
                 continue
-            split_info = _entropy(["l"] * nl + ["r"] * nr)
-            candidates.append((gain, gain / split_info, fi, float(thr), mask))
+            candidates.append((gain, gain / _entropy((nl, nr)), fi,
+                               float(thr), mask))
     if not candidates:
-        return TreeNode(label=label, counts=counts)
+        return TreeNode(label=_winner(counts))
     mean_gain = sum(c[0] for c in candidates) / len(candidates)
     eligible = [c for c in candidates if c[0] >= mean_gain - 1e-12]
-    best = max(eligible, key=lambda c: (c[1], -c[2], -c[3]))
-    _, _, fi, thr, mask = best
-    left = _grow(X[mask], [y[i] for i in np.nonzero(mask)[0]], min_leaf)
-    right = _grow(X[~mask], [y[i] for i in np.nonzero(~mask)[0]], min_leaf)
-    return TreeNode(feature=fi, threshold=thr, left=left, right=right,
-                    counts=counts)
+    _, _, fi, thr, mask = max(eligible, key=lambda c: (c[1], -c[2], -c[3]))
+    left = _grow(X[mask], list(compress(y, mask)), min_leaf)
+    right = _grow(X[~mask], list(compress(y, ~mask)), min_leaf)
+    return TreeNode(feature=fi, threshold=thr, left=left, right=right)
 
 
-def _rows_and_labels(matrix: FeatureMatrix, labels, features):
+def _sorted_xy(matrix: FeatureMatrix, labels, features):
+    """Feature array and labels of the rows sorted by instance id."""
     rows = sorted(matrix.rows, key=lambda r: r.instance)
     if labels is None:
         y = [r.family for r in rows]
@@ -307,8 +296,7 @@ def _rows_and_labels(matrix: FeatureMatrix, labels, features):
     else:
         by_id = dict(zip(matrix.instance_ids, labels))
         y = [by_id[r.instance] for r in rows]
-    X = np.array([r.vector.as_array(features) for r in rows])
-    return rows, X, y
+    return np.array([r.vector.as_array(features) for r in rows]), y
 
 
 def train_tree(matrix: FeatureMatrix, labels=None, min_leaf: int = 1,
@@ -322,7 +310,7 @@ def train_tree(matrix: FeatureMatrix, labels=None, min_leaf: int = 1,
     """
     if len(matrix) == 0:
         raise ValueError("empty training data")
-    _, X, y = _rows_and_labels(matrix, labels, features)
+    X, y = _sorted_xy(matrix, labels, features)
     return DecisionTree(_grow(X, y, min_leaf), tuple(features))
 
 
@@ -337,10 +325,9 @@ class ClassificationReport:
         return self.successes / self.total if self.total else 0.0
 
     def to_dict(self) -> dict:
-        per_family = {}
-        for true, row in self.confusion.items():
-            n = sum(row.values())
-            per_family[true] = {"total": n, "correct": row.get(true, 0)}
+        per_family = {true: {"total": sum(row.values()),
+                             "correct": row.get(true, 0)}
+                      for true, row in self.confusion.items()}
         return {
             "successes": self.successes,
             "total": self.total,
@@ -353,50 +340,41 @@ class ClassificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _tally(pairs) -> ClassificationReport:
+def _loo(matrix: FeatureMatrix, labels, features,
+         predict) -> ClassificationReport:
+    """Leave-one-out report of predict(train_X, train_y, test_x) over the
+    rows sorted by instance id."""
+    if len(matrix) < 2:
+        raise ValueError("need at least 2 instances")
+    X, y = _sorted_xy(matrix, labels, features)
+    pairs = Counter()
+    for idx in range(len(y)):
+        keep = [i for i in range(len(y)) if i != idx]
+        pairs[y[idx], predict(X[keep], [y[i] for i in keep], X[idx])] += 1
     confusion: dict[str, dict[str, int]] = {}
-    successes = 0
-    total = 0
-    for true, pred in pairs:
-        confusion.setdefault(true, {})
-        confusion[true][pred] = confusion[true].get(pred, 0) + 1
-        successes += int(true == pred)
-        total += 1
-    return ClassificationReport(successes, total, confusion)
+    for (true, pred), c in pairs.items():
+        confusion.setdefault(true, {})[pred] = c
+    successes = sum(c for (true, pred), c in pairs.items() if true == pred)
+    return ClassificationReport(successes, len(y), confusion)
 
 
 def loo_classify(matrix: FeatureMatrix, labels=None, min_leaf: int = 1,
                  features=FEATURE_NAMES) -> ClassificationReport:
     """Leave-one-out cross-validation of the decision-tree classifier."""
-    rows, _, y = _rows_and_labels(matrix, labels, features)
-    pairs = []
-    for idx, row in enumerate(rows):
-        train = FeatureMatrix([r for i, r in enumerate(rows) if i != idx])
-        tree = train_tree(train, [yy for i, yy in enumerate(y) if i != idx],
-                          min_leaf, features)
-        pairs.append((y[idx], tree.predict(row.vector)))
-    return _tally(pairs)
+    def predict(X, y, x):
+        return DecisionTree(_grow(X, y, min_leaf), tuple(features)).predict(x)
+    return _loo(matrix, labels, features, predict)
+
+
+def _vote(X: np.ndarray, y: list, x: np.ndarray) -> str:
+    rows, w = _weights(x, X)
+    votes = Counter()
+    for r, wr in zip(rows, w):
+        votes[y[r]] += wr
+    return _winner(votes)
 
 
 def knn_loo_classify(matrix: FeatureMatrix, labels=None,
                      features=FEATURE_NAMES) -> ClassificationReport:
     """Leave-one-out family classification by inverse-square-distance vote."""
-    rows, X, y = _rows_and_labels(matrix, labels, features)
-    pairs = []
-    for idx in range(len(rows)):
-        test_vec = X[idx]
-        keep = [i for i in range(len(rows)) if i != idx]
-        d = _distances(test_vec, X[keep])
-        votes: dict[str, float] = {}
-        zero = d == 0.0
-        if zero.any():
-            for j, z in zip(keep, zero):
-                if z:
-                    votes[y[j]] = votes.get(y[j], 0.0) + 1.0
-        else:
-            w = 1.0 / d ** 2
-            for j, wj in zip(keep, w):
-                votes[y[j]] = votes.get(y[j], 0.0) + wj
-        pred = min(votes.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        pairs.append((y[idx], pred))
-    return _tally(pairs)
+    return _loo(matrix, labels, features, _vote)

@@ -3,8 +3,8 @@
 Nothing here shares algorithmic machinery with the library paths it checks:
 coloring is plain backtracking, partition search enumerates every set
 partition, breadth-first search walks adjacency sets with a deque, CSR
-arrays are built edge by edge from a dict, and the power-law sampler inverts
-the exact discrete CDF.
+arrays are built edge by edge from a dict, the power-law sampler inverts
+the exact discrete CDF, and inverse-distance weights loop over plain lists.
 """
 
 from collections import deque
@@ -213,3 +213,22 @@ def sample_discrete_powerlaw(rng, alpha: float, size: int, kmax: int = 10 ** 6
 def histogram_from_samples(samples) -> tuple[np.ndarray, np.ndarray]:
     ks, fs = np.unique(np.asarray(samples), return_counts=True)
     return ks.astype(np.int64), fs.astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Inverse-distance-squared weights with per-row loops, no numpy.
+
+
+def idw_weights(test, train) -> list[float]:
+    """One weight per training row (a sequence of floats each): 1/d^2 for
+    the squared Euclidean distance d^2 to `test`, or, when some rows equal
+    `test` exactly, 1 for those rows and 0 for the rest."""
+    dist2 = []
+    for row in train:
+        total = 0.0
+        for a, b in zip(row, test):
+            total += (float(a) - float(b)) ** 2
+        dist2.append(total)
+    if 0.0 in dist2:
+        return [1.0 if d == 0.0 else 0.0 for d in dist2]
+    return [1.0 / d for d in dist2]

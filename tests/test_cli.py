@@ -378,6 +378,37 @@ class TestClassifyPortfolio:
         assert code == 1
         assert "family" in err
 
+    @pytest.mark.parametrize("mode", ("tree-loo", "knn-loo"))
+    def test_classify_single_row(self, tmp_path, capsys, mode):
+        p = tmp_path / "f.csv"
+        p.write_text("instance,family,alpha,q,d,d_b,ratio,beta,beta_b,n,m,r_max\n"
+                     "a,x,1.0,0.5,2.0,2.0,4.0,,,,,\n")
+        code, out, err = _run(capsys, "classify", p, "--mode", mode)
+        assert code == 1 and out == ""
+        assert err == "error: need at least 2 instances\n"
+
+    @pytest.mark.parametrize("cell", ("nan", "-inf"))
+    def test_portfolio_unrankable_runtime(self, features_csv, tmp_path, capsys,
+                                          cell):
+        ids = [f"lo{k}" for k in range(4)] + [f"hi{k}" for k in range(4)]
+        rows = ["instance,s"] + [f"{i},{cell if k == 3 else 1.0}"
+                                 for k, i in enumerate(ids)]
+        p = tmp_path / "rt.csv"
+        p.write_text("\n".join(rows) + "\n")
+        code, out, err = _run(capsys, "portfolio", features_csv, p)
+        assert code == 1 and out == ""
+        assert err == ("error: runtimes must be positive seconds or timeouts, "
+                       f"got {cell}\n")
+
+    def test_portfolio_duplicate_instance(self, features_csv, tmp_path, capsys):
+        ids = [f"lo{k}" for k in range(4)] + [f"hi{k}" for k in range(4)]
+        p = tmp_path / "rt.csv"
+        p.write_text("\n".join(["instance,s", "lo0,2.0"] + [f"{i},1.0" for i in ids])
+                     + "\n")
+        code, _, err = _run(capsys, "portfolio", features_csv, p)
+        assert code == 1
+        assert err == "error: duplicate instance names: ['lo0']\n"
+
     def test_portfolio(self, features_csv, tmp_path, capsys):
         ids = [f"lo{k}" for k in range(4)] + [f"hi{k}" for k in range(4)]
         rows = ["instance,sA,sB"]

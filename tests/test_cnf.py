@@ -350,7 +350,7 @@ class TestTrace:
         t = parse_trace("c solver log\nt 5\nc learnt\n1 -2 0\n%\n0\nt 3\n")
         assert t.checkpoints == ((5, ((1, -2),)),)
 
-    @pytest.mark.parametrize("line", ("t", "t 1 2", "t x"))
+    @pytest.mark.parametrize("line", ("t", "t 1 2", "t x", "tx 5", "tally 5"))
     def test_malformed_checkpoint_line(self, line):
         with pytest.raises(TraceError, match="malformed checkpoint line"):
             parse_trace(f"{line}\n1 0\n")

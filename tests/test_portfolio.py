@@ -11,6 +11,7 @@ from cnfscope.portfolio import (
     select_solver,
     train_tree,
 )
+from oracles import idw_weights
 
 
 def _vec(alpha=0.0, q=0.0, d=0.0, d_b=0.0, ratio=0.0):
@@ -27,6 +28,37 @@ def _matrix(alphas, ids=None, families=None):
 def _times(instances, solvers, rows, timeout=1000.0):
     arr = [[np.inf if c == "T" else float(c) for c in row] for row in rows]
     return RuntimeMatrix(instances, solvers, arr, timeout)
+
+
+def _family_matrix(seed, families, n=30, duplicates=False):
+    """Seeded rows i00.. with family labels fam0.. and features rounded to
+    0.1 around one centre per family; `duplicates` copies a fifth of the
+    rows' features onto others, so exact matches occur."""
+    rng = np.random.default_rng(seed)
+    fams = [f"fam{j}" for j in range(families)]
+    labels = [fams[int(rng.integers(families))] for _ in range(n)]
+    centers = rng.normal(size=(families, 5))
+    vals = np.round([centers[fams.index(lb)] + rng.normal(size=5)
+                     for lb in labels], 1)
+    if duplicates:
+        pairs = rng.integers(n, size=(n // 5, 2))
+        vals[pairs[:, 0]] = vals[pairs[:, 1]]
+    return FeatureMatrix([FeatureRow(f"i{k:02d}", lb, FeatureVector(*map(float, v)))
+                          for k, (lb, v) in enumerate(zip(labels, vals))])
+
+
+def _random_times(seed, instances, solvers, timeout=100.0):
+    """Runtimes in [1, timeout) with about 30 % timeouts."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(1.0, timeout, size=(len(instances), len(solvers)))
+    raw[rng.random(size=raw.shape) < 0.3] = np.inf
+    return RuntimeMatrix(instances, solvers, raw, timeout)
+
+
+def _vector_list(test) -> list[float]:
+    if isinstance(test, FeatureVector):
+        return test.as_array().tolist()
+    return [float(v) for v in test]
 
 
 class TestPredictRuntime:
@@ -69,6 +101,57 @@ class TestPredictRuntime:
         times = _times(["x"], ["s"], [[1.0]])
         with pytest.raises(ValueError):
             predict_runtime(_vec(), FeatureMatrix([]), times, "s")
+
+
+class TestIdwOracle:
+    """predict_runtime, select_solver and the knn vote against the per-row
+    loops of oracles.idw_weights, on matrices with duplicate feature rows
+    and timeouts."""
+
+    def test_predict_and_select(self):
+        solvers = ["s2", "s0", "s1"]
+        multi_exact = 0
+        for seed in range(12):
+            m = _family_matrix(seed, 3, n=24, duplicates=True)
+            times = _random_times(100 + seed, m.instance_ids, solvers)
+            train = FeatureMatrix(m.rows[1:])
+            train_x = [r.vector.as_array().tolist() for r in train.rows]
+            effective = [[min(t, times.timeout_value) for t in row]
+                         for row in times.times[1:].tolist()]
+            tests = [r.vector for r in m.rows[:8]]
+            tests.append(np.round(np.random.default_rng(seed).normal(size=5), 1))
+            for test in tests:
+                x = _vector_list(test)
+                w = idw_weights(x, train_x)
+                if train_x.count(x) > 1:
+                    multi_exact += 1
+                want = {s: sum(wi * row[j] for wi, row in zip(w, effective)) / sum(w)
+                        for j, s in enumerate(solvers)}
+                for s in solvers:
+                    got = predict_runtime(test, train, times, s)
+                    assert got == pytest.approx(want[s], rel=1e-12)
+                best = min(want.values())
+                assert select_solver(test, train, times) == min(
+                    s for s in solvers if want[s] <= best * (1 + 1e-12))
+        assert multi_exact > 0  # the plain mean over several exact matches ran
+
+    def test_knn_votes(self):
+        for seed in range(12):
+            m = _family_matrix(seed, 2 + seed % 4, duplicates=True)
+            x = [r.vector.as_array().tolist() for r in m.rows]
+            confusion = {}
+            for i, row in enumerate(m.rows):
+                others = [j for j in range(len(m)) if j != i]
+                votes = {}
+                for wj, j in zip(idw_weights(x[i], [x[j] for j in others]), others):
+                    if wj:
+                        fam = m.rows[j].family
+                        votes[fam] = votes.get(fam, 0.0) + wj
+                top = max(votes.values())
+                pred = min(lb for lb, v in votes.items() if v >= top * (1 - 1e-12))
+                per = confusion.setdefault(row.family, {})
+                per[pred] = per.get(pred, 0) + 1
+            assert knn_loo_classify(m).confusion == confusion
 
 
 class TestSelectSolver:
@@ -130,6 +213,33 @@ class TestRuntimeMatrix:
             RuntimeMatrix(["a"], ["s"], [[-1.0]], 100.0)
         with pytest.raises(ValueError):
             RuntimeMatrix(["a"], ["s"], [[200.0]], 100.0)
+
+    @pytest.mark.parametrize("cell", (np.nan, -np.inf, 0.0, -1.0))
+    def test_unrankable_runtime(self, cell):
+        with pytest.raises(ValueError, match="positive seconds or timeouts"):
+            RuntimeMatrix(["a", "b"], ["s"], [[1.0], [cell]], 100.0)
+
+    @pytest.mark.parametrize("text", (
+        pytest.param("instance,s,t\na,nan,1\nb,-inf,2\n", id="nan-and-neg-inf"),
+        pytest.param("instance,s,t\na,4,1\nb,-inf,2\n", id="neg-inf"),
+        pytest.param("instance,s\na,NaN\nb,2\n", id="nan"),
+    ))
+    def test_unrankable_runtime_csv(self, text):
+        with pytest.raises(ValueError, match="positive seconds or timeouts"):
+            RuntimeMatrix.from_csv(text)
+
+    @pytest.mark.parametrize("text,kind", (
+        pytest.param("instance,s\na,1\na,2\n", "instance", id="instance"),
+        pytest.param("instance,s,s\na,1,2\n", "solver", id="solver"),
+    ))
+    def test_duplicate_names(self, text, kind):
+        with pytest.raises(ValueError, match=f"duplicate {kind} names: \\['(a|s)'\\]"):
+            RuntimeMatrix.from_csv(text)
+
+    def test_plus_inf_is_timeout(self):
+        m = RuntimeMatrix.from_csv("instance,s,t\na,inf,1\nb,TIMEOUT,2\n")
+        assert m.is_timeout("a", "s") and m.is_timeout("b", "s")
+        assert m.vbs_count() == 2
 
 
 class TestLooPortfolioSim:
@@ -275,6 +385,28 @@ class TestLooClassify:
         rep = loo_classify(m)
         assert rep.successes == 4
         assert rep.confusion == {"x": {"x": 2}, "y": {"y": 2}}
+
+    def test_four_families_pinned(self):
+        # with four families the order in which entropy terms are added
+        # decides a split here: adding the right side's terms in any order
+        # other than first appearance (say, as counts minus left) changes it
+        rep = loo_classify(_family_matrix(3, 4))
+        assert (rep.successes, rep.total) == (15, 30)
+        assert rep.confusion == {
+            "fam3": {"fam1": 1, "fam0": 1, "fam3": 2},
+            "fam0": {"fam0": 6, "fam1": 2, "fam2": 2},
+            "fam2": {"fam1": 7, "fam2": 1},
+            "fam1": {"fam1": 6, "fam2": 2},
+        }
+        assert list(rep.confusion) == ["fam3", "fam0", "fam2", "fam1"]
+
+
+@pytest.mark.parametrize("classify", (loo_classify, knn_loo_classify))
+@pytest.mark.parametrize("n", (0, 1))
+def test_classifiers_need_two_instances(classify, n):
+    m = _matrix([1.0] * n, families=["x"] * n)
+    with pytest.raises(ValueError, match="need at least 2 instances"):
+        classify(m)
 
 
 class TestKnnClassify:
