@@ -9,7 +9,6 @@ still exits 0. All subcommands are deterministic given inputs and seed, and
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -46,11 +45,27 @@ def _build_graph(f: cnf.CnfFormula, model: str, weighted: bool) -> graph.Graph:
     raise ValueError(f"unknown graph model {model!r}")
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        Path(out_path).write_text(text)
+def _emit(text: str, args) -> None:
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(obj, args) -> None:
+    _emit(json.dumps(obj, indent=2) + "\n", args)
+
+
+def _emit_table(args, columns, records) -> None:
+    """Records (dicts) as a JSON list, or as CSV rows of `columns` with the
+    missing keys empty. A record holding an "error" is a CSV row with family
+    ERROR."""
+    if args.format == "json":
+        _emit_json(records, args)
+        return
+    marked = ({**r, "family": "ERROR"} if "error" in r else r for r in records)
+    _emit(features.csv_text(columns, ([r.get(c) for c in columns]
+                                      for r in marked)), args)
 
 
 # ---------------------------------------------------------------------------
@@ -124,29 +139,15 @@ def cmd_features(args) -> int:
         results = _features_pool(jobs, args.workers)
     else:
         results = [_features_one(j) for j in jobs]
-    for instance, _, res in results:
+    records = []
+    for instance, family, res in results:
         if isinstance(res, str):
             print(f"warning: {instance}: {res}", file=sys.stderr)
-    if args.format == "json":
-        out = []
-        for instance, family, res in results:
-            if isinstance(res, str):
-                out.append({"instance": instance, "error": res})
-            else:
-                out.append(features.row_to_dict(
-                    features.FeatureRow(instance, family, res)))
-        _emit(json.dumps(out, indent=2) + "\n", args.output)
-    else:
-        text = io.StringIO()
-        writer = features.csv_writer(text)
-        writer.writerow(features.CSV_HEADER.split(","))
-        for instance, family, res in results:
-            if isinstance(res, str):
-                writer.writerow([instance, "ERROR"] + [""] * 10)
-            else:
-                writer.writerow(features.csv_row(
-                    features.FeatureRow(instance, family, res)))
-        _emit(text.getvalue(), args.output)
+            records.append({"instance": instance, "error": res})
+        else:
+            records.append(features.row_to_dict(
+                features.FeatureRow(instance, family, res)))
+    _emit_table(args, features.COLUMNS, records)
     return 0
 
 
@@ -165,16 +166,20 @@ def cmd_ndr(args) -> int:
     except ValueError:
         fit = None
     if args.format == "json":
-        payload = {
+        _emit_json({
             "r": curve.rs.tolist(),
             "N": curve.counts.tolist(),
             "N_norm": curve.normalized.tolist(),
             "r_max": curve.r_max,
             "fit": fractal.fit_to_dict(fit) if fit else None,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        _emit(fractal.curve_to_csv(curve, fit), args.output)
+        }, args)
+        return 0
+    # greedy counts are whole numbers, written without a fraction
+    rows = list(zip(curve.rs.tolist(), map(int, curve.counts.tolist()),
+                    curve.normalized.tolist()))
+    if fit:
+        rows += [("d", fit.d), ("beta", fit.beta)]
+    _emit(features.csv_text(("r", "N", "N_norm"), rows), args)
     return 0
 
 
@@ -187,13 +192,13 @@ def cmd_evolution(args) -> int:
     _check_readable((args.input, args.trace))
     formula = cnf.parse_dimacs(cnf.read_input(args.input))
     trace = cnf.parse_trace(cnf.read_input(args.trace))
-    if args.checkpoints:
-        checkpoints = [int(c) for c in args.checkpoints.split(",")]
-        missing = [c for c in checkpoints if c not in trace.decision_counts]
-        if missing:
-            raise ValueError(f"checkpoints not in trace: {missing}")
-    else:
-        checkpoints = list(trace.decision_counts)
+    # a checkpoint's random stand-in is seeded by its place in the trace,
+    # so its row does not depend on which other checkpoints were asked for
+    index = {ck: i for i, ck in enumerate(trace.decision_counts)}
+    checkpoints = args.checkpoints or list(index)
+    missing = [c for c in checkpoints if c not in index]
+    if missing:
+        raise ValueError(f"checkpoints not in trace: {missing}")
 
     def dims(f: cnf.CnfFormula) -> tuple[float, float]:
         # unlike extract_features, no canonical clause order: the augmented
@@ -201,37 +206,24 @@ def cmd_evolution(args) -> int:
         return tuple(features.cover_and_fit(build(f, weighted=False), cfg)[1].d
                      for build in (graph.build_vig, graph.build_cvig))
 
-    rows = []
-    for idx, ck in enumerate(checkpoints):
+    columns = ("checkpoint", "d_learnt", "d_b_learnt", "d_random",
+               "d_b_random", "status")
+    records = []
+    for ck in checkpoints:
         status = []
         d_l = db_l = d_r = db_r = None
         try:
-            aug = cnf.augment_with_learnt(formula, trace, ck)
-            d_l, db_l = dims(aug)
+            d_l, db_l = dims(cnf.augment_with_learnt(formula, trace, ck))
         except cnf.PropagationConflict:
             status.append("conflict_learnt")
         try:
-            rnd = cnf.random_replacement(formula, trace, ck, cfg.seed + idx)
-            d_r, db_r = dims(rnd)
+            d_r, db_r = dims(cnf.random_replacement(formula, trace, ck,
+                                                    cfg.seed + index[ck]))
         except cnf.PropagationConflict:
             status.append("conflict_random")
-        rows.append({
-            "checkpoint": ck,
-            "d_learnt": d_l, "d_b_learnt": db_l,
-            "d_random": d_r, "d_b_random": db_r,
-            "status": "+".join(status) if status else "ok",
-        })
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args.output)
-    else:
-        def fmt(x):
-            return "" if x is None else repr(x)
-        lines = ["checkpoint,d_learnt,d_b_learnt,d_random,d_b_random,status\n"]
-        for r in rows:
-            lines.append(f"{r['checkpoint']},{fmt(r['d_learnt'])},"
-                         f"{fmt(r['d_b_learnt'])},{fmt(r['d_random'])},"
-                         f"{fmt(r['d_b_random'])},{r['status']}\n")
-        _emit("".join(lines), args.output)
+        records.append(dict(zip(columns, (ck, d_l, db_l, d_r, db_r,
+                                          "+".join(status) or "ok"))))
+    _emit_table(args, columns, records)
     return 0
 
 
@@ -271,7 +263,7 @@ def cmd_classify(args) -> int:
                                         features=args.features_used)
     else:
         report = portfolio.knn_loo_classify(matrix, features=args.features_used)
-    _emit(report.to_json() + "\n", args.output)
+    _emit_json(report.to_dict(), args)
     return 0
 
 
@@ -288,8 +280,7 @@ def cmd_portfolio(args) -> int:
         raise ValueError(
             f"instance id mismatch: only in features {only_f}, "
             f"only in runtimes {only_t}")
-    report = portfolio.loo_portfolio_sim(matrix, times)
-    _emit(report.to_json() + "\n", args.output)
+    _emit_json(portfolio.loo_portfolio_sim(matrix, times).to_dict(), args)
     return 0
 
 
@@ -306,6 +297,16 @@ def _feature_names(text: str) -> tuple[str, ...]:
             f"unknown feature(s) {', '.join(map(repr, unknown))}; choose "
             f"from {', '.join(features.FEATURE_NAMES)}")
     return names
+
+
+def _checkpoints(text: str) -> tuple[int, ...]:
+    """Comma-separated decision counts; empty means every checkpoint."""
+    try:
+        return tuple(int(c) for c in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated decision counts, got {text!r}"
+        ) from None
 
 
 def _add_common(p, fit=True):
@@ -349,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dimension after augmenting with trace clauses")
     p.add_argument("input")
     p.add_argument("--trace", required=True)
-    p.add_argument("--checkpoints", default=None,
+    p.add_argument("--checkpoints", type=_checkpoints, default=(),
                    help="comma-separated decision counts (default: all)")
     _add_common(p)
     p.set_defaults(func=cmd_evolution)

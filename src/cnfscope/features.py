@@ -20,7 +20,8 @@ from .scalefree import fit_alpha, occurrence_histogram
 
 FEATURE_NAMES = ("alpha", "q", "d", "d_b", "ratio")
 EXTRA_NAMES = ("beta", "beta_b", "n", "m", "r_max")
-CSV_HEADER = "instance,family,alpha,q,d,d_b,ratio,beta,beta_b,n,m,r_max"
+COLUMNS = ("instance", "family") + FEATURE_NAMES + EXTRA_NAMES
+CSV_HEADER = ",".join(COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -180,32 +181,21 @@ def normalize(matrix: FeatureMatrix, training_ids) -> FeatureMatrix:
 # CSV / JSON interchange
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
-
-
-def csv_row(r: FeatureRow) -> list[str]:
-    """The cells of one feature CSV row, in CSV_HEADER order."""
-    v = r.vector
-    cells = [r.instance, r.family or "",
-             _fmt(v.alpha), _fmt(v.q), _fmt(v.d), _fmt(v.d_b), _fmt(v.ratio)]
-    return cells + [_fmt(v.extras.get(n)) for n in EXTRA_NAMES]
-
-
-def csv_writer(out):
-    """CSV writer with '\\n' line ends; fields holding a comma or a quote
-    (such as instance names) are quoted."""
-    return csv.writer(out, lineterminator="\n")
+def csv_text(header, rows) -> str:
+    """The one CSV writer: '\n' line ends, and fields holding a comma or a
+    quote (such as instance names) quoted. A None cell is written empty,
+    strings and ints as they are, any other number as repr(float(x))."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([x if x is None or isinstance(x, (str, int))
+                      else repr(float(x)) for x in row] for row in rows)
+    return out.getvalue()
 
 
 def matrix_to_csv(matrix: FeatureMatrix) -> str:
-    out = io.StringIO()
-    writer = csv_writer(out)
-    writer.writerow(CSV_HEADER.split(","))
-    writer.writerows(csv_row(r) for r in matrix.rows)
-    return out.getvalue()
+    return csv_text(COLUMNS, ([d.get(c) for c in COLUMNS]
+                              for d in map(row_to_dict, matrix.rows)))
 
 
 def csv_rows(text: str) -> list[list[str]]:
@@ -222,8 +212,7 @@ def matrix_from_csv(text: str, skip_errors: bool = False) -> FeatureMatrix:
     if not rows:
         raise ValueError("empty feature CSV")
     header = rows[0]
-    expected = CSV_HEADER.split(",")
-    if header[:len(expected)] != expected:
+    if tuple(header[:len(COLUMNS)]) != COLUMNS:
         raise ValueError(f"unexpected feature CSV header: {','.join(header)!r}")
     out = []
     for cells in rows[1:]:
@@ -236,10 +225,8 @@ def matrix_from_csv(text: str, skip_errors: bool = False) -> FeatureMatrix:
                 continue
             raise ValueError(f"feature CSV contains ERROR row for {instance}")
         alpha, q, d, d_b, ratio = (float(c) for c in cells[2:7])
-        extras = {}
-        for name, cell in zip(EXTRA_NAMES, cells[7:12]):
-            if cell:
-                extras[name] = float(cell)
+        extras = {name: float(cell)
+                  for name, cell in zip(EXTRA_NAMES, cells[7:]) if cell}
         out.append(FeatureRow(instance, family,
                               FeatureVector(alpha, q, d, d_b, ratio, extras)))
     return FeatureMatrix(out)
@@ -247,12 +234,11 @@ def matrix_from_csv(text: str, skip_errors: bool = False) -> FeatureMatrix:
 
 def row_to_dict(r: FeatureRow) -> dict:
     """One feature row as a JSON object: instance, family, the five
-    features and whichever extras the row has, in CSV_HEADER order."""
+    features and whichever extras the row has, in COLUMNS order."""
     v = r.vector
-    entry = {"instance": r.instance, "family": r.family,
-             "alpha": v.alpha, "q": v.q, "d": v.d, "d_b": v.d_b,
-             "ratio": v.ratio}
-    entry.update({k: v.extras[k] for k in EXTRA_NAMES if k in v.extras})
+    entry = {"instance": r.instance, "family": r.family}
+    entry.update((n, getattr(v, n)) for n in FEATURE_NAMES)
+    entry.update((n, v.extras[n]) for n in EXTRA_NAMES if n in v.extras)
     return entry
 
 

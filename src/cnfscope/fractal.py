@@ -333,18 +333,6 @@ def fit_dimension(curve: CoverCurve, r_lo: int = 1, r_hi: int = 5) -> DimensionF
 # Export helpers
 
 
-def curve_to_csv(curve: CoverCurve, fit: DimensionFit | None = None) -> str:
-    lines = ["r,N,N_norm\n"]
-    norm = curve.normalized
-    for r, n_r, nn in zip(curve.rs.tolist(), curve.counts.tolist(), norm.tolist()):
-        n_txt = str(int(n_r)) if float(n_r).is_integer() else repr(float(n_r))
-        lines.append(f"{r},{n_txt},{nn!r}\n")
-    if fit is not None:
-        lines.append(f"d,{fit.d!r}\n")
-        lines.append(f"beta,{fit.beta!r}\n")
-    return "".join(lines)
-
-
 def fit_to_dict(fit: DimensionFit) -> dict:
     return {
         "d": fit.d,

@@ -5,8 +5,6 @@ no pruning)."""
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -15,9 +13,14 @@ from itertools import compress
 import numpy as np
 
 from .features import (FEATURE_NAMES, FeatureMatrix, FeatureVector, csv_rows,
-                       csv_writer, normalize)
+                       csv_text, normalize)
 
 TIMEOUT = "TIMEOUT"
+
+
+def _check_unique(kind: str, names) -> None:
+    if dup := [x for x, c in Counter(names).items() if c > 1]:
+        raise ValueError(f"duplicate {kind} names: {dup}")
 
 
 class RuntimeMatrix:
@@ -39,9 +42,8 @@ class RuntimeMatrix:
                              f"got {bad[0]}")
         if (self.times[np.isfinite(self.times)] > self.timeout_value).any():
             raise ValueError("finite runtime exceeds timeout_value")
-        for kind, names in (("instance", self.instances), ("solver", self.solvers)):
-            if dup := [x for x, c in Counter(names).items() if c > 1]:
-                raise ValueError(f"duplicate {kind} names: {dup}")
+        _check_unique("instance", self.instances)
+        _check_unique("solver", self.solvers)
         self._row = {inst: i for i, inst in enumerate(self.instances)}
         self._col = {s: j for j, s in enumerate(self.solvers)}
 
@@ -92,13 +94,9 @@ class RuntimeMatrix:
         return cls(instances, header[1:], times, timeout_value)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv_writer(out)
-        writer.writerow(["instance"] + list(self.solvers))
-        for inst, row in zip(self.instances, self.times):
-            writer.writerow([inst] + [TIMEOUT if math.isinf(t) else repr(float(t))
-                                      for t in row])
-        return out.getvalue()
+        return csv_text(["instance"] + self.solvers,
+                        ([inst] + [TIMEOUT if math.isinf(t) else t for t in row]
+                         for inst, row in zip(self.instances, self.times)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +166,6 @@ class SimulationReport:
             "per_instance": list(self.per_instance),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def loo_portfolio_sim(matrix: FeatureMatrix, times: RuntimeMatrix
                       ) -> SimulationReport:
@@ -180,10 +175,12 @@ def loo_portfolio_sim(matrix: FeatureMatrix, times: RuntimeMatrix
     rest, picks the solver with the best predicted runtime, and scores the
     choice with its true runtime. avg_time averages over solved instances
     only; avg_time_penalized substitutes timeout_value for unsolved ones.
+    Instance names must be unique: a round holds out one instance.
     """
     ids = matrix.instance_ids
     if len(ids) < 2:
         raise ValueError("need at least 2 instances")
+    _check_unique("instance", ids)
     # the virtual best solver finishes an instance when any solver does
     vbs = int(np.isfinite(times.rows(ids)).any(axis=1).sum())
     records = []
@@ -335,9 +332,6 @@ class ClassificationReport:
             "per_family": per_family,
             "confusion": self.confusion,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _loo(matrix: FeatureMatrix, labels, features,

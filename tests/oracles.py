@@ -4,7 +4,9 @@ Nothing here shares algorithmic machinery with the library paths it checks:
 coloring is plain backtracking, partition search enumerates every set
 partition, breadth-first search walks adjacency sets with a deque, CSR
 arrays are built edge by edge from a dict, the power-law sampler inverts
-the exact discrete CDF, and inverse-distance weights loop over plain lists.
+the exact discrete CDF, inverse-distance weights loop over plain lists, and
+greedy centers are found in rounds of a maximal independent set as well as
+by visiting nodes one by one.
 """
 
 from collections import deque
@@ -97,6 +99,39 @@ def greedy_centers(g: Graph, r: int, descending: bool = True) -> list[int]:
             centers.append(u)
             burned.update(hop_distances(adj, [u], r - 1))
     return centers
+
+
+def _closed_min(g: Graph, values: np.ndarray, hops: int) -> np.ndarray:
+    """Each node's least value over the nodes within `hops` hops of it."""
+    # reduceat cannot take an empty row, so isolated nodes are left out
+    linked = np.diff(g.indptr) > 0
+    for _ in range(hops if linked.any() else 0):
+        values = values.copy()
+        values[linked] = np.minimum(values[linked], np.minimum.reduceat(
+            values[g.indices], g.indptr[:-1][linked]))
+    return values
+
+
+def lex_first_mis(g: Graph, hops: int, descending: bool = True) -> list[int]:
+    """The lexicographically-first maximal independent set of G^hops under
+    the degree order (ties by node id), listed in that order. Computed in
+    rounds (Blelloch, Fineman & Shun, SPAA 2012): an undecided node joins
+    when its rank is the least over the undecided nodes within `hops` hops,
+    and every node within `hops` hops of a joiner is decided."""
+    n = g.node_count
+    deg = np.diff(g.indptr).tolist()
+    sign = -1 if descending else 1
+    order = sorted(range(n), key=lambda u: (sign * deg[u], u))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    undecided = np.ones(n, dtype=bool)
+    chosen = np.zeros(n, dtype=bool)
+    while undecided.any():
+        least = _closed_min(g, np.where(undecided, rank, n), hops)
+        joins = undecided & (least == rank)
+        chosen |= joins
+        undecided &= _closed_min(g, np.where(joins, 0, 1), hops) == 1
+    return [u for u in order if chosen[u]]
 
 
 def random_formula(rng, max_vars=8, max_clauses=8, min_clause=1, max_clause=3

@@ -1,24 +1,29 @@
 """Every breadth-first search of the library against the deque oracle, on
 seeded random graphs that include disconnected ones and isolated nodes, and
-on bipartite CVIGs of small random formulas. Also the CSR arrays the searches
-walk: a one-node frontier's row is used as a layer as it is, so each row must
-be sorted and distinct."""
+on bipartite CVIGs of small random formulas. Greedy centers also against the
+round-based maximal independent set, there and on VIGs and CVIGs of random
+3-CNF with 10^4 variables. Also the CSR arrays the searches walk: a one-node
+frontier's row is used as a layer as it is, so each row must be sorted and
+distinct."""
 
 import numpy as np
 import pytest
 
 from cnfscope.fractal import greedy_cover_count, verify_cover
+from cnfscope.cnf import random_3cnf
 from cnfscope.graph import (
     Graph,
     bfs_distances,
     bfs_layers,
     build_cvig,
+    build_vig,
     connected_components,
 )
 from oracles import (
     adjacency_sets,
     greedy_centers,
     hop_distances,
+    lex_first_mis,
     random_connected_graph,
     random_formula,
     random_graph,
@@ -96,6 +101,31 @@ def test_greedy_balls(g, r, ordering):
     assert centers.tolist() == want
     assert count == len(want)
     assert len(hop_distances(adj, want, r - 1)) == g.node_count
+    assert lex_first_mis(g, r - 1, ordering == "desc_degree") == want
+
+
+@pytest.fixture(scope="module")
+def large_graphs():
+    """VIG and CVIG of seeded random 3-CNF with n = 10^4 at m/n 1 and 4.25."""
+    n = 10_000
+    formulas = {ratio: random_3cnf(n, round(ratio * n), seed=1000)
+                for ratio in (1.0, 4.25)}
+    return {(model, ratio): build(f) for ratio, f in formulas.items()
+            for model, build in (("vig", build_vig), ("cvig", build_cvig))}
+
+
+@pytest.mark.parametrize("model", ("vig", "cvig"))
+@pytest.mark.parametrize("ratio", (1.0, 4.25))
+@pytest.mark.parametrize("r", (2, 3, 4, 5))
+@pytest.mark.parametrize("ordering", ("desc_degree", "asc_degree"))
+def test_greedy_balls_large(large_graphs, model, ratio, r, ordering):
+    """The greedy centers are the lexicographically-first maximal
+    independent set of G^(r-1) under the degree order."""
+    g = large_graphs[model, ratio]
+    count, centers = greedy_cover_count(g, r, ordering)
+    want = lex_first_mis(g, r - 1, ordering == "desc_degree")
+    assert centers.tolist() == want
+    assert count == len(want)
 
 
 @pytest.mark.parametrize("g", GRAPHS)

@@ -230,12 +230,9 @@ class TestNdr:
         p.write_text("p cnf 4 2\n1 2 3 4 0\n1 2 0\n")
         code, out, _ = _run(capsys, "ndr", p)
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "r,N,N_norm"
-        assert lines[1].startswith("1,4,")
-        assert lines[2].startswith("2,1,")
-        assert any(l.startswith("d,") for l in lines)
-        assert any(l.startswith("beta,") for l in lines)
+        # whole counts bare, then the fit: d = log2(4 / 1), beta = ln(4 / 1)
+        assert out == ("r,N,N_norm\n1,4,1.0\n2,1,0.25\n"
+                       "d,2.0\nbeta,1.38629436111989\n")
 
     def test_r_stop(self, cnf_file, capsys):
         code, out, _ = _run(capsys, "ndr", cnf_file, "--r-stop", 3)
@@ -316,8 +313,54 @@ class TestEvolution:
         tr.write_text("t 10\n1 0\n-1 0\n")
         code, out, _ = _run(capsys, "evolution", p, "--trace", tr)
         assert code == 0
-        row = out.strip().splitlines()[1]
-        assert "conflict_learnt" in row
+        # the learnt side's cells are empty
+        assert out == ("checkpoint,d_learnt,d_b_learnt,d_random,d_b_random,"
+                       "status\n10,,,4.121464557850334e-16,"
+                       "4.121464557850334e-16,conflict_learnt\n")
+        code, out, _ = _run(capsys, "evolution", p, "--trace", tr,
+                            "--format", "json")
+        assert code == 0
+        assert out == """[
+  {
+    "checkpoint": 10,
+    "d_learnt": null,
+    "d_b_learnt": null,
+    "d_random": 4.121464557850334e-16,
+    "d_b_random": 4.121464557850334e-16,
+    "status": "conflict_learnt"
+  }
+]
+"""
+
+    def test_row_independent_of_other_checkpoints(self, tmp_path, capsys):
+        # each random stand-in is seeded by its checkpoint's place in the
+        # trace, not by its place in --checkpoints
+        p = tmp_path / "f.cnf"
+        p.write_text(write_dimacs(random_3cnf(40, 160, seed=0)))
+        tr = tmp_path / "t.trace"
+        tr.write_text("t 10\n1 -2 0\n3 4 -5 0\nt 20\n-6 7 0\n8 9 10 0\n")
+        _, out, _ = _run(capsys, "evolution", p, "--trace", tr, "--seed", 3)
+        full = dict(line.split(",", 1) for line in out.splitlines()[1:])
+        for asked in ("20", "20,10"):
+            code, out, _ = _run(capsys, "evolution", p, "--trace", tr,
+                                "--seed", 3, "--checkpoints", asked)
+            assert code == 0
+            rows = [line.split(",", 1) for line in out.splitlines()[1:]]
+            assert [ck for ck, _ in rows] == asked.split(",")
+            assert all(cells == full[ck] for ck, cells in rows)
+
+    @pytest.mark.parametrize("asked", ("10,", "x", "10,,20", ","))
+    def test_bad_checkpoints_usage_error(self, tmp_path, capsys, asked):
+        p = tmp_path / "f.cnf"
+        p.write_text(write_dimacs(random_3cnf(10, 30, seed=1)))
+        tr = tmp_path / "t.trace"
+        tr.write_text("t 10\nt 20\n")
+        with pytest.raises(SystemExit) as exc:
+            _run(capsys, "evolution", p, "--trace", tr, "--checkpoints", asked)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --checkpoints" in err
+        assert "Traceback" not in err
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         p = tmp_path / "f.cnf"
@@ -408,6 +451,23 @@ class TestClassifyPortfolio:
         code, _, err = _run(capsys, "portfolio", features_csv, p)
         assert code == 1
         assert err == "error: duplicate instance names: ['lo0']\n"
+
+    def test_portfolio_duplicate_feature_row(self, tmp_path, capsys):
+        p = tmp_path / "f.csv"
+        p.write_text("instance,family,alpha,q,d,d_b,ratio,beta,beta_b,n,m,r_max\n"
+                     "a,x,1.0,0.5,2.0,2.0,4.0,,,,,\n"
+                     "a,y,2.0,0.5,2.0,2.0,4.0,,,,,\n"
+                     "b,x,3.0,0.5,2.0,2.0,4.0,,,,,\n")
+        rt = tmp_path / "rt.csv"
+        rt.write_text("instance,s\na,1.0\nb,2.0\n")
+        code, out, err = _run(capsys, "portfolio", p, rt)
+        assert code == 1 and out == ""
+        assert err == "error: duplicate instance names: ['a']\n"
+        # classification counts rows: equal names from two family
+        # directories are valid input there
+        code, out, _ = _run(capsys, "classify", p)
+        assert code == 0
+        assert json.loads(out)["total"] == 3
 
     def test_portfolio(self, features_csv, tmp_path, capsys):
         ids = [f"lo{k}" for k in range(4)] + [f"hi{k}" for k in range(4)]

@@ -198,6 +198,11 @@ class TestRuntimeMatrix:
         assert back.is_timeout("a", "s2")
         assert back.time("b", "s2") == 10.0
 
+    def test_csv_bytes(self):
+        m = _times(["a,b.cnf", "c"], ["s1", "s2"], [[1.5, "T"], ["T", 0.25]])
+        assert m.to_csv() == ('instance,s1,s2\n"a,b.cnf",1.5,TIMEOUT\n'
+                              'c,TIMEOUT,0.25\n')
+
     def test_timeout_inferred(self):
         m = RuntimeMatrix.from_csv("instance,s\na,5.0\nb,TIMEOUT\n")
         assert m.timeout_value == 5.0
@@ -288,6 +293,15 @@ class TestLooPortfolioSim:
         m = _matrix([0.0, 1.0])
         times = _times(["i0"], ["s"], [[1.0]])
         with pytest.raises(ValueError):
+            loo_portfolio_sim(m, times)
+
+    def test_duplicate_instance(self):
+        # each round holds out one instance: a second row of the same name
+        # would be scored twice and dropped from its own training set
+        m = _matrix([0.0, 1.0, 2.0], ids=["a", "a", "b"])
+        times = _times(["a", "b"], ["s"], [[1.0], [2.0]])
+        with pytest.raises(ValueError,
+                           match=r"^duplicate instance names: \['a'\]$"):
             loo_portfolio_sim(m, times)
 
     def test_report_json(self):
