@@ -35,11 +35,11 @@ def _check_readable(paths):
             raise FileNotFoundError(f"input not readable: {p}")
 
 
-def _build_graph(f: cnf.CnfFormula, model: str, weighted: bool) -> graph.Graph:
+def _build_graph(f: cnf.CnfFormula, model: str) -> graph.Graph:
     if model == "vig":
-        return graph.build_vig(f, weighted)
+        return graph.build_vig(f)
     if model == "cvig":
-        return graph.build_cvig(f, weighted)
+        return graph.build_cvig(f)
     if model == "cig":
         return graph.build_cig(f)
     raise ValueError(f"unknown graph model {model!r}")
@@ -158,7 +158,7 @@ def cmd_features(args) -> int:
 def cmd_ndr(args) -> int:
     _check_readable((args.input,))
     formula = cnf.parse_dimacs(cnf.read_input(args.input))
-    g = _build_graph(formula, args.model, args.weighted)
+    g = _build_graph(formula, args.model)
     curve = fractal.cover_curve(g, r_stop=args.r_stop, ordering=args.ordering,
                                 monotone_clamp=args.monotone_clamp)
     try:
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ndr", help="dump the N(r) cover curve of one formula")
     p.add_argument("input")
     p.add_argument("--model", choices=MODELS, default="vig")
-    p.add_argument("--weighted", action="store_true")
     p.add_argument("--r-stop", type=int, default=None, dest="r_stop")
     _add_common(p)
     p.set_defaults(func=cmd_ndr)

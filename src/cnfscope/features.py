@@ -7,8 +7,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
@@ -59,34 +61,17 @@ class FeatureRow:
 
 
 class FeatureMatrix:
-    """Feature rows; `excluded` names the features left out of distances
-    (those constant on a normalization's training subset)."""
+    """Feature rows, in their order."""
 
-    def __init__(self, rows, excluded=()):
+    def __init__(self, rows):
         self.rows: list[FeatureRow] = list(rows)
-        self.excluded: tuple[str, ...] = tuple(excluded)
 
     @property
     def instance_ids(self) -> list[str]:
         return [r.instance for r in self.rows]
 
-    @property
-    def distance_features(self) -> tuple[str, ...]:
-        return tuple(n for n in FEATURE_NAMES if n not in self.excluded)
-
-    def row(self, instance: str) -> FeatureRow:
-        for r in self.rows:
-            if r.instance == instance:
-                return r
-        raise KeyError(instance)
-
-    def to_array(self, names=None) -> np.ndarray:
-        names = FEATURE_NAMES if names is None else names
-        return np.array([r.vector.as_array(names) for r in self.rows])
-
-    def drop(self, instance_id: str) -> "FeatureMatrix":
-        return FeatureMatrix([r for r in self.rows if r.instance != instance_id],
-                             self.excluded)
+    def to_array(self) -> np.ndarray:
+        return np.array([r.vector.as_array() for r in self.rows])
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -142,39 +127,41 @@ def extract_features(f: CnfFormula, config: FeatureConfig | None = None
                          ratio=f.num_clauses / f.num_vars, extras=extras)
 
 
+def _minmax(X: np.ndarray, train: np.ndarray) -> np.ndarray:
+    """Min-max scale the feature columns of X on the rows where `train` is
+    set; other rows are clamped into [0, 1]. A column constant on the
+    training rows maps to 0.0, so it adds nothing to any distance."""
+    T = X[train]
+    if not len(T):
+        raise ValueError("no training rows")
+    # the first minimal value, as min() takes it: 0.0 and -0.0 tie, and the
+    # sign of lo decides the sign of a zero result
+    lo = T[T.argmin(axis=0), range(X.shape[1])]
+    hi = T.max(axis=0)
+    const = hi == lo
+    for name in compress(FEATURE_NAMES, const):
+        _warnings.warn(f"feature {name!r} constant on training set; "
+                       "excluded from distances")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Y = (X - lo) / (hi - lo)
+    # min(max(x, 0.0), 1.0) on the other rows: -0.0 and NaN stay as they are
+    held = ~train[:, None]
+    Y[held & (Y < 0.0)] = 0.0
+    Y[held & (Y > 1.0)] = 1.0
+    Y[:, const] = 0.0
+    return Y
+
+
 def normalize(matrix: FeatureMatrix, training_ids) -> FeatureMatrix:
     """Min-max normalize each feature using the training rows; other rows are
-    clamped into [0, 1]. Constant training features are excluded from
-    distances (their values map to 0)."""
+    clamped into [0, 1]. Constant training features map to 0 (see _minmax)."""
     training = set(training_ids)
-    train_rows = [r for r in matrix.rows if r.instance in training]
-    if not train_rows:
-        raise ValueError("no training rows")
-    norm: dict[str, tuple[float, float]] = {}
-    excluded: list[str] = []
-    for name in FEATURE_NAMES:
-        vals = [r.vector.value(name) for r in train_rows]
-        lo, hi = min(vals), max(vals)
-        if lo == hi:
-            excluded.append(name)
-            _warnings.warn(f"feature {name!r} constant on training set; "
-                           "excluded from distances")
-        norm[name] = (lo, hi)
-    new_rows = []
-    for r in matrix.rows:
-        vals = {}
-        for name in FEATURE_NAMES:
-            lo, hi = norm[name]
-            if name in excluded:
-                vals[name] = 0.0
-                continue
-            x = (r.vector.value(name) - lo) / (hi - lo)
-            if r.instance not in training:
-                x = min(max(x, 0.0), 1.0)
-            vals[name] = x
-        new_rows.append(FeatureRow(r.instance, r.family,
-                                   replace(r.vector, **vals)))
-    return FeatureMatrix(new_rows, excluded)
+    train = np.array([r.instance in training for r in matrix.rows], dtype=bool)
+    Y = _minmax(matrix.to_array(), train)
+    return FeatureMatrix(
+        FeatureRow(r.instance, r.family,
+                   replace(r.vector, **dict(zip(FEATURE_NAMES, y))))
+        for r, y in zip(matrix.rows, Y.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +191,18 @@ def csv_rows(text: str) -> list[list[str]]:
             if any(cell.strip() for cell in row)]
 
 
+def _finite(instance: str, column: str, cell: str) -> float:
+    x = float(cell)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite {column} for {instance}: {cell!r}")
+    return x
+
+
 def matrix_from_csv(text: str, skip_errors: bool = False) -> FeatureMatrix:
     """Read a feature CSV. Rows marked ERROR (from batch extraction failures)
     raise unless skip_errors is set, in which case they are dropped with a
-    warning."""
+    warning. A NaN or infinite cell is an error: it has no place in a
+    distance or a split."""
     rows = csv_rows(text)
     if not rows:
         raise ValueError("empty feature CSV")
@@ -224,8 +219,9 @@ def matrix_from_csv(text: str, skip_errors: bool = False) -> FeatureMatrix:
                 _warnings.warn(f"skipping ERROR row for {instance}")
                 continue
             raise ValueError(f"feature CSV contains ERROR row for {instance}")
-        alpha, q, d, d_b, ratio = (float(c) for c in cells[2:7])
-        extras = {name: float(cell)
+        alpha, q, d, d_b, ratio = (_finite(instance, name, cell) for name, cell
+                                   in zip(FEATURE_NAMES, cells[2:7]))
+        extras = {name: _finite(instance, name, cell)
                   for name, cell in zip(EXTRA_NAMES, cells[7:]) if cell}
         out.append(FeatureRow(instance, family,
                               FeatureVector(alpha, q, d, d_b, ratio, extras)))

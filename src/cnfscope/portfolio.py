@@ -12,8 +12,8 @@ from itertools import compress
 
 import numpy as np
 
-from .features import (FEATURE_NAMES, FeatureMatrix, FeatureVector, csv_rows,
-                       csv_text, normalize)
+from .features import (FEATURE_NAMES, FeatureMatrix, FeatureVector, _minmax,
+                       csv_rows, csv_text)
 
 TIMEOUT = "TIMEOUT"
 
@@ -51,23 +51,12 @@ class RuntimeMatrix:
         """Runtime in seconds, inf when the solver timed out."""
         return float(self.times[self._row[instance], self._col[solver]])
 
-    def is_timeout(self, instance: str, solver: str) -> bool:
-        return math.isinf(self.time(instance, solver))
-
-    def effective_time(self, instance: str, solver: str) -> float:
-        """Runtime with timeouts replaced by timeout_value."""
-        return min(self.time(instance, solver), self.timeout_value)
-
     def rows(self, instances) -> np.ndarray:
         """The runtime rows of `instances`, in their order (inf = timeout)."""
         missing = [i for i in instances if i not in self._row]
         if missing:
             raise ValueError(f"instances missing from runtime matrix: {missing}")
         return self.times[[self._row[i] for i in instances]]
-
-    def vbs_count(self) -> int:
-        """Instances the virtual best solver would solve."""
-        return int(np.isfinite(self.times).any(axis=1).sum())
 
     @classmethod
     def from_csv(cls, text: str, timeout_value: float | None = None
@@ -123,16 +112,30 @@ def _weights(test_vec: np.ndarray, train_arr: np.ndarray
     return np.arange(d.size), 1.0 / d ** 2
 
 
-def _predictions(test, train: FeatureMatrix, times: RuntimeMatrix
+def _predictions(x: np.ndarray, X: np.ndarray, capped: np.ndarray, solvers
                  ) -> dict[str, float]:
-    if len(train) == 0:
-        raise ValueError("empty training set")
-    names = train.distance_features
-    rows, w = _weights(_as_vec(test, names), train.to_array(names))
-    t = np.minimum(times.rows(train.instance_ids)[rows], times.timeout_value)
+    """Predicted runtime of each solver for the test vector x, from the
+    training array X and its runtimes `capped` at timeout_value."""
+    rows, w = _weights(x, X)
+    t = capped[rows]
     # one 1-D sum per solver: `w @ t` would add in another order
     return {s: float((t[:, j] * w).sum() / w.sum())
-            for j, s in enumerate(times.solvers)}
+            for j, s in enumerate(solvers)}
+
+
+def _best(predictions: dict[str, float]) -> str:
+    """Solver with the minimal prediction; ties break on name."""
+    return min((p, s) for s, p in predictions.items())[1]
+
+
+def _matrix_predictions(test, train: FeatureMatrix, times: RuntimeMatrix
+                        ) -> dict[str, float]:
+    """_predictions for a FeatureMatrix and a FeatureVector or 5-entry array."""
+    if len(train) == 0:
+        raise ValueError("empty training set")
+    capped = np.minimum(times.rows(train.instance_ids), times.timeout_value)
+    return _predictions(_as_vec(test, FEATURE_NAMES), train.to_array(), capped,
+                        times.solvers)
 
 
 def predict_runtime(test, train: FeatureMatrix, times: RuntimeMatrix,
@@ -141,12 +144,12 @@ def predict_runtime(test, train: FeatureMatrix, times: RuntimeMatrix,
     mean of its training runtimes (timeouts contribute timeout_value). When
     some training instance matches the test features exactly, the plain
     average over the exact matches is returned."""
-    return _predictions(test, train, times)[solver]
+    return _matrix_predictions(test, train, times)[solver]
 
 
 def select_solver(test, train: FeatureMatrix, times: RuntimeMatrix) -> str:
     """Solver with the minimal predicted runtime; ties break on name."""
-    return min((p, s) for s, p in _predictions(test, train, times).items())[1]
+    return _best(_matrix_predictions(test, train, times))
 
 
 @dataclass(frozen=True)
@@ -181,13 +184,18 @@ def loo_portfolio_sim(matrix: FeatureMatrix, times: RuntimeMatrix
     if len(ids) < 2:
         raise ValueError("need at least 2 instances")
     _check_unique("instance", ids)
+    X = matrix.to_array()
+    runtimes = times.rows(ids)
+    capped = np.minimum(runtimes, times.timeout_value)
     # the virtual best solver finishes an instance when any solver does
-    vbs = int(np.isfinite(times.rows(ids)).any(axis=1).sum())
+    vbs = int(np.isfinite(runtimes).any(axis=1).sum())
     records = []
     solved, solved_total, penalized_total = 0, 0.0, 0.0
-    for inst in ids:
-        normed = normalize(matrix, [i for i in ids if i != inst])
-        chosen = select_solver(normed.row(inst).vector, normed.drop(inst), times)
+    for i, inst in enumerate(ids):
+        train = np.arange(len(ids)) != i
+        Y = _minmax(X, train)
+        chosen = _best(_predictions(Y[i], Y[train], capped[train],
+                                    times.solvers))
         t = times.time(inst, chosen)
         ok = math.isfinite(t)
         if ok:

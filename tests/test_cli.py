@@ -256,6 +256,12 @@ class TestNdr:
         assert code == 0
         assert json.loads(out)["N"][:2] == [3, 1]
 
+    def test_no_weighted_flag(self, cnf_file, capsys):
+        # covers ignore edge weights: the flag could not change the output
+        with pytest.raises(SystemExit) as exc:
+            _run(capsys, "ndr", cnf_file, "--weighted")
+        assert exc.value.code == 2
+
     def test_parse_failure(self, tmp_path, capsys):
         p = tmp_path / "bad.cnf"
         p.write_text("garbage\n")
@@ -468,6 +474,23 @@ class TestClassifyPortfolio:
         code, out, _ = _run(capsys, "classify", p)
         assert code == 0
         assert json.loads(out)["total"] == 3
+
+    def test_non_finite_feature(self, tmp_path, capsys):
+        # a NaN feature makes distances NaN, and the votes and predictions
+        # built on them meaningless; it is an error, not a report
+        p = tmp_path / "f.csv"
+        p.write_text("instance,family,alpha,q,d,d_b,ratio,beta,beta_b,n,m,r_max\n"
+                     "a,f1,1.0,0.5,2.0,2.0,4.0,,,,,\n"
+                     "b,f2,nan,0.5,2.0,2.0,4.0,,,,,\n"
+                     "c,f1,3.0,0.5,2.0,2.0,4.0,,,,,\n"
+                     "d,f2,4.0,0.5,2.0,2.0,4.0,,,,,\n")
+        rt = tmp_path / "rt.csv"
+        rt.write_text("instance,s1,s2\na,1.0,2.0\nb,2.0,1.0\nc,1.0,2.0\n"
+                      "d,2.0,1.0\n")
+        for argv in (("portfolio", p, rt), ("classify", p, "--mode", "knn-loo")):
+            code, out, err = _run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err == "error: non-finite alpha for b: 'nan'\n"
 
     def test_portfolio(self, features_csv, tmp_path, capsys):
         ids = [f"lo{k}" for k in range(4)] + [f"hi{k}" for k in range(4)]

@@ -5,6 +5,7 @@ import pytest
 
 from cnfscope.cnf import CnfFormula, random_3cnf
 from cnfscope.features import (
+    COLUMNS,
     FEATURE_NAMES,
     FeatureConfig,
     FeatureMatrix,
@@ -82,20 +83,35 @@ class TestNormalize:
         assert out.rows[1].vector.alpha == 1.0
 
     def test_constant_feature_excluded(self):
-        m = _matrix([1.0, 1.0])
+        # a constant training column maps to 0.0 in every row, the held-out
+        # one too, so it adds nothing to any distance
+        m = FeatureMatrix([FeatureRow(f"i{k}", None, FeatureVector(a, k, k, k, k))
+                           for k, a in enumerate([1.0, 1.0, 7.0])])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = normalize(m, ["i0", "i1"])
-        assert "alpha" in out.excluded
-        assert any("constant" in str(w.message) for w in caught)
-        assert "alpha" not in out.distance_features
+        assert [r.vector.alpha for r in out.rows] == [0.0, 0.0, 0.0]
+        assert [str(w.message) for w in caught] == [
+            "feature 'alpha' constant on training set; excluded from distances"]
 
     def test_single_row_all_constant(self):
         m = _matrix([2.0])
-        with warnings.catch_warnings(record=True):
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = normalize(m, ["i0"])
-        assert set(out.excluded) == set(FEATURE_NAMES)
+        assert out.rows[0].vector.as_array().tolist() == [0.0] * 5
+        assert [str(w.message) for w in caught] == [
+            f"feature {n!r} constant on training set; excluded from distances"
+            for n in FEATURE_NAMES]
+
+    def test_signed_zero_minimum(self):
+        # the minimum is the first minimal training value, as min() takes
+        # it: with 0.0 first, -0.0 maps to -0.0 - 0.0 = -0.0
+        m = _matrix([0.0, -0.0, 2.0])
+        out = normalize(m, ["i0", "i1", "i2"])
+        assert [repr(r.vector.alpha) for r in out.rows] == ["0.0", "-0.0", "1.0"]
+        out = normalize(_matrix([-0.0, 0.0, 2.0]), ["i0", "i1", "i2"])
+        assert [repr(r.vector.alpha) for r in out.rows] == ["0.0", "0.0", "1.0"]
 
     def test_test_rows_clamped(self):
         m = _matrix([0.0, 10.0, 50.0, -3.0])
@@ -159,6 +175,17 @@ class TestInterchange:
             warnings.simplefilter("always")
             m = matrix_from_csv(text, skip_errors=True)
         assert m.instance_ids == ["good.cnf"]
+
+    @pytest.mark.parametrize("column,cell", (
+        ("alpha", "nan"), ("d", "inf"), ("ratio", "-inf"), ("r_max", "NaN")))
+    def test_non_finite_cell(self, column, cell):
+        cells = dict(zip(COLUMNS, ["a", "", "2.0", "0.5", "2.5", "2.0", "4.0",
+                                   "", "", "", "", ""]))
+        cells[column] = cell
+        text = ",".join(COLUMNS) + "\n" + ",".join(cells.values()) + "\n"
+        with pytest.raises(ValueError,
+                           match=f"^non-finite {column} for a: '{cell}'$"):
+            matrix_from_csv(text)
 
     def test_bad_header(self):
         with pytest.raises(ValueError):

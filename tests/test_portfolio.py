@@ -1,3 +1,7 @@
+import json
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -195,7 +199,7 @@ class TestRuntimeMatrix:
         back = RuntimeMatrix.from_csv(m.to_csv(), timeout_value=1000.0)
         assert back.instances == ["a", "b", "a,b.cnf"]
         assert back.time("a,b.cnf", "s2") == 4.0
-        assert back.is_timeout("a", "s2")
+        assert back.time("a", "s2") == math.inf
         assert back.time("b", "s2") == 10.0
 
     def test_csv_bytes(self):
@@ -206,12 +210,13 @@ class TestRuntimeMatrix:
     def test_timeout_inferred(self):
         m = RuntimeMatrix.from_csv("instance,s\na,5.0\nb,TIMEOUT\n")
         assert m.timeout_value == 5.0
-        assert m.effective_time("b", "s") == 5.0
+        assert m.time("b", "s") == math.inf
 
     def test_vbs_count(self):
-        m = _times(["a", "b", "c"], ["s1", "s2"],
-                   [[1.0, "T"], ["T", "T"], ["T", 2.0]])
-        assert m.vbs_count() == 2
+        times = _times(["a", "b", "c"], ["s1", "s2"],
+                       [[1.0, "T"], ["T", "T"], ["T", 2.0]])
+        m = _matrix([0.0, 1.0, 2.0], ids=["a", "b", "c"])
+        assert loo_portfolio_sim(m, times).vbs_count == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -243,8 +248,7 @@ class TestRuntimeMatrix:
 
     def test_plus_inf_is_timeout(self):
         m = RuntimeMatrix.from_csv("instance,s,t\na,inf,1\nb,TIMEOUT,2\n")
-        assert m.is_timeout("a", "s") and m.is_timeout("b", "s")
-        assert m.vbs_count() == 2
+        assert m.rows(["a", "b"]).tolist() == [[math.inf, 1.0], [math.inf, 2.0]]
 
 
 class TestLooPortfolioSim:
@@ -304,6 +308,30 @@ class TestLooPortfolioSim:
                            match=r"^duplicate instance names: \['a'\]$"):
             loo_portfolio_sim(m, times)
 
+    @pytest.mark.parametrize("case", ("constant", "exact", "timeout"))
+    def test_pinned_reports(self, case):
+        # whole reports pinned byte for byte: a column constant on every
+        # training set (q), a held-out row with an exact match, TIMEOUT cells
+        rng = np.random.default_rng(("constant", "exact", "timeout").index(case))
+        vals = np.round(rng.normal(size=(6, 5)), 1)
+        raw = np.round(rng.uniform(1.0, 50.0, size=(6, 3)), 1)
+        if case == "constant":
+            vals[:, 1] = 0.5
+        elif case == "exact":
+            vals[4] = vals[1]  # i1 and i4 are each other's exact match
+        else:
+            raw[rng.random(size=raw.shape) < 0.4] = np.inf
+        m = FeatureMatrix([FeatureRow(f"i{k}", None, FeatureVector(*map(float, v)))
+                           for k, v in enumerate(vals)])
+        times = RuntimeMatrix(m.instance_ids, ["s2", "s0", "s1"], raw, 50.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = loo_portfolio_sim(m, times)
+        assert json.dumps(rep.to_dict()) == PINNED_REPORTS[case]
+        assert ({str(w.message) for w in caught}
+                == ({"feature 'q' constant on training set; excluded from "
+                     "distances"} if case == "constant" else set()))
+
     def test_report_json(self):
         m = _matrix([0.0, 1.0])
         times = _times(m.instance_ids, ["s"], [[10.0], [20.0]])
@@ -312,6 +340,37 @@ class TestLooPortfolioSim:
         assert set(d) == {"solved", "avg_time", "avg_time_penalized", "vbs",
                           "per_instance"}
         assert len(d["per_instance"]) == 2
+
+
+PINNED_REPORTS = {
+    "constant": (
+        '{"solved": 6, "avg_time": 28.683333333333334, "avg_time_penalized": '
+        '28.683333333333334, "vbs": 6, "per_instance": ['
+        '{"instance": "i0", "solver": "s0", "solved": true, "time": 20.1}, '
+        '{"instance": "i1", "solver": "s0", "solved": true, "time": 26.7}, '
+        '{"instance": "i2", "solver": "s0", "solved": true, "time": 44.6}, '
+        '{"instance": "i3", "solver": "s0", "solved": true, "time": 29.0}, '
+        '{"instance": "i4", "solver": "s1", "solved": true, "time": 20.2}, '
+        '{"instance": "i5", "solver": "s1", "solved": true, "time": 31.5}]}'),
+    "exact": (
+        '{"solved": 6, "avg_time": 23.08333333333333, "avg_time_penalized": '
+        '23.08333333333333, "vbs": 6, "per_instance": ['
+        '{"instance": "i0", "solver": "s1", "solved": true, "time": 39.1}, '
+        '{"instance": "i1", "solver": "s2", "solved": true, "time": 31.0}, '
+        '{"instance": "i2", "solver": "s1", "solved": true, "time": 4.1}, '
+        '{"instance": "i3", "solver": "s1", "solved": true, "time": 30.1}, '
+        '{"instance": "i4", "solver": "s1", "solved": true, "time": 26.0}, '
+        '{"instance": "i5", "solver": "s1", "solved": true, "time": 8.2}]}'),
+    "timeout": (
+        '{"solved": 5, "avg_time": 28.98, "avg_time_penalized": '
+        '32.483333333333334, "vbs": 6, "per_instance": ['
+        '{"instance": "i0", "solver": "s1", "solved": true, "time": 34.3}, '
+        '{"instance": "i1", "solver": "s1", "solved": true, "time": 20.9}, '
+        '{"instance": "i2", "solver": "s1", "solved": true, "time": 43.2}, '
+        '{"instance": "i3", "solver": "s1", "solved": false, "time": null}, '
+        '{"instance": "i4", "solver": "s1", "solved": true, "time": 34.9}, '
+        '{"instance": "i5", "solver": "s1", "solved": true, "time": 11.6}]}'),
+}
 
 
 class TestTrainTree:
