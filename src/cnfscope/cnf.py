@@ -1,5 +1,9 @@
 """CNF formulas: DIMACS I/O, random 3-CNF generation, unit propagation and
 clause augmentation (learnt clauses from a solver trace, or random stand-ins).
+
+A formula is two int64 arrays, each clause's length and all its literals in
+clause order. The readers build them from the text in one pass, and the
+writers, the normaliser and unit propagation work on them directly.
 """
 
 from __future__ import annotations
@@ -7,8 +11,9 @@ from __future__ import annotations
 import bz2
 import gzip
 import lzma
+import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -16,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 Clause = tuple[int, ...]
+_INT64 = np.iinfo(np.int64)
 
 
 class DimacsError(ValueError):
@@ -34,96 +40,184 @@ class PropagationConflict(Exception):
         self.variable = variable
 
 
-def _tautological(clause) -> bool:
-    """Whether a clause of distinct literals holds some l and -l."""
-    return len(set(map(abs, clause))) < len(clause)
+def _int64(value: int) -> bool:
+    return _INT64.min <= value <= _INT64.max
 
 
-def _normalized(num_vars: int, clauses, error=ValueError, label="clause"
-                ) -> tuple[tuple[Clause, ...], tuple[str, ...]]:
-    """Collapse duplicate literals (first occurrences kept, in order) and
-    range-check the result. Returns the clauses and their warnings, in clause
-    order: duplicates collapsed, then tautologies (kept)."""
-    out, warns = [], []
-    for ci, raw in enumerate(clauses):
-        clause = tuple(dict.fromkeys(raw))
-        if len(clause) < len(raw):
-            warns.append(f"clause {ci}: duplicate literal collapsed")
-        if _tautological(clause):
-            warns.append(f"clause {ci}: tautological (kept)")
-        out.append(clause)
-    bad = next(((ci, lit) for ci, clause in enumerate(out) for lit in clause
-                if lit == 0 or abs(lit) > num_vars), None)
-    if bad:
-        raise error(f"literal {bad[1]} out of range in {label} {bad[0]} "
+def _arrays(clauses) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, literals) int64 arrays of a sequence of clauses, each a
+    sequence of int literals. A literal beyond int64 is a ValueError."""
+    lengths = np.fromiter(map(len, clauses), np.int64, len(clauses))
+    try:
+        lits = np.fromiter(chain.from_iterable(clauses), np.int64,
+                           int(lengths.sum()))
+    except OverflowError:
+        bad = next(lit for c in clauses for lit in c if not _int64(lit))
+        raise ValueError(f"literal {bad} out of range") from None
+    return lengths, lits
+
+
+def _tuples(lengths: np.ndarray, lits: np.ndarray) -> tuple[Clause, ...]:
+    flat = lits.tolist()
+    ends = np.cumsum(lengths).tolist()
+    return tuple([tuple(flat[a:b]) for a, b in zip([0, *ends], ends)])
+
+
+def _clause_ids(lengths: np.ndarray) -> np.ndarray:
+    """The clause of each literal."""
+    return np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+
+
+def _literal_order(lengths: np.ndarray, lits: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order of the literals by (clause, variable, sign), and the
+    sorted keys 2 * (clause * span + variable) + (literal < 0): equal keys
+    are equal literals of a clause, and keys 2k, 2k + 1 a complementary
+    pair."""
+    var = np.abs(lits)
+    span = int(var.max(initial=0)) + 1
+    if lengths.size * span >= 2**62:   # keys would overflow: rank the ids
+        var = np.unique(var, return_inverse=True)[1]
+        span = int(var.max(initial=0)) + 1
+    key = np.repeat(np.arange(lengths.size, dtype=np.int64) * span, lengths)
+    key += var
+    key *= 2
+    key += lits < 0
+    # clause-major keys arrive nearly sorted, which a stable sort exploits
+    order = np.argsort(key, kind="stable")
+    return order, key[order]
+
+
+def _normalized(num_vars: int, lengths: np.ndarray, lits: np.ndarray,
+                error=ValueError, label="clause"
+                ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Range-check raw clauses, given as (lengths, literals) arrays, and
+    collapse duplicate literals (first occurrences kept, in order). Returns
+    the arrays and their warnings, in clause order: duplicates collapsed,
+    then tautologies (kept)."""
+    bad = (lits == 0) | (lits < -num_vars) | (lits > num_vars)
+    if bad.any():
+        i = int(bad.argmax())
+        ci = int(np.searchsorted(np.cumsum(lengths), i, side="right"))
+        raise error(f"literal {lits[i]} out of range in {label} {ci} "
                     f"(n={num_vars})")
-    return tuple(out), tuple(warns)
+    order, key = _literal_order(lengths, lits)
+    step = np.diff(key)
+    # the sorted literals stay grouped by clause, so position i + 1 of the
+    # sorted order lies in clause ids[i]
+    ids = _clause_ids(lengths)[1:]
+    dup = step == 0
+    taut = (step == 1) & (key[:-1] % 2 == 0)
+    flags = sorted([(ci, 0) for ci in set(ids[dup].tolist())]
+                   + [(ci, 1) for ci in set(ids[taut].tolist())])
+    texts = ("duplicate literal collapsed", "tautological (kept)")
+    keep = np.ones(lits.size, dtype=bool)
+    keep[order[1:][dup]] = False
+    lengths = lengths - np.bincount(ids[dup], minlength=lengths.size)
+    return (lengths, lits[keep],
+            tuple(f"clause {ci}: {texts[k]}" for ci, k in flags))
 
 
-@dataclass(frozen=True)
 class CnfFormula:
     """A CNF formula over variables 1..num_vars.
 
-    Clauses are tuples of nonzero integer literals (sign = polarity). The
-    direct constructor CnfFormula(num_vars, clauses, warnings=()) trusts its
-    literals to be in range; use from_clauses() or parse_dimacs() to
-    normalize and validate. Two views are derived from the clauses on first
-    use and cached: `clause_vars`, the distinct variables of each clause,
-    which the graph builders and the occurrence histogram read, and
+    The formula is stored as two read-only int64 arrays, returned by
+    literal_arrays(): each clause's length, and all literals in clause order
+    (sign = polarity). The direct constructor
+    CnfFormula(num_vars, clauses, warnings=()) takes the clauses as tuples of
+    literals and trusts them to be in range; use from_clauses() or
+    parse_dimacs() to normalize and validate. `clauses` is a tuple view of
+    the arrays, built on each access and never kept. Two views are derived
+    on first use and cached: `clause_vars`, the distinct variables of each
+    clause, which the graph builders and the occurrence histogram read, and
     `tautological`, the indices of clauses holding a complementary literal
     pair (such a clause is kept, and counts each variable once).
+
+    Formulas are immutable. Two are equal (and hash alike) when num_vars and
+    the arrays are; warnings do not count.
     """
 
-    num_vars: int
-    clauses: tuple[Clause, ...]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    def __init__(self, num_vars: int, clauses, warnings: tuple[str, ...] = ()):
+        self._set(num_vars, *_arrays(tuple(clauses)), warnings)
+
+    @classmethod
+    def from_arrays(cls, num_vars: int, lengths: np.ndarray, lits: np.ndarray,
+                    warnings: tuple[str, ...] = ()) -> "CnfFormula":
+        """A formula owning the given int64 (lengths, literals) arrays,
+        trusted like the direct constructor."""
+        f = cls.__new__(cls)
+        f._set(num_vars, lengths, lits, warnings)
+        return f
+
+    def _set(self, num_vars, lengths, lits, warnings) -> None:
+        lengths.flags.writeable = lits.flags.writeable = False
+        for name, value in (("num_vars", num_vars), ("warnings", tuple(warnings)),
+                            ("_lengths", lengths), ("_lits", lits)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, CnfFormula):
+            return NotImplemented
+        return (self.num_vars == other.num_vars
+                and np.array_equal(self._lengths, other._lengths)
+                and np.array_equal(self._lits, other._lits))
+
+    def __hash__(self):
+        return hash((self.num_vars, self._lengths.tobytes(), self._lits.tobytes()))
+
+    def __repr__(self):
+        return (f"CnfFormula(num_vars={self.num_vars!r}, "
+                f"clauses={self.clauses!r}, warnings={self.warnings!r})")
+
+    @property
+    def clauses(self) -> tuple[Clause, ...]:
+        return _tuples(self._lengths, self._lits)
 
     @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return self._lengths.size
 
     @property
     def ratio(self) -> float:
         """Clause/variable ratio m/n."""
-        return len(self.clauses) / self.num_vars
+        return self._lengths.size / self.num_vars
 
     def literal_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(lengths, literals): each clause's length and all literals in
-        clause order, as int64 arrays, built afresh on each call."""
-        lengths = np.fromiter(map(len, self.clauses), dtype=np.int64,
-                              count=len(self.clauses))
-        flat = np.fromiter(chain.from_iterable(self.clauses), dtype=np.int64,
-                           count=int(lengths.sum()))
-        return lengths, flat
+        clause order, the formula's own read-only int64 arrays."""
+        return self._lengths, self._lits
 
     @cached_property
     def clause_vars(self) -> tuple[np.ndarray, np.ndarray]:
         """Clause-to-variable incidence in CSR form, (indptr, vars): the
         distinct 0-based variables of clause i, ascending, are
         vars[indptr[i]:indptr[i + 1]]."""
-        m, n = len(self.clauses), max(self.num_vars, 1)
-        lengths, flat = self.literal_arrays()
-        # clause-major keys arrive nearly sorted, which a stable sort exploits
-        # and np.unique does not
-        key = np.repeat(np.arange(m, dtype=np.int64) * n, lengths)
-        key += np.abs(flat) - 1
-        key.sort(kind="stable")
-        clause_ids, vars_ = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+        m = self._lengths.size
+        order, key = _literal_order(self._lengths, self._lits)
+        first = np.diff(key >> 1, prepend=-1) != 0
+        vars_ = np.abs(self._lits[order[first]]) - 1
         indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(clause_ids, minlength=m), out=indptr[1:])
+        np.cumsum(np.bincount(_clause_ids(self._lengths)[first], minlength=m),
+                  out=indptr[1:])
         return indptr, vars_
 
     @cached_property
     def tautological(self) -> tuple[int, ...]:
         """Indices of the clauses holding both some literal l and -l."""
-        return tuple(ci for ci, c in enumerate(self.clauses) if _tautological(set(c)))
+        _, key = _literal_order(self._lengths, self._lits)
+        pair = (np.diff(key) == 1) & (key[:-1] % 2 == 0)
+        return tuple(np.unique(_clause_ids(self._lengths)[1:][pair]).tolist())
 
     @classmethod
     def from_clauses(cls, num_vars: int, clauses) -> "CnfFormula":
         """Normalize and validate raw clauses (lists of literals)."""
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        return cls(num_vars, *_normalized(num_vars, map(tuple, clauses)))
+        raw = _arrays(tuple(map(tuple, clauses)))
+        return cls.from_arrays(num_vars, *_normalized(num_vars, *raw))
 
 
 @dataclass(frozen=True)
@@ -175,47 +269,86 @@ def _decode(source) -> str:
 
 
 def _read_blocks(text: str, tag: str, what: str, error
-                 ) -> list[tuple[str, list[list[int]]]]:
+                 ) -> list[tuple[str, np.ndarray, np.ndarray]]:
     """Split DIMACS-style text into blocks: each directive line (one starting
-    with `tag`) with the 0-terminated clauses that follow it. Blank and `c`
-    lines are skipped, and a line starting with `%` ends the input, as in
-    SATLIB files. Malformed clause data raises `error`; `what` names the
-    directive in its messages."""
-    blocks: list[tuple[str, list[int]]] = []
-    for line in text.splitlines():
-        tokens = line.split()
-        if not tokens or tokens[0][0] == "c":
-            continue
-        if tokens[0][0] == "%":
+    with `tag`) with the (lengths, literals) arrays of the 0-terminated
+    clauses that follow it. Blank and `c` lines are skipped, and a line
+    starting with `%` ends the input, as in SATLIB files. A token is whatever
+    int() reads, within int64. Malformed clause data raises `error`; `what`
+    names the directive in its messages."""
+    text = "\n" + "\n".join(text.splitlines())
+    pieces: list[list[str]] = [[]]   # data before the first directive, then per block
+    heads = []
+    pos = 0
+    for mark in re.finditer(rf"\n[^\S\n]*(?:c.*|(%)|({tag}.*))", text):
+        pieces[-1].append(text[pos:mark.start()])
+        pos = mark.end()
+        if mark[1]:
             break
-        if tokens[0].startswith(tag):
-            blocks.append((line.strip(), []))
-            continue
-        if not blocks:
-            raise error(f"clause data before {what}")
-        try:
-            blocks[-1][1].extend(map(int, tokens))
-        except ValueError:
-            for tok in tokens:
-                try:
-                    int(tok)
-                except ValueError:
-                    raise error(f"bad token {tok!r}") from None
+        if mark[2]:
+            heads.append(mark[2].strip())
+            pieces.append([])
+    else:
+        pieces[-1].append(text[pos:])
+    if "".join(pieces[0]).split():
+        raise error(f"clause data before {what}")
+    values = [_tokens("".join(p).split(), error) for p in pieces[1:]]
     out = []
-    for i, (line, lits) in enumerate(blocks):
-        clauses, start = [], 0
-        for end in [j for j, lit in enumerate(lits) if not lit]:
-            clauses.append(lits[start:end])
-            start = end + 1
-        if start < len(lits):
+    for i, (head, toks) in enumerate(zip(heads, values)):
+        if toks.size and toks[-1]:
             raise error(f"clause not terminated by 0 before {what}"
-                        if i + 1 < len(blocks) else "last clause not terminated by 0")
-        out.append((line, clauses))
+                        if i + 1 < len(heads) else "last clause not terminated by 0")
+        ends = np.flatnonzero(toks == 0)
+        out.append((head, np.diff(ends, prepend=-1) - 1, toks[toks != 0]))
     return out
 
 
-def _clause_lines(clauses) -> str:
-    return "".join(" ".join(map(str, clause)) + " 0\n" for clause in clauses)
+def _tokens(tokens: list[str], error) -> np.ndarray:
+    """The tokens as an int64 array. The first token that int() rejects is a
+    bad token, and one beyond int64 out of range."""
+    try:
+        return np.fromiter(map(int, tokens), np.int64, len(tokens))
+    except (ValueError, OverflowError):
+        for tok in tokens:
+            try:
+                value = int(tok)
+            except ValueError:
+                raise error(f"bad token {tok!r}") from None
+            if not _int64(value):
+                raise error(f"literal {value} out of range") from None
+        raise
+
+
+def _clause_lines(lengths: np.ndarray, lits: np.ndarray) -> str:
+    """DIMACS clause lines: the literals of each clause, then " 0\n".
+
+    Every token (the terminating 0s included) is one row of a byte matrix:
+    its digits right-aligned, a sign or the space before an empty clause's
+    0, and a separator in the last column; the used cells, read row by row,
+    are the text."""
+    ends = np.cumsum(lengths)
+    toks = np.insert(lits, ends, 0)
+    zero = np.zeros(toks.size, dtype=bool)
+    zero[ends + np.arange(ends.size)] = True
+    mag = np.abs(toks).astype(np.uint64)     # |-2**63| wraps back in uint64
+    ndig = np.ones(toks.size, dtype=np.int64)
+    top, p = int(mag.max(initial=0)), 10
+    while p <= top:
+        ndig += mag >= p
+        p *= 10
+    width = int(ndig.max(initial=1)) + 2
+    chars = np.empty((toks.size, width), dtype=np.uint8)
+    for j in range(width - 2, -1, -1):
+        rest = mag // np.uint64(10)
+        chars[:, j] = mag - rest * np.uint64(10)
+        mag = rest
+    chars += ord("0")
+    chars[:, -1] = np.where(zero, ord("\n"), ord(" "))
+    lead = (toks < 0) | (zero & np.repeat(lengths == 0, lengths + 1))
+    rows = np.flatnonzero(lead)
+    chars[rows, width - 2 - ndig[rows]] = np.where(toks[rows] < 0, ord("-"), ord(" "))
+    used = np.arange(width) >= (width - 1 - ndig - lead)[:, None]
+    return chars[used].tobytes().decode("ascii")
 
 
 def parse_dimacs(source) -> CnfFormula:
@@ -231,7 +364,7 @@ def parse_dimacs(source) -> CnfFormula:
         raise DimacsError("missing 'p cnf' header")
     if len(blocks) > 1:
         raise DimacsError("duplicate header line")
-    (header, raw), = blocks
+    (header, lengths, lits), = blocks
     parts = header.split()
     try:
         num_vars, declared_m = map(int, parts[2:])
@@ -239,16 +372,16 @@ def parse_dimacs(source) -> CnfFormula:
         num_vars = declared_m = -1
     if parts[:2] != ["p", "cnf"] or min(num_vars, declared_m) < 0:
         raise DimacsError(f"malformed header: {header!r}")
-    clauses, warnings = _normalized(num_vars, raw, DimacsError)
-    if declared_m != len(raw):
-        warnings += (f"header declares {declared_m} clauses, found {len(raw)} "
+    lengths, lits, warnings = _normalized(num_vars, lengths, lits, DimacsError)
+    if declared_m != lengths.size:
+        warnings += (f"header declares {declared_m} clauses, found {lengths.size} "
                      "(actual count wins)",)
-    return CnfFormula(num_vars, clauses, warnings)
+    return CnfFormula.from_arrays(num_vars, lengths, lits, warnings)
 
 
 def write_dimacs(f: CnfFormula) -> str:
     """Serialize to DIMACS text; parse_dimacs(write_dimacs(f)) == f."""
-    return f"p cnf {f.num_vars} {f.num_clauses}\n" + _clause_lines(f.clauses)
+    return f"p cnf {f.num_vars} {f.num_clauses}\n" + _clause_lines(*f.literal_arrays())
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +391,8 @@ def write_dimacs(f: CnfFormula) -> str:
 
 def parse_trace(source) -> ClauseTrace:
     checkpoints = []
-    for line, clauses in _read_blocks(_decode(source), "t", "'t <decisions>' line",
-                                      TraceError):
+    for line, lengths, lits in _read_blocks(
+            _decode(source), "t", "'t <decisions>' line", TraceError):
         tag, *fields = line.split()
         try:
             if tag != "t":
@@ -267,12 +400,12 @@ def parse_trace(source) -> ClauseTrace:
             k, = map(int, fields)
         except ValueError:
             raise TraceError(f"malformed checkpoint line: {line!r}") from None
-        checkpoints.append((k, tuple(map(tuple, clauses))))
+        checkpoints.append((k, _tuples(lengths, lits)))
     return ClauseTrace(tuple(checkpoints))
 
 
 def write_trace(trace: ClauseTrace) -> str:
-    return "".join(f"t {k}\n" + _clause_lines(clauses)
+    return "".join(f"t {k}\n" + _clause_lines(*_arrays(clauses))
                    for k, clauses in trace.checkpoints)
 
 
@@ -306,15 +439,14 @@ def random_3cnf(n: int, m: int, seed: int) -> CnfFormula:
     rng = np.random.default_rng(seed)
     vars_ = _distinct_rows(rng, n, m, 3)
     signs = rng.integers(0, 2, size=(m, 3), dtype=np.int64) * 2 - 1
-    lits = vars_ * signs
-    clauses = tuple(map(tuple, lits.tolist()))
-    return CnfFormula(n, clauses)
+    return CnfFormula.from_arrays(n, np.full(m, 3, dtype=np.int64),
+                                  (vars_ * signs).ravel())
 
 
-def _random_clause(rng: np.random.Generator, n: int, size: int) -> Clause:
+def _random_clause(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     row = _distinct_rows(rng, n, 1, size)[0]
     signs = rng.integers(0, 2, size=size, dtype=np.int64) * 2 - 1
-    return tuple((row * signs).tolist())
+    return row * signs
 
 
 # ---------------------------------------------------------------------------
@@ -326,43 +458,54 @@ def unit_propagate(f: CnfFormula) -> tuple[CnfFormula, dict[int, bool]]:
 
     Satisfied clauses are dropped, falsified literals removed, and the forced
     assignment returned. Raises PropagationConflict if an empty clause is
-    derived.
+    derived. Units are queued first in clause order, then as clauses become
+    unit; each occurrence of a falsified literal (a repeated one too) is
+    removed in turn.
     """
-    clauses = [list(c) for c in f.clauses]
-    alive = [True] * len(clauses)
-    occ: dict[int, list[int]] = {}
-    for ci, c in enumerate(clauses):
-        for lit in c:
-            occ.setdefault(abs(lit), []).append(ci)
-    queue: deque[int] = deque()
-    for c in clauses:
-        if len(c) == 0:
-            raise PropagationConflict(0)
-        if len(c) == 1:
-            queue.append(c[0])
+    lengths, lits = f.literal_arrays()
+    if (lengths == 0).any():
+        raise PropagationConflict(0)
+    starts = np.cumsum(lengths) - lengths
+    ids = _clause_ids(lengths)
+    # the positions of variable v, in clause order, are occ[bounds[v]:bounds[v + 1]]
+    var = np.abs(lits)
+    occ = np.argsort(var, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(var)))).tolist()
+    live = lengths.tolist()              # literals left in each clause
+    alive = [True] * lengths.size
+    removed = bytearray(lits.size)
+    queue = deque(lits[starts[lengths == 1]].tolist())
     assignment: dict[int, bool] = {}
     while queue:
         lit = queue.popleft()
-        var, val = abs(lit), lit > 0
-        if var in assignment:
-            if assignment[var] != val:
-                raise PropagationConflict(var)
+        v, val = abs(lit), lit > 0
+        if v in assignment:
+            if assignment[v] != val:
+                raise PropagationConflict(v)
             continue
-        assignment[var] = val
-        for ci in occ.get(var, ()):
+        assignment[v] = val
+        pos = occ[bounds[v]:bounds[v + 1]]
+        clause = ids[pos]
+        satisfied = set(clause[lits[pos] == lit].tolist())
+        for p, ci in zip(pos.tolist(), clause.tolist()):
             if not alive[ci]:
                 continue
-            c = clauses[ci]
-            if lit in c:
+            if ci in satisfied:
                 alive[ci] = False
-            elif -lit in c:
-                c.remove(-lit)
-                if not c:
-                    raise PropagationConflict(var)
-                if len(c) == 1:
-                    queue.append(c[0])
-    remaining = tuple(tuple(c) for ci, c in enumerate(clauses) if alive[ci])
-    result = CnfFormula(f.num_vars, remaining)
+                continue
+            removed[p] = True
+            live[ci] -= 1
+            if not live[ci]:
+                raise PropagationConflict(v)
+            if live[ci] == 1:
+                start = int(starts[ci])
+                rest = next(q for q in range(start, start + int(lengths[ci]))
+                            if not removed[q])
+                queue.append(int(lits[rest]))
+    kept = np.array(alive, dtype=bool)
+    keep = kept[ids] & ~np.frombuffer(removed, dtype=bool)
+    result = CnfFormula.from_arrays(f.num_vars, np.array(live, dtype=np.int64)[kept],
+                                    lits[keep])
     return result, assignment
 
 
@@ -373,12 +516,15 @@ def unit_propagate(f: CnfFormula) -> tuple[CnfFormula, dict[int, bool]]:
 def _with_learnt(f: CnfFormula, trace: ClauseTrace, checkpoint: int,
                  replace=None) -> CnfFormula:
     """f plus the learnt clauses recorded at `checkpoint` (normalized, each
-    mapped through `replace` when given), unit-propagated."""
-    learnt, _ = _normalized(f.num_vars, trace.learnt_at(checkpoint),
-                            label="learnt clause")
+    replaced by replace(its length) when given), unit-propagated."""
+    lengths, lits, _ = _normalized(f.num_vars, *_arrays(trace.learnt_at(checkpoint)),
+                                   label="learnt clause")
     if replace is not None:
-        learnt = tuple(map(replace, learnt))
-    result, _ = unit_propagate(CnfFormula(f.num_vars, f.clauses + learnt))
+        lits = np.concatenate([lits[:0], *map(replace, lengths.tolist())])
+    base_lengths, base_lits = f.literal_arrays()
+    result, _ = unit_propagate(CnfFormula.from_arrays(
+        f.num_vars, np.concatenate((base_lengths, lengths)),
+        np.concatenate((base_lits, lits))))
     return result
 
 
@@ -397,4 +543,4 @@ def random_replacement(f: CnfFormula, trace: ClauseTrace, checkpoint: int,
     uniformly random clause of the same size before propagation."""
     rng = np.random.default_rng(seed)
     return _with_learnt(f, trace, checkpoint,
-                        lambda c: _random_clause(rng, f.num_vars, len(c)))
+                        lambda size: _random_clause(rng, f.num_vars, size))

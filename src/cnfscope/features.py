@@ -14,7 +14,7 @@ from itertools import compress
 
 import numpy as np
 
-from .cnf import CnfFormula
+from .cnf import CnfFormula, _literal_order
 from .community import fold_communities
 from .fractal import CoverCurve, DimensionFit, cover_curve, fit_dimension
 from .graph import Graph, build_cvig, build_vig
@@ -77,12 +77,56 @@ class FeatureMatrix:
         return len(self.rows)
 
 
+# literal columns compared per lexsort; longer clauses are ranked in chunks
+_ORDER_COLUMNS = 8
+
+
+def _clause_order(lengths: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Stable order of the clauses by their literal rows (clause-major in
+    `rows`), compared by value in turn, a row that is a prefix of another
+    first: the order of sorted() on the rows as tuples.
+
+    One lexsort ranks each chunk of _ORDER_COLUMNS columns, from the last
+    chunk to the first, over the clauses that reach it; a missing literal is
+    int64's minimum, and the ranks of a chunk break the ties of the one
+    before it. Rows of up to _ORDER_COLUMNS literals take a single lexsort."""
+    starts = np.cumsum(lengths) - lengths
+    top = int(lengths.max(initial=0))
+    tail = np.full(lengths.size, -1, dtype=np.int64)   # rank after the chunk
+
+    def chunk_keys(lo: int, sel: np.ndarray) -> np.ndarray:
+        keys = np.full((min(_ORDER_COLUMNS, top - lo) + 1, sel.size),
+                       np.iinfo(np.int64).min)
+        keys[0] = tail[sel]
+        for j in range(1, len(keys)):
+            has = lengths[sel] >= lo + j
+            keys[-j, has] = rows[starts[sel[has]] + lo + j - 1]
+        return keys
+
+    for lo in range((top - 1) // _ORDER_COLUMNS * _ORDER_COLUMNS, 0,
+                    -_ORDER_COLUMNS):
+        sel = np.flatnonzero(lengths > lo)
+        keys = chunk_keys(lo, sel)
+        order = np.lexsort(keys)
+        ranked = keys[:, order]
+        new = np.ones(sel.size, dtype=bool)
+        new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+        tail[sel[order]] = np.cumsum(new)
+    return np.lexsort(chunk_keys(0, np.arange(lengths.size)))
+
+
 def _canonical_clause_order(f: CnfFormula) -> CnfFormula:
     """Sort clauses lexicographically so clause node ids (and therefore
-    degree-tie iteration) do not depend on the input clause order."""
-    def key(c):
-        return tuple(sorted(c, key=lambda l: (abs(l), l < 0)))
-    return CnfFormula(f.num_vars, tuple(sorted(f.clauses, key=key)))
+    degree-tie iteration) do not depend on the input clause order. A
+    clause's key is its literals sorted by (abs(l), l < 0), compared as a
+    tuple; equal keys keep their order."""
+    lengths, lits = f.literal_arrays()
+    order = _clause_order(lengths, lits[_literal_order(lengths, lits)[0]])
+    starts = np.cumsum(lengths) - lengths
+    new_lengths = lengths[order]
+    shift = starts[order] - (np.cumsum(new_lengths) - new_lengths)
+    pos = np.repeat(shift, new_lengths) + np.arange(int(new_lengths.sum()))
+    return CnfFormula.from_arrays(f.num_vars, new_lengths, lits[pos])
 
 
 def cover_and_fit(g: Graph, cfg: FeatureConfig
@@ -127,10 +171,11 @@ def extract_features(f: CnfFormula, config: FeatureConfig | None = None
                          ratio=f.num_clauses / f.num_vars, extras=extras)
 
 
-def _minmax(X: np.ndarray, train: np.ndarray) -> np.ndarray:
-    """Min-max scale the feature columns of X on the rows where `train` is
-    set; other rows are clamped into [0, 1]. A column constant on the
-    training rows maps to 0.0, so it adds nothing to any distance."""
+def _minmax(X: np.ndarray, train: np.ndarray, names=FEATURE_NAMES) -> np.ndarray:
+    """Min-max scale the feature columns of X, named `names`, on the rows
+    where `train` is set; other rows are clamped into [0, 1]. A column
+    constant on the training rows maps to 0.0, so it adds nothing to any
+    distance."""
     T = X[train]
     if not len(T):
         raise ValueError("no training rows")
@@ -139,7 +184,7 @@ def _minmax(X: np.ndarray, train: np.ndarray) -> np.ndarray:
     lo = T[T.argmin(axis=0), range(X.shape[1])]
     hi = T.max(axis=0)
     const = hi == lo
-    for name in compress(FEATURE_NAMES, const):
+    for name in compress(names, const):
         _warnings.warn(f"feature {name!r} constant on training set; "
                        "excluded from distances")
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -87,9 +87,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     @property
     def edge_count(self) -> int:
         return self.indices.size // 2

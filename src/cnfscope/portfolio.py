@@ -344,15 +344,16 @@ class ClassificationReport:
 
 def _loo(matrix: FeatureMatrix, labels, features,
          predict) -> ClassificationReport:
-    """Leave-one-out report of predict(train_X, train_y, test_x) over the
-    rows sorted by instance id."""
+    """Leave-one-out report of predict(X, train, train_y, held) over the rows
+    sorted by instance id: `train` masks every row of X but the held-out
+    row `held`."""
     if len(matrix) < 2:
         raise ValueError("need at least 2 instances")
     X, y = _sorted_xy(matrix, labels, features)
     pairs = Counter()
     for idx in range(len(y)):
-        keep = [i for i in range(len(y)) if i != idx]
-        pairs[y[idx], predict(X[keep], [y[i] for i in keep], X[idx])] += 1
+        train = np.arange(len(y)) != idx
+        pairs[y[idx], predict(X, train, list(compress(y, train)), idx)] += 1
     confusion: dict[str, dict[str, int]] = {}
     for (true, pred), c in pairs.items():
         confusion.setdefault(true, {})[pred] = c
@@ -363,20 +364,23 @@ def _loo(matrix: FeatureMatrix, labels, features,
 def loo_classify(matrix: FeatureMatrix, labels=None, min_leaf: int = 1,
                  features=FEATURE_NAMES) -> ClassificationReport:
     """Leave-one-out cross-validation of the decision-tree classifier."""
-    def predict(X, y, x):
-        return DecisionTree(_grow(X, y, min_leaf), tuple(features)).predict(x)
+    # splits do not depend on scale, so the tree sees the raw features
+    def predict(X, train, y, held):
+        tree = DecisionTree(_grow(X[train], y, min_leaf), tuple(features))
+        return tree.predict(X[held])
     return _loo(matrix, labels, features, predict)
-
-
-def _vote(X: np.ndarray, y: list, x: np.ndarray) -> str:
-    rows, w = _weights(x, X)
-    votes = Counter()
-    for r, wr in zip(rows, w):
-        votes[y[r]] += wr
-    return _winner(votes)
 
 
 def knn_loo_classify(matrix: FeatureMatrix, labels=None,
                      features=FEATURE_NAMES) -> ClassificationReport:
-    """Leave-one-out family classification by inverse-square-distance vote."""
-    return _loo(matrix, labels, features, _vote)
+    """Leave-one-out family classification by inverse-square-distance vote,
+    on features min-max scaled on each round's training rows (as the
+    portfolio scales them), so no feature wins by its range alone."""
+    def vote(X, train, y, held):
+        Y = _minmax(X, train, features)
+        rows, w = _weights(Y[held], Y[train])
+        votes = Counter()
+        for r, wr in zip(rows, w):
+            votes[y[r]] += wr
+        return _winner(votes)
+    return _loo(matrix, labels, features, vote)

@@ -40,10 +40,6 @@ class OccurrenceHistogram:
         if int(fs.sum()) > self.total_vars:
             raise ValueError("histogram counts more variables than total_vars")
 
-    @property
-    def entries(self) -> list[tuple[int, int]]:
-        return list(zip(self.ks.tolist(), self.fs.tolist()))
-
 
 @dataclass(frozen=True)
 class AlphaFit:

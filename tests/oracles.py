@@ -4,16 +4,18 @@ Nothing here shares algorithmic machinery with the library paths it checks:
 coloring is plain backtracking, partition search enumerates every set
 partition, breadth-first search walks adjacency sets with a deque, CSR
 arrays are built edge by edge from a dict, the power-law sampler inverts
-the exact discrete CDF, inverse-distance weights loop over plain lists, and
+the exact discrete CDF, inverse-distance weights loop over plain lists,
 greedy centers are found in rounds of a maximal independent set as well as
-by visiting nodes one by one.
+by visiting nodes one by one, unit propagation edits clause lists through a
+dict of occurrence lists, and the canonical clause order is sorted() on
+tuple keys.
 """
 
 from collections import deque
 
 import numpy as np
 
-from cnfscope.cnf import CnfFormula
+from cnfscope.cnf import CnfFormula, PropagationConflict
 from cnfscope.community import Partition, modularity
 from cnfscope.graph import Graph
 
@@ -251,7 +253,22 @@ def histogram_from_samples(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Inverse-distance-squared weights with per-row loops, no numpy.
+# Min-max scaling and inverse-distance-squared weights with per-row loops,
+# no numpy.
+
+
+def minmax_scaled(rows, held) -> list[list[float]]:
+    """The rows (sequences of floats) min-max scaled per column on every row
+    but `held`, which is clamped into [0, 1]; a column constant on those
+    rows is 0.0 everywhere."""
+    cols = []
+    for j in range(len(rows[0])):
+        train = [r[j] for i, r in enumerate(rows) if i != held]
+        lo, hi = min(train), max(train)
+        col = [0.0 if hi == lo else (r[j] - lo) / (hi - lo) for r in rows]
+        col[held] = min(max(col[held], 0.0), 1.0)
+        cols.append(col)
+    return [list(r) for r in zip(*cols)]
 
 
 def idw_weights(test, train) -> list[float]:
@@ -267,3 +284,52 @@ def idw_weights(test, train) -> list[float]:
     if 0.0 in dist2:
         return [1.0 if d == 0.0 else 0.0 for d in dist2]
     return [1.0 / d for d in dist2]
+
+
+# ---------------------------------------------------------------------------
+# Formula transformations on clause lists.
+
+
+def propagate_lists(clauses):
+    """Unit propagation on clause lists: (remaining clauses, assignment), or
+    PropagationConflict. Units are queued in clause order, then as clauses
+    become unit; each visit of a clause through the occurrence list of the
+    assigned variable drops it when it holds the true literal, or else
+    removes the first copy of the false one."""
+    clauses = [list(c) for c in clauses]
+    alive = [True] * len(clauses)
+    occ: dict[int, list[int]] = {}
+    for ci, c in enumerate(clauses):
+        for lit in c:
+            occ.setdefault(abs(lit), []).append(ci)
+    if any(not c for c in clauses):
+        raise PropagationConflict(0)
+    queue = deque(c[0] for c in clauses if len(c) == 1)
+    assignment: dict[int, bool] = {}
+    while queue:
+        lit = queue.popleft()
+        var, val = abs(lit), lit > 0
+        if var in assignment:
+            if assignment[var] != val:
+                raise PropagationConflict(var)
+            continue
+        assignment[var] = val
+        for ci in occ.get(var, ()):
+            c = clauses[ci]
+            if not alive[ci]:
+                continue
+            if lit in c:
+                alive[ci] = False
+            elif -lit in c:
+                c.remove(-lit)
+                if not c:
+                    raise PropagationConflict(var)
+                if len(c) == 1:
+                    queue.append(c[0])
+    return tuple(tuple(c) for c, a in zip(clauses, alive) if a), assignment
+
+
+def canonical_clauses(clauses):
+    """Clauses sorted by their literals sorted on (abs(l), l < 0), compared
+    as tuples; sorted() is stable."""
+    return sorted(clauses, key=lambda c: tuple(sorted(c, key=lambda l: (abs(l), l < 0))))

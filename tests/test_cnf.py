@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from cnfscope.cnf import (
     write_trace,
 )
 from cnfscope.graph import build_cvig, build_vig
+from oracles import propagate_lists
 
 
 class TestParseDimacs:
@@ -73,11 +76,25 @@ class TestParseDimacs:
             parse_dimacs("p cnf 2 1\n1 2\n")
 
     @pytest.mark.parametrize("lit", ("-9223372036854775808",
-                                     "99999999999999999999"))
+                                     "99999999999999999999",
+                                     "9223372036854775808", "+9223372036854775808",
+                                     "-9223372036854775809"))
     def test_literal_beyond_int64(self, lit):
         # past the int64 range, or whose absolute value wraps in int64
         with pytest.raises(DimacsError, match="out of range"):
             parse_dimacs(f"p cnf 3 1\n1 {lit} 0\n")
+
+    def test_huge_variable_ids(self):
+        # clause * variable keys would pass int64 here; the ids are ranked
+        big = 2**62
+        f = parse_dimacs(f"p cnf {big} 2\n{big} -{big} 1 1 0\n-1 {big - 1} 0\n")
+        assert f.clauses == ((big, -big, 1), (-1, big - 1))
+        assert f.warnings == ("clause 0: duplicate literal collapsed",
+                              "clause 0: tautological (kept)")
+        assert f.tautological == (0,)
+        indptr, vars_ = f.clause_vars
+        assert indptr.tolist() == [0, 2, 4]
+        assert vars_.tolist() == [0, big - 1, 0, big - 2]
 
     def test_matches_from_clauses(self):
         """Parsing raw clauses gives the formula and the warnings, text and
@@ -97,6 +114,83 @@ class TestParseDimacs:
             assert parsed.warnings == built.warnings
 
 
+class TestTokens:
+    """A literal token is whatever int() reads, within int64."""
+
+    @pytest.mark.parametrize("tok, lit", (("+3", 3), ("1_0", 10), ("\u0663", 3),
+                                          ("-2", -2)))
+    def test_accepted(self, tok, lit):
+        assert parse_dimacs(f"p cnf 10 1\n{tok} 0\n").clauses == ((lit,),)
+        assert parse_trace(f"t 1\n{tok} 0\n").learnt_at(1) == ((lit,),)
+
+    def test_minus_zero_ends_clause(self):
+        assert parse_dimacs("p cnf 3 2\n1 2 -0 3 0\n").clauses == ((1, 2), (3,))
+
+    @pytest.mark.parametrize("tok", ("0x1", "3.0", "--1", "1-", "_1"))
+    def test_bad_token(self, tok):
+        with pytest.raises(DimacsError, match="bad token"):
+            parse_dimacs(f"p cnf 3 1\n1 {tok} 0\n")
+        with pytest.raises(TraceError, match="bad token"):
+            parse_trace(f"t 1\n1 {tok} 0\n")
+
+    def test_trace_beyond_int64(self):
+        with pytest.raises(TraceError, match="out of range"):
+            parse_trace("t 1\n1 9223372036854775808 0\n")
+        # -2**63 fits int64; the learnt-clause range check rejects it
+        trace = parse_trace("t 1\n1 -9223372036854775808 0\n")
+        f = CnfFormula.from_clauses(3, [[1, 2]])
+        with pytest.raises(ValueError, match="out of range in learnt clause 0"):
+            augment_with_learnt(f, trace, 1)
+
+    @pytest.mark.parametrize("lit", (2**63, -2**63, 2**70))
+    def test_from_clauses_beyond_int64(self, lit):
+        with pytest.raises(ValueError, match="out of range"):
+            CnfFormula.from_clauses(3, [[1], [2, lit]])
+
+
+class TestFormulaValue:
+    """A formula is its num_vars and its arrays, whichever way it was built."""
+
+    def test_equal_and_hash_across_builders(self):
+        text = "c x\np cnf 4 3\n1 1 -2 0\n3 -3 0\n-4 0\n"
+        parsed = parse_dimacs(text)
+        built = CnfFormula.from_clauses(4, [[1, 1, -2], [3, -3], [-4]])
+        direct = CnfFormula(4, ((1, -2), (3, -3), (-4,)))
+        assert parsed.warnings and not direct.warnings
+        assert parsed == built == direct
+        assert len({hash(parsed), hash(built), hash(direct)}) == 1
+        assert len({parsed, built, direct}) == 1
+        g = random_3cnf(40, 90, seed=3)
+        again = parse_dimacs(write_dimacs(g))
+        assert again == g and hash(again) == hash(g)
+        assert CnfFormula(g.num_vars, g.clauses) == g
+
+    def test_unequal(self):
+        f = CnfFormula(3, ((1, 2), (3,)))
+        assert f != CnfFormula(3, ((1,), (2, 3)))   # same literals, split apart
+        assert f != CnfFormula(4, ((1, 2), (3,)))
+        assert f != CnfFormula(3, ((2, 1), (3,)))
+        assert f != ((1, 2), (3,))
+
+    def test_arrays_read_only(self):
+        for f in (parse_dimacs("p cnf 3 2\n1 -2 0\n3 0\n"), random_3cnf(5, 4, seed=1),
+                  CnfFormula(3, ((1, -2), (3,)))):
+            lengths, lits = f.literal_arrays()
+            assert lengths.dtype == lits.dtype == np.int64
+            with pytest.raises(ValueError):
+                lengths[0] = 9
+            with pytest.raises(ValueError):
+                lits[0] = 9
+            with pytest.raises(FrozenInstanceError):
+                f.num_vars = 9
+
+    def test_clauses_view_not_kept(self):
+        f = CnfFormula(3, ((1, -2), (), (3,)))
+        assert f.clauses == ((1, -2), (), (3,))
+        assert f.clauses is not f.clauses
+        assert "clauses" not in vars(f)
+
+
 class TestWriteDimacs:
     def test_smallest(self):
         f = CnfFormula.from_clauses(1, [[1]])
@@ -105,6 +199,12 @@ class TestWriteDimacs:
     def test_empty(self):
         f = CnfFormula.from_clauses(0, [])
         assert write_dimacs(f) == "p cnf 0 0\n"
+
+    def test_empty_clause_and_int64_extremes(self):
+        f = CnfFormula(9, ((), (-9223372036854775808, 9223372036854775807), (5, -10)))
+        assert write_dimacs(f) == ("p cnf 9 3\n 0\n"
+                                   "-9223372036854775808 9223372036854775807 0\n"
+                                   "5 -10 0\n")
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(3)
@@ -235,6 +335,40 @@ class TestUnitPropagate:
             twice, a2 = unit_propagate(once)
             assert once == twice
             assert a2 == {}
+
+
+class TestPropagateOracle:
+    def test_matches_list_propagator(self):
+        """Against oracles.propagate_lists on formulas from the trusted
+        constructor with repeated and complementary literals, planted units
+        (some contradicting) and now and then an empty clause."""
+        rng = np.random.default_rng(44)
+        seen = {"conflict": 0, "empty": 0, "propagated": 0, "repeated": 0}
+        for _ in range(600):
+            n = int(rng.integers(1, 12))
+            clauses = [tuple((rng.integers(1, n + 1, size=k)
+                              * rng.choice((-1, 1), size=k)).tolist())
+                       for k in rng.integers(1, 5, size=int(rng.integers(0, 20)))]
+            for _ in range(int(rng.integers(0, 4))):
+                v = int(rng.integers(1, n + 1)) * int(rng.choice((-1, 1)))
+                clauses.insert(int(rng.integers(len(clauses) + 1)), (v,))
+            if rng.random() < 0.03:
+                clauses.insert(int(rng.integers(len(clauses) + 1)), ())
+            seen["repeated"] += any(len(set(c)) < len(c) for c in clauses)
+            f = CnfFormula(n, tuple(clauses))
+            try:
+                want = propagate_lists(clauses)
+            except PropagationConflict as exc:
+                with pytest.raises(PropagationConflict) as got:
+                    unit_propagate(f)
+                assert got.value.variable == exc.variable
+                seen["empty" if exc.variable == 0 else "conflict"] += 1
+                continue
+            out, assignment = unit_propagate(f)
+            assert (out.clauses, assignment) == want
+            assert out.num_vars == n and out.warnings == ()
+            seen["propagated"] += bool(assignment)
+        assert min(seen.values()) >= 5, seen
 
 
 def _trace(*checkpoints):

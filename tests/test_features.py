@@ -7,6 +7,8 @@ from cnfscope.cnf import CnfFormula, random_3cnf
 from cnfscope.features import (
     COLUMNS,
     FEATURE_NAMES,
+    _ORDER_COLUMNS,
+    _canonical_clause_order,
     FeatureConfig,
     FeatureMatrix,
     FeatureRow,
@@ -17,6 +19,7 @@ from cnfscope.features import (
     matrix_to_json,
     normalize,
 )
+from oracles import canonical_clauses
 
 
 def _vec(**kw):
@@ -62,6 +65,23 @@ class TestExtractFeatures:
         g = CnfFormula(f.num_vars, tuple(f.clauses[i] for i in perm))
         cfg = FeatureConfig(seed=7)
         assert extract_features(f, cfg) == extract_features(g, cfg)
+
+    def test_canonical_order_oracle(self):
+        """The lexsort order equals sorted() on tuple keys, on mixed lengths
+        (empty clauses, and rows past one lexsort chunk) with repeated
+        clauses whose literals are permuted, so stability shows."""
+        rng = np.random.default_rng(17)
+        lengths = (0, 1, 2, 3, 3, 4, _ORDER_COLUMNS, _ORDER_COLUMNS + 1,
+                   2 * _ORDER_COLUMNS + 3)
+        for _ in range(150):
+            n = int(rng.integers(1, 6))
+            base = [(rng.integers(1, n + 1, size=k) * rng.choice((-1, 1), size=k)).tolist()
+                    for k in rng.choice(lengths, size=int(rng.integers(0, 25)))]
+            clauses = base + [rng.permutation(c).tolist()
+                              for c in base[:int(rng.integers(len(base) + 1))]]
+            clauses = [tuple(clauses[i]) for i in rng.permutation(len(clauses))]
+            got = _canonical_clause_order(CnfFormula(n, tuple(clauses)))
+            assert list(got.clauses) == canonical_clauses(clauses)
 
     def test_empty_formula_rejected(self):
         with pytest.raises(ValueError):

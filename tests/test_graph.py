@@ -41,7 +41,7 @@ class TestBuildVig:
         f = CnfFormula.from_clauses(4, [[1, 2]])
         g = build_vig(f)
         assert g.node_count == 4
-        assert g.degree(3) == 0
+        assert g.degrees[3] == 0
 
     def test_unweighted_unit_weights(self):
         f = CnfFormula.from_clauses(3, [[1, 2], [1, 2], [2, 3]])
@@ -70,14 +70,14 @@ class TestBuildCvig:
         f = CnfFormula.from_clauses(3, [[1, 2, -3]])
         g = build_cvig(f, weighted=True)
         assert g.node_count == 4
-        assert g.degree(3) == 3  # the clause node
+        assert g.degrees[3] == 3  # the clause node
         assert np.allclose(g.weights[g.indptr[3]:g.indptr[4]], 1 / 3)
 
     def test_two_unit_clauses(self):
         f = CnfFormula.from_clauses(1, [[1], [1]])
         g = build_cvig(f, weighted=True)
         assert g.node_count == 3
-        assert g.degree(0) == 2
+        assert g.degrees[0] == 2
         assert np.allclose(g.weights[g.indptr[0]:g.indptr[1]], 1.0)
 
     def test_edge_count_is_occurrences(self):

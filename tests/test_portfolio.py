@@ -15,7 +15,7 @@ from cnfscope.portfolio import (
     select_solver,
     train_tree,
 )
-from oracles import idw_weights
+from oracles import idw_weights, minmax_scaled
 
 
 def _vec(alpha=0.0, q=0.0, d=0.0, d_b=0.0, ratio=0.0):
@@ -146,8 +146,9 @@ class TestIdwOracle:
             confusion = {}
             for i, row in enumerate(m.rows):
                 others = [j for j in range(len(m)) if j != i]
+                y = minmax_scaled(x, i)
                 votes = {}
-                for wj, j in zip(idw_weights(x[i], [x[j] for j in others]), others):
+                for wj, j in zip(idw_weights(y[i], [y[j] for j in others]), others):
                     if wj:
                         fam = m.rows[j].family
                         votes[fam] = votes.get(fam, 0.0) + wj
@@ -491,6 +492,18 @@ class TestKnnClassify:
         ]
         rep = knn_loo_classify(FeatureMatrix(rows))
         assert rep.confusion["x"]["x"] == 2
+
+    def test_narrow_feature_separates(self):
+        # ratio (2.0 vs 2.5) separates the families; alpha spans 3.0-9.1 at
+        # random. On raw features alpha's range decides every vote (0/6);
+        # scaled per round, ratio counts as much and every row is right.
+        rows = [FeatureRow(f"{fam}{k}", fam, _vec(alpha=a + off, ratio=r))
+                for fam, off, r in (("a", 0.0, 2.0), ("b", 0.1, 2.5))
+                for k, a in enumerate((3.0, 6.0, 9.0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # q, d and d_b are constant
+            rep = knn_loo_classify(FeatureMatrix(rows))
+        assert (rep.successes, rep.total) == (6, 6)
 
     def test_separated_clusters(self):
         rows = []

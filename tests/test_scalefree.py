@@ -14,12 +14,12 @@ class TestOccurrenceHistogram:
     def test_basic(self):
         f = CnfFormula.from_clauses(3, [[1, 2], [1, 3]])
         h = occurrence_histogram(f)
-        assert h.entries == [(1, 2), (2, 1)]
+        assert h.ks.tolist() == [1, 2] and h.fs.tolist() == [2, 1]
 
     def test_repeated_unit(self):
         f = CnfFormula.from_clauses(1, [[1], [1], [1]])
         h = occurrence_histogram(f)
-        assert h.entries == [(3, 1)]
+        assert h.ks.tolist() == [3] and h.fs.tolist() == [1]
 
     def test_unused_variable_excluded(self):
         f = CnfFormula.from_clauses(5, [[1, 2], [2, 3]])
@@ -30,10 +30,11 @@ class TestOccurrenceHistogram:
     def test_tautological_counts_once(self):
         f = CnfFormula.from_clauses(2, [[1, -1, 2]])
         h = occurrence_histogram(f)
-        assert h.entries == [(1, 2)]
+        assert h.ks.tolist() == [1] and h.fs.tolist() == [2]
         # the direct constructor keeps the complementary pair as given
         f = CnfFormula(3, ((1, -1, 2), (2, 3)))
-        assert occurrence_histogram(f).entries == [(1, 2), (2, 1)]
+        h = occurrence_histogram(f)
+        assert h.ks.tolist() == [1, 2] and h.fs.tolist() == [2, 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
