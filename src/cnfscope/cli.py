@@ -256,8 +256,6 @@ def _load_matrix(path: str) -> features.FeatureMatrix:
 def cmd_classify(args) -> int:
     _check_readable((args.features,))
     matrix = _load_matrix(args.features)
-    if any(r.family is None for r in matrix.rows):
-        raise ValueError("feature CSV lacks family labels for some rows")
     if args.mode == "tree-loo":
         report = portfolio.loo_classify(matrix, min_leaf=args.min_leaf,
                                         features=args.features_used)
@@ -272,14 +270,11 @@ def cmd_portfolio(args) -> int:
     matrix = _load_matrix(args.features)
     times = portfolio.RuntimeMatrix.from_csv(Path(args.runtimes).read_text(),
                                              timeout_value=args.timeout)
-    feat_ids = set(matrix.instance_ids)
-    time_ids = set(times.instances)
-    if feat_ids != time_ids:
-        only_f = sorted(feat_ids - time_ids)
-        only_t = sorted(time_ids - feat_ids)
-        raise ValueError(
-            f"instance id mismatch: only in features {only_f}, "
-            f"only in runtimes {only_t}")
+    only_f = sorted(set(matrix.instance_ids) - set(times.instances))
+    only_t = sorted(set(times.instances) - set(matrix.instance_ids))
+    if only_f or only_t:
+        raise ValueError(f"instance id mismatch: only in features {only_f}, "
+                         f"only in runtimes {only_t}")
     _emit_json(portfolio.loo_portfolio_sim(matrix, times).to_dict(), args)
     return 0
 

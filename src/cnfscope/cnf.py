@@ -22,6 +22,8 @@ import numpy as np
 
 Clause = tuple[int, ...]
 _INT64 = np.iinfo(np.int64)
+# the tokens int() reads, but for its digit limit
+_DECIMAL = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
 class DimacsError(ValueError):
@@ -44,6 +46,18 @@ def _int64(value: int) -> bool:
     return _INT64.min <= value <= _INT64.max
 
 
+def _head(lit, keep: int = 30) -> str:
+    """The text of a token or an int literal cut to `keep` characters, "..."
+    marking a cut; an int keeps its leading digits past str()'s limit."""
+    if isinstance(lit, int):
+        # bit_length * 3 // 10 never exceeds the digit count, so at least
+        # 2 * keep leading digits survive the division
+        drop = max(0, abs(lit).bit_length() * 3 // 10 - 2 * keep)
+        lit = f"{'-' * (lit < 0)}{abs(lit) // 10 ** drop}"
+    text = str(lit)
+    return text if len(text) <= keep else text[:keep] + "..."
+
+
 def _arrays(clauses) -> tuple[np.ndarray, np.ndarray]:
     """(lengths, literals) int64 arrays of a sequence of clauses, each a
     sequence of int literals. A literal beyond int64 is a ValueError."""
@@ -53,7 +67,7 @@ def _arrays(clauses) -> tuple[np.ndarray, np.ndarray]:
                            int(lengths.sum()))
     except OverflowError:
         bad = next(lit for c in clauses for lit in c if not _int64(lit))
-        raise ValueError(f"literal {bad} out of range") from None
+        raise ValueError(f"literal {_head(bad)} out of range") from None
     return lengths, lits
 
 
@@ -304,18 +318,19 @@ def _read_blocks(text: str, tag: str, what: str, error
 
 
 def _tokens(tokens: list[str], error) -> np.ndarray:
-    """The tokens as an int64 array. The first token that int() rejects is a
-    bad token, and one beyond int64 out of range."""
+    """The tokens as an int64 array. The first token that int() rejects is
+    a bad token, and one beyond int64 or int()'s digit limit out of range."""
     try:
         return np.fromiter(map(int, tokens), np.int64, len(tokens))
     except (ValueError, OverflowError):
         for tok in tokens:
             try:
-                value = int(tok)
+                if _int64(int(tok)):
+                    continue
             except ValueError:
-                raise error(f"bad token {tok!r}") from None
-            if not _int64(value):
-                raise error(f"literal {value} out of range") from None
+                if not _DECIMAL.fullmatch(tok):
+                    raise error(f"bad token {_head(repr(tok))}") from None
+            raise error(f"literal {_head(tok)} out of range") from None
         raise
 
 

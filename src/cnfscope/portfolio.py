@@ -170,6 +170,13 @@ class SimulationReport:
         }
 
 
+def _loo(X: np.ndarray, predict) -> list:
+    """predict(train, i) for each row i of X in row order; train masks out i."""
+    if len(X) < 2:
+        raise ValueError("need at least 2 instances")
+    return [predict(np.arange(len(X)) != i, i) for i in range(len(X))]
+
+
 def loo_portfolio_sim(matrix: FeatureMatrix, times: RuntimeMatrix
                       ) -> SimulationReport:
     """Leave-one-out portfolio simulation.
@@ -181,34 +188,31 @@ def loo_portfolio_sim(matrix: FeatureMatrix, times: RuntimeMatrix
     Instance names must be unique: a round holds out one instance.
     """
     ids = matrix.instance_ids
-    if len(ids) < 2:
-        raise ValueError("need at least 2 instances")
     _check_unique("instance", ids)
     X = matrix.to_array()
     runtimes = times.rows(ids)
     capped = np.minimum(runtimes, times.timeout_value)
-    # the virtual best solver finishes an instance when any solver does
-    vbs = int(np.isfinite(runtimes).any(axis=1).sum())
+
+    def pick(train, i):
+        Y = _minmax(X, train)
+        return _best(_predictions(Y[i], Y[train], capped[train], times.solvers))
     records = []
     solved, solved_total, penalized_total = 0, 0.0, 0.0
-    for i, inst in enumerate(ids):
-        train = np.arange(len(ids)) != i
-        Y = _minmax(X, train)
-        chosen = _best(_predictions(Y[i], Y[train], capped[train],
-                                    times.solvers))
-        t = times.time(inst, chosen)
+    for inst, solver in zip(ids, _loo(X, pick)):
+        t = times.time(inst, solver)
         ok = math.isfinite(t)
         if ok:
             solved += 1
             solved_total += t
         penalized_total += t if ok else times.timeout_value
-        records.append({"instance": inst, "solver": chosen, "solved": ok,
+        records.append({"instance": inst, "solver": solver, "solved": ok,
                         "time": (t if ok else None)})
     return SimulationReport(
         solved_count=solved,
         avg_time=(solved_total / solved if solved else 0.0),
         avg_time_penalized=penalized_total / len(ids),
-        vbs_count=vbs,
+        # the virtual best solver finishes an instance when any solver does
+        vbs_count=int(np.isfinite(runtimes).any(axis=1).sum()),
         per_instance=tuple(records),
     )
 
@@ -292,16 +296,17 @@ def _grow(X: np.ndarray, y: list, min_leaf: int) -> TreeNode:
 
 
 def _sorted_xy(matrix: FeatureMatrix, labels, features):
-    """Feature array and labels of the rows sorted by instance id."""
-    rows = sorted(matrix.rows, key=lambda r: r.instance)
+    """Feature array and labels of the rows stably sorted by instance id;
+    labels[k] labels row k, and without labels each row's family does."""
     if labels is None:
-        y = [r.family for r in rows]
-        if any(lb is None for lb in y):
+        labels = [r.family for r in matrix.rows]
+        if None in labels:
             raise ValueError("rows without family label")
-    else:
-        by_id = dict(zip(matrix.instance_ids, labels))
-        y = [by_id[r.instance] for r in rows]
-    return np.array([r.vector.as_array(features) for r in rows]), y
+    elif len(labels := list(labels)) != len(matrix):
+        raise ValueError(f"{len(labels)} labels for {len(matrix)} rows")
+    order = sorted(range(len(matrix)), key=lambda k: matrix.rows[k].instance)
+    return (np.array([matrix.rows[k].vector.as_array(features) for k in order]),
+            [labels[k] for k in order])
 
 
 def train_tree(matrix: FeatureMatrix, labels=None, min_leaf: int = 1,
@@ -342,33 +347,25 @@ class ClassificationReport:
         }
 
 
-def _loo(matrix: FeatureMatrix, labels, features,
-         predict) -> ClassificationReport:
-    """Leave-one-out report of predict(X, train, train_y, held) over the rows
-    sorted by instance id: `train` masks every row of X but the held-out
-    row `held`."""
-    if len(matrix) < 2:
-        raise ValueError("need at least 2 instances")
-    X, y = _sorted_xy(matrix, labels, features)
-    pairs = Counter()
-    for idx in range(len(y)):
-        train = np.arange(len(y)) != idx
-        pairs[y[idx], predict(X, train, list(compress(y, train)), idx)] += 1
+def _tally(y: list, predicted: list) -> ClassificationReport:
+    """Report of the true labels y against the predicted ones, row by row."""
     confusion: dict[str, dict[str, int]] = {}
-    for (true, pred), c in pairs.items():
+    for (true, pred), c in Counter(zip(y, predicted)).items():
         confusion.setdefault(true, {})[pred] = c
-    successes = sum(c for (true, pred), c in pairs.items() if true == pred)
+    successes = sum(true == pred for true, pred in zip(y, predicted))
     return ClassificationReport(successes, len(y), confusion)
 
 
 def loo_classify(matrix: FeatureMatrix, labels=None, min_leaf: int = 1,
                  features=FEATURE_NAMES) -> ClassificationReport:
     """Leave-one-out cross-validation of the decision-tree classifier."""
+    X, y = _sorted_xy(matrix, labels, features)
+
     # splits do not depend on scale, so the tree sees the raw features
-    def predict(X, train, y, held):
-        tree = DecisionTree(_grow(X[train], y, min_leaf), tuple(features))
-        return tree.predict(X[held])
-    return _loo(matrix, labels, features, predict)
+    def predict(train, i):
+        root = _grow(X[train], list(compress(y, train)), min_leaf)
+        return DecisionTree(root, tuple(features)).predict(X[i])
+    return _tally(y, _loo(X, predict))
 
 
 def knn_loo_classify(matrix: FeatureMatrix, labels=None,
@@ -376,11 +373,13 @@ def knn_loo_classify(matrix: FeatureMatrix, labels=None,
     """Leave-one-out family classification by inverse-square-distance vote,
     on features min-max scaled on each round's training rows (as the
     portfolio scales them), so no feature wins by its range alone."""
-    def vote(X, train, y, held):
+    X, y = _sorted_xy(matrix, labels, features)
+
+    def vote(train, i):
         Y = _minmax(X, train, features)
-        rows, w = _weights(Y[held], Y[train])
+        rows, w = _weights(Y[i], Y[train])
         votes = Counter()
-        for r, wr in zip(rows, w):
-            votes[y[r]] += wr
+        for r, wr in zip(rows, w):   # training row r is row r + (r >= i) of X
+            votes[y[r + (r >= i)]] += wr
         return _winner(votes)
-    return _loo(matrix, labels, features, vote)
+    return _tally(y, _loo(X, vote))

@@ -425,7 +425,7 @@ class TestClassifyPortfolio:
                      "a,,1.0,0.5,2.0,2.0,4.0,,,,,\n")
         code, _, err = _run(capsys, "classify", p)
         assert code == 1
-        assert "family" in err
+        assert err == "error: rows without family label\n"
 
     @pytest.mark.parametrize("mode", ("tree-loo", "knn-loo"))
     def test_classify_single_row(self, tmp_path, capsys, mode):
@@ -457,6 +457,16 @@ class TestClassifyPortfolio:
         code, _, err = _run(capsys, "portfolio", features_csv, p)
         assert code == 1
         assert err == "error: duplicate instance names: ['lo0']\n"
+
+    def test_portfolio_instance_mismatch(self, features_csv, tmp_path, capsys):
+        ids = [f"lo{k}" for k in range(1, 4)] + [f"hi{k}" for k in range(4)]
+        p = tmp_path / "rt.csv"
+        p.write_text("\n".join(["instance,s", "zz,1.0", "extra,1.0"]
+                               + [f"{i},1.0" for i in ids]) + "\n")
+        code, out, err = _run(capsys, "portfolio", features_csv, p)
+        assert code == 1 and out == ""
+        assert err == ("error: instance id mismatch: only in features ['lo0'], "
+                       "only in runtimes ['extra', 'zz']\n")
 
     def test_portfolio_duplicate_feature_row(self, tmp_path, capsys):
         p = tmp_path / "f.csv"

@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -145,6 +146,34 @@ class TestTokens:
     @pytest.mark.parametrize("lit", (2**63, -2**63, 2**70))
     def test_from_clauses_beyond_int64(self, lit):
         with pytest.raises(ValueError, match="out of range"):
+            CnfFormula.from_clauses(3, [[1], [2, lit]])
+
+    @pytest.mark.parametrize("tok", ("1" * 5000, "-" + "9" * 4000, "1_2" * 2000),
+                             ids=("5000_digits", "4000_digits", "underscores"))
+    def test_long_literal_out_of_range(self, tok):
+        # past int()'s digit limit (4300) or not, a long decimal is out of
+        # range, and the message quotes only the first 30 characters
+        want = f"^literal {re.escape(tok[:30])}\\.\\.\\. out of range$"
+        with pytest.raises(DimacsError, match=want):
+            parse_dimacs(f"p cnf 3 1\n1 {tok} 0\n")
+        with pytest.raises(TraceError, match=want):
+            parse_trace(f"t 1\n1 {tok} 0\n")
+
+    def test_long_bad_token_cut(self):
+        tok = "0x" + "1" * 5000
+        want = f"^bad token {re.escape(repr(tok)[:30])}\\.\\.\\.$"
+        with pytest.raises(DimacsError, match=want):
+            parse_dimacs(f"p cnf 3 1\n{tok} 0\n")
+        with pytest.raises(TraceError, match=want):
+            parse_trace(f"t 1\n{tok} 0\n")
+
+    @pytest.mark.parametrize("sign, exp", ((1, 5000), (-1, 5000), (1, 40)))
+    def test_from_clauses_long_literal(self, sign, exp):
+        # 10**5000 is past str()'s digit limit; its leading digits are quoted
+        lit = sign * 10**exp
+        digits = "-" * (sign < 0) + "1" + "0" * 29
+        with pytest.raises(ValueError,
+                           match=f"^literal {digits[:30]}\\.\\.\\. out of range$"):
             CnfFormula.from_clauses(3, [[1], [2, lit]])
 
 

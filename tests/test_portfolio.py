@@ -483,6 +483,51 @@ def test_classifiers_need_two_instances(classify, n):
         classify(m)
 
 
+def _unlabeled(m):
+    return FeatureMatrix([FeatureRow(r.instance, None, r.vector) for r in m.rows])
+
+
+@pytest.mark.parametrize("classify", (loo_classify, knn_loo_classify))
+def test_labels_pair_with_rows_by_position(classify):
+    # rows a(p), a(q), b(p), c(q): both rows named a keep their own label
+    m = _matrix([1.0, 5.0, 1.1, 5.1], ids=["a", "a", "b", "c"],
+                families=["p", "q", "p", "q"])
+    rep = classify(_unlabeled(m), labels=["p", "q", "p", "q"])
+    assert rep == classify(m)
+    assert {true: sum(row.values()) for true, row in rep.confusion.items()} \
+        == {"p": 2, "q": 2}
+    for seed in range(6):
+        m = _family_matrix(seed, 3, duplicates=seed % 2 == 1)
+        # rows 2k and 2k + 1 share a name, and the names run backwards
+        m = FeatureMatrix([FeatureRow(f"i{(len(m) - 1 - k) // 2:02d}", r.family,
+                                      r.vector) for k, r in enumerate(m.rows)])
+        labels = [r.family for r in m.rows]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # constant training columns
+            assert (json.dumps(classify(_unlabeled(m), labels=labels).to_dict())
+                    == json.dumps(classify(m).to_dict()))
+
+
+@pytest.mark.parametrize("classify", (loo_classify, knn_loo_classify, train_tree))
+@pytest.mark.parametrize("count", (3, 5))
+def test_labels_one_per_row(classify, count):
+    m = _matrix([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=f"^{count} labels for 4 rows$"):
+        classify(m, labels=(["x", "y"] * 3)[:count])
+
+
+@pytest.mark.parametrize("classify", (loo_classify, knn_loo_classify))
+def test_classifiers_independent_of_row_order(classify):
+    # rows are sorted by instance id once, so the input order cannot matter
+    for seed in range(6):
+        m = _family_matrix(seed, 2 + seed % 3, duplicates=seed % 2 == 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            forward = classify(m).to_dict()
+            backward = classify(FeatureMatrix(m.rows[::-1])).to_dict()
+        assert json.dumps(forward) == json.dumps(backward)
+
+
 class TestKnnClassify:
     def test_exact_match_vote(self):
         rows = [
