@@ -386,7 +386,7 @@ def parse_dimacs(source) -> CnfFormula:
     except ValueError:
         num_vars = declared_m = -1
     if parts[:2] != ["p", "cnf"] or min(num_vars, declared_m) < 0:
-        raise DimacsError(f"malformed header: {header!r}")
+        raise DimacsError(f"malformed header: {_head(repr(header))}")
     lengths, lits, warnings = _normalized(num_vars, lengths, lits, DimacsError)
     if declared_m != lengths.size:
         warnings += (f"header declares {declared_m} clauses, found {lengths.size} "
@@ -414,7 +414,7 @@ def parse_trace(source) -> ClauseTrace:
                 raise ValueError
             k, = map(int, fields)
         except ValueError:
-            raise TraceError(f"malformed checkpoint line: {line!r}") from None
+            raise TraceError(f"malformed checkpoint line: {_head(repr(line))}") from None
         checkpoints.append((k, _tuples(lengths, lits)))
     return ClauseTrace(tuple(checkpoints))
 

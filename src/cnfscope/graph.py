@@ -13,7 +13,9 @@ from .cnf import CnfFormula
 
 
 class Graph:
-    """Undirected weighted graph; no self-loops, no parallel edges."""
+    """Undirected weighted graph; no self-loops, no parallel edges; node ids
+    0..node_count-1. Built without weights, `weights` is a read-only
+    zero-stride view of one 1.0: the values, dtype and shape of ones."""
 
     __slots__ = ("node_count", "indptr", "indices", "weights", "variable_count")
 
@@ -30,18 +32,24 @@ class Graph:
         """Build from parallel edge arrays.
 
         Coinciding edges collapse into one, whose weight is the sum of theirs;
-        without weights (w None) every retained edge weighs 1. Self-loops are
-        rejected.
+        without weights (w None) every retained edge weighs 1. Self-loops and
+        node ids outside 0..node_count-1 are rejected.
 
         Edges travel as int64 keys lo * node_count + hi. Without weights
         equal keys are identical edges, so the keys themselves are sorted
         (numpy's plain sort, several times faster than any argsort) and no
-        permutation is built.
+        permutation is built. Both directions share one buffer of keys
+        src * node_count + dst, sorted, cut into rows and reduced to dst.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        if u.size and (u == v).any():
-            raise ValueError("self-loops are not allowed")
+        if u.size:
+            if (u == v).any():
+                raise ValueError("self-loops are not allowed")
+            if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= node_count:
+                bad = next(x for x in np.column_stack((u, v)).flat
+                           if not 0 <= x < node_count)
+                raise ValueError(f"node id {bad} out of range for {node_count} nodes")
         n = np.int64(node_count)
         key = np.minimum(u, v)
         key *= n
@@ -52,33 +60,35 @@ class Graph:
             w = np.asarray(w, dtype=np.float64)
             # secondary sort on w keeps float summation order canonical
             order = np.lexsort((w, key))
-            key = key[order]
-            w = w[order]
+            key, w = key[order], w[order]
         boundary = np.empty(key.size, dtype=bool)
         boundary[:1] = True
         np.not_equal(key[1:], key[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        key = key[starts]
-        # both directions of every edge, keyed src * node_count + dst
-        lo, hi = np.divmod(key, n)
-        hi *= n
-        hi += lo
-        key = np.concatenate((key, hi))
+        if w is not None:
+            w = np.add.reduceat(w, np.flatnonzero(boundary))
+        key = key[boundary]
+        del boundary
+        # both directions of every edge: lo * n + hi, then hi * n + lo
+        e = key.size
+        buf = np.empty(2 * e, dtype=np.int64)
+        np.divmod(key, n, out=(buf[:e], buf[e:]))
+        buf[e:] *= n
+        buf[e:] += buf[:e]
+        buf[:e] = key
+        del key
         if w is None:
-            key.sort()
-            ww = np.ones(key.size)
+            buf.sort()
+            weights = np.broadcast_to(np.float64(1.0), (2 * e,))
         else:
             # the keys are distinct, so any sort gives the same order
-            order = np.argsort(key)
-            key = key[order]
-            uw = np.add.reduceat(w, starts)
-            ww = np.concatenate((uw, uw))[order]
-        src, dst = np.divmod(key, n)
-        indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+            order = np.argsort(buf)
+            buf = buf[order]
+            weights = np.concatenate((w, w))[order]
+        indptr = np.searchsorted(buf, np.arange(node_count + 1) * n)
+        buf %= n
         if variable_count is None:
             variable_count = node_count
-        return cls(node_count, indptr, dst, ww, variable_count)
+        return cls(node_count, indptr, buf, weights, variable_count)
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]

@@ -68,6 +68,11 @@ class TestParseDimacs:
         with pytest.raises(DimacsError):
             parse_dimacs("p cnf x y\n")
 
+    def test_malformed_header_quoted_short(self):
+        with pytest.raises(DimacsError, match="malformed header") as err:
+            parse_dimacs("p cnf " + "1" * 5000 + " 1\n1 0\n")
+        assert len(str(err.value)) < 60
+
     def test_literal_out_of_range(self):
         with pytest.raises(DimacsError):
             parse_dimacs("p cnf 2 1\n1 3 0\n")
@@ -517,3 +522,8 @@ class TestTrace:
     def test_malformed_checkpoint_line(self, line):
         with pytest.raises(TraceError, match="malformed checkpoint line"):
             parse_trace(f"{line}\n1 0\n")
+
+    def test_malformed_checkpoint_line_quoted_short(self):
+        with pytest.raises(TraceError, match="malformed checkpoint line") as err:
+            parse_trace("t " + "1" * 5000 + "\n1 0\n")
+        assert len(str(err.value)) < 70

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,41 @@ class TestFromEdges:
         g = Graph.from_edges(3, [], [])
         assert g.edge_count == 0
         assert g.total_weight == 0.0
+
+    @pytest.mark.parametrize("u,v,bad", (
+        ([0], [5], 5),      # key 0 * 3 + 5 == 1 * 3 + 2 reads as edge 1-2
+        ([0], [3], 3),      # key 0 * 3 + 3 == 1 * 3 + 0 reads as edge 0-1
+        ([-1], [1], -1),
+        ([0, 1, 2], [1, 7, -4], 7),
+    ))
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_node_id_out_of_range(self, u, v, bad, weighted):
+        w = [1.0] * len(u) if weighted else None
+        with pytest.raises(ValueError, match=rf"^node id {bad} out of range"):
+            Graph.from_edges(3, u, v, w)
+
+    @pytest.mark.parametrize("build", (build_vig, build_cvig, build_cig))
+    def test_unit_weights_read_only_view(self, build):
+        g = build(random_3cnf(200, 850, seed=3))
+        assert g.weights.strides == (0,)
+        assert (g.weights.dtype, g.weights.shape) == (np.float64,
+                                                       g.indices.shape)
+        with pytest.raises(ValueError):
+            g.weights[0] = 2.0
+        assert g.weights.sum() == 2 * g.edge_count
+
+    def test_unit_build_peak_memory(self):
+        """A unit graph holds no weight array and the build no second copy
+        of its edges: the peak stays within 6 input arrays' bytes (the
+        graph itself takes 2 of them)."""
+        rng = np.random.default_rng(3)
+        u = rng.integers(0, 20000, 300_000)
+        v = (u + rng.integers(1, 20000, u.size)) % 20000
+        tracemalloc.start()
+        try:
+            g = Graph.from_edges(20000, u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count > 0.99 * u.size
+        assert peak <= 6 * u.nbytes
