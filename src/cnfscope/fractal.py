@@ -29,58 +29,110 @@ def _node_order(g: Graph, ordering: str) -> np.ndarray:
     raise ValueError(f"unknown ordering {ordering!r} (expected one of {ORDERINGS})")
 
 
-def _burn(g: Graph, sources, stamp: np.ndarray, token, r: int) -> None:
-    """Set stamp to token on every node within hop distance < r of sources.
-
-    A BFS builds the layers up to r - 2 hops; the last hop only stamps the
-    neighbours of the deepest layer, unfiltered and undeduped, since no
-    caller reads that largest layer.
-    """
-    layers = bfs_layers(g, sources, stamp, token, max(r - 2, 0))
-    if len(layers) == r - 1:
-        stamp[gather_neighbors(g, layers[-1])] = token
-
-
 def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree"
                        ) -> tuple[int, np.ndarray]:
     """Greedy burning estimate of N(r); returns (count, selected centers).
 
     Nodes are visited by the chosen degree ordering (ascending node id breaks
     ties); an unburned node is selected as a center and its radius-r circle
-    burned. The selected circles always cover the whole graph. A circle is
-    the center's BFS layers up to r - 2 hops plus the neighbours of the last
-    one, which are stamped but never built into a layer.
+    burned. The selected circles always cover the whole graph.
+
+    The centers are decided a window at a time, with the same result as one
+    node at a time. A window is the next unburned nodes of the order, each
+    labelled by its position in the order. The labels grow r - 2 hops
+    together, each node keeping the smallest label that reaches it, so a
+    node's label is the earliest source within those hops. A source clashes
+    when a neighbour holds an earlier label: an earlier source lies within
+    r - 1 hops of it. The sources before the first clash are the next
+    centers (no earlier center reaches them, nor do they reach each other),
+    and every node their labels reached is burned, with the neighbours of
+    the last hop. The scan resumes after the clashing source, which is
+    burned by then, and the next window holds twice as many sources as
+    this one accepted.
     """
     if r < 1:
         raise ValueError("radius must be >= 1")
     order = _node_order(g, ordering)
+    n = g.node_count
     if r == 1:
-        return g.node_count, order.copy()
-    # stamp[x] is the number of the last circle that reached x, 0 if none:
-    # nonzero means burned, and each circle's BFS marks with a fresh number
-    stamp = np.zeros(g.node_count, dtype=np.int64)
+        return n, order.copy()
+    burned = np.zeros(n, dtype=bool)
+    # label[x] is the order position of the earliest source of the current
+    # window within the hops grown so far; n when none reached x
+    label = np.full(n, n, dtype=np.int64)
     centers = []
-    for u in order.tolist():
-        if stamp[u]:
-            continue
-        centers.append(u)
-        if r == 2:
-            stamp[u] = 1
-            stamp[g.neighbors(u)] = 1
+    p, want, span = 0, 1, 1
+    while p < n:
+        # scan the order in doubling spans until the window is full; start
+        # from half the last span, which fit the share of burned nodes there
+        span = max(want, span // 2)
+        while True:
+            pos = (~burned[order[p:p + span]]).nonzero()[0]
+            if pos.size >= want or p + span >= n:
+                break
+            span *= 2
+        if pos.size == 0:
+            break
+        pos = pos[:want] + p
+        src = order[pos]
+        label[src] = pos
+        near, near_counts = gather_neighbors(g, src)
+        nb, counts, frontier_label, reached = near, near_counts, pos, [src]
+        for _ in range(r - 2):
+            if nb.size == 0:
+                break
+            # the pairs (neighbour, label) that lower the neighbour's label
+            lab = frontier_label.repeat(counts)
+            better = label[nb] > lab
+            nb, lab = nb[better], lab[better]
+            if counts.size > 1:
+                # several frontier nodes may reach one node: keep its least
+                key = nb * (n + 1)
+                key += lab
+                key.sort()
+                nb, lab = np.divmod(key, n + 1)
+                first = np.empty(nb.size, dtype=bool)
+                first[:1] = True
+                np.not_equal(nb[1:], nb[:-1], out=first[1:])
+                nb, lab = nb[first], lab[first]
+            label[nb] = lab
+            reached.append(nb)
+            frontier_label = lab
+            nb, counts = gather_neighbors(g, nb)
+        # the first source with a neighbour labelled earlier than itself; a
+        # source labelled earlier has one too, the next node on its path
+        clash = (label[near] < pos.repeat(near_counts)).nonzero()[0]
+        if clash.size:
+            k = int(near_counts.cumsum().searchsorted(clash[0], "right"))
+            cut = pos[k]
         else:
-            _burn(g, [u], stamp, len(centers), r)
-    return len(centers), np.asarray(centers, dtype=np.int64)
+            k, cut = pos.size, n
+        centers.append(src[:k])
+        reached = np.concatenate(reached)
+        burned[reached[label[reached] < cut]] = True
+        # the last hop: stamped, never labelled, sorted or deduped
+        burned[nb[frontier_label.repeat(counts) < cut]] = True
+        label[reached] = n
+        p = int(cut) + 1 if k < pos.size else int(pos[-1]) + 1
+        want = 2 * k
+    centers = np.concatenate(centers) if centers else np.empty(0, dtype=np.int64)
+    return centers.size, centers
 
 
 def verify_cover(g: Graph, centers, r: int) -> bool:
     """True when every node lies within hop distance < r of some center."""
     if r < 1:
         raise ValueError("radius must be >= 1")
-    centers = np.unique(np.asarray(centers, dtype=np.int64))
+    centers = np.asarray(centers, dtype=np.int64)
+    outside = (centers < 0) | (centers >= g.node_count)
+    if outside.any():
+        bad = centers.flat[int(outside.argmax())]
+        raise ValueError(f"center {bad} out of range for {g.node_count} nodes")
+    centers = np.unique(centers)
     if centers.size == 0:
         return g.node_count == 0
     covered = np.zeros(g.node_count, dtype=bool)
-    _burn(g, centers, covered, True, r)
+    bfs_layers(g, centers, covered, True, r - 1)
     return bool(covered.all())
 
 
@@ -259,6 +311,8 @@ def cover_curve(g: Graph, r_stop: int | None = None,
                 monotone_clamp: bool = False) -> CoverCurve:
     """Greedy N(r) for r = 1, 2, ... until a single circle suffices, the
     curve bottoms out at the component count, or r_stop is reached."""
+    if g.node_count == 0:
+        raise ValueError("graph has no nodes")
     counts: list[int] = []
     r_max = None
     ncomp = None

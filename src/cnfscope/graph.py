@@ -167,37 +167,56 @@ def build_cig(f: CnfFormula) -> Graph:
     key *= m
     key += np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
     group, clause = np.divmod(np.unique(key), m)
+    # each array is dropped once spent, so the edge arrays reach
+    # Graph.from_edges without the occurrence arrays beside them
+    del key
     # pair each positive occurrence with every negative one of its variable
     pos = group % 2 == 0
-    lo = np.searchsorted(group, group[pos] + 1, "left")
-    counts = np.searchsorted(group, group[pos] + 1, "right") - lo
+    negative = group[pos] + 1
+    lo = np.searchsorted(group, negative, "left")
+    counts = np.searchsorted(group, negative, "right")
+    counts -= lo
+    del group, negative
     u = np.repeat(clause[pos], counts)
-    first = np.cumsum(counts) - counts
-    v = clause[np.arange(u.size) + np.repeat(lo - first, counts)]
+    del pos
+    # v's index: pair j of occurrence k reads clause[j + lo_k - first_k]
+    first = np.cumsum(counts)
+    first -= counts
+    lo -= first
+    del first
+    idx = lo.repeat(counts)
+    del lo, counts
+    idx += np.arange(idx.size)
+    v = clause[idx]
+    del idx, clause
     keep = u != v
-    return Graph.from_edges(f.num_clauses, u[keep], v[keep], variable_count=0)
+    u = u[keep]
+    v = v[keep]
+    del keep
+    return Graph.from_edges(f.num_clauses, u, v, variable_count=0)
 
 
 # ---------------------------------------------------------------------------
 # BFS machinery
 
 
-def gather_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor lists of all frontier nodes (with repeats).
+def gather_neighbors(g: Graph, frontier: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated neighbor lists of all frontier nodes (with repeats), and
+    the neighbour count of each frontier node.
 
     A one-node frontier gets its CSR row itself: a view into g.indices,
     which callers must not write to."""
-    if frontier.size == 1:
-        u = frontier[0]
-        return g.indices[g.indptr[u]:g.indptr[u + 1]]
     ends = g.indptr[frontier + 1]
     counts = ends - g.indptr[frontier]
+    if frontier.size == 1:
+        return g.indices[ends[0] - counts[0]:ends[0]], counts
     # output position p of row k reads indices[p + start_k - counts[:k].sum()],
     # and start_k - counts[:k].sum() == end_k - counts[:k + 1].sum()
     ends -= counts.cumsum()
     idx = ends.repeat(counts)
     idx += np.arange(idx.size)
-    return g.indices[idx]
+    return g.indices[idx], counts
 
 
 def bfs_layers(g: Graph, sources, seen: np.ndarray, token,
@@ -218,7 +237,7 @@ def bfs_layers(g: Graph, sources, seen: np.ndarray, token,
     seen[frontier] = token
     layers = [frontier]
     while max_depth is None or len(layers) <= max_depth:
-        neigh = gather_neighbors(g, frontier)
+        neigh, _ = gather_neighbors(g, frontier)
         fresh = neigh[seen[neigh] != token]
         if fresh.size == 0:
             break

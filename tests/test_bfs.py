@@ -2,14 +2,16 @@
 seeded random graphs that include disconnected ones and isolated nodes, and
 on bipartite CVIGs of small random formulas. Greedy centers also against the
 round-based maximal independent set, there and on VIGs and CVIGs of random
-3-CNF with 10^4 variables. Also the CSR arrays the searches walk: a one-node
+3-CNF with 10^4 variables, and against the one-node-at-a-time oracle on the
+graphs that stress the window engine: complete graphs, stars, long paths,
+isolated nodes and disconnected unions. Also the CSR arrays the searches walk: a one-node
 frontier's row is used as a layer as it is, so each row must be sorted and
 distinct."""
 
 import numpy as np
 import pytest
 
-from cnfscope.fractal import greedy_cover_count, verify_cover
+from cnfscope.fractal import cover_curve, greedy_cover_count, verify_cover
 from cnfscope.cnf import random_3cnf
 from cnfscope.graph import (
     Graph,
@@ -21,6 +23,7 @@ from cnfscope.graph import (
 )
 from oracles import (
     adjacency_sets,
+    graph_from_edges,
     greedy_centers,
     hop_distances,
     lex_first_mis,
@@ -102,6 +105,92 @@ def test_greedy_balls(g, r, ordering):
     assert count == len(want)
     assert len(hop_distances(adj, want, r - 1)) == g.node_count
     assert lex_first_mis(g, r - 1, ordering == "desc_degree") == want
+
+
+def _union(parts) -> Graph:
+    """Disjoint union of (node_count, edges) parts, numbered in turn."""
+    edges, offset = [], 0
+    for n, part in parts:
+        edges += [(a + offset, b + offset) for a, b in part]
+        offset += n
+    return graph_from_edges(offset, edges)
+
+
+def _complete(n):
+    return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _star(n, hub):
+    return n, [(hub, i) for i in range(n) if i != hub]
+
+
+def _path(n):
+    return n, [(i, i + 1) for i in range(n - 1)]
+
+
+def _random_part(rng, n, p):
+    return n, [(i, j) for i in range(n) for j in range(i + 1, n)
+               if rng.random() < p]
+
+
+def _window_graphs():
+    """Graphs for the window engine of the greedy cover: complete graphs
+    and stars, where every window after the first clashes; long paths,
+    where the curve runs to large radii; isolated nodes, disconnected
+    unions and the empty graph; and seeded random unions of all of them."""
+    rng = np.random.default_rng(2026)
+    graphs = [_union([]), _union([(1, [])]), _union([(6, [])])]
+    graphs += [_union([_complete(n)]) for n in (2, 3, 8, 15)]
+    graphs += [_union([_star(n, hub)]) for n, hub in ((3, 0), (9, 0), (12, 11))]
+    graphs += [_union([_path(n)]) for n in (2, 11, 40)]
+    makers = (
+        lambda: _complete(int(rng.integers(1, 9))),
+        lambda: _star(int(rng.integers(2, 12)), 0),
+        lambda: _star(int(rng.integers(2, 12)), 1),
+        lambda: _path(int(rng.integers(1, 25))),
+        lambda: (1, []),
+        lambda: _random_part(rng, int(rng.integers(2, 20)), 0.15),
+        lambda: _random_part(rng, int(rng.integers(2, 12)), 0.5),
+    )
+    for _ in range(24):
+        parts = [makers[int(rng.integers(len(makers)))]()
+                 for _ in range(int(rng.integers(1, 5)))]
+        graphs.append(_union([parts[i] for i in rng.permutation(len(parts))]))
+    return graphs
+
+
+def _oracle_curve(g, descending):
+    """N(r) from the one-node-at-a-time oracle, under cover_curve's stop
+    rule: one circle, a repeated count equal to the component count, or a
+    radius past the node count."""
+    adj = adjacency_sets(g)
+    components = len({frozenset(hop_distances(adj, [u]))
+                      for u in range(g.node_count)})
+    counts, r = [], 1
+    while True:
+        counts.append(len(greedy_centers(g, r, descending)))
+        if counts[-1] == 1 or r > g.node_count or (
+                counts[-2:] == [components] * 2):
+            return counts
+        r += 1
+
+
+@pytest.mark.parametrize("g", _window_graphs())
+@pytest.mark.parametrize("ordering", ("desc_degree", "asc_degree"))
+def test_greedy_windows(g, ordering):
+    """The centers decided a window at a time are the ones decided a node
+    at a time, in the same order, at every radius."""
+    descending = ordering == "desc_degree"
+    for r in range(1, 10):
+        count, centers = greedy_cover_count(g, r, ordering)
+        want = greedy_centers(g, r, descending)
+        assert centers.dtype == np.int64
+        assert centers.tolist() == want
+        assert count == len(want)
+        assert lex_first_mis(g, r - 1, descending) == want
+    if g.node_count:
+        curve = cover_curve(g, ordering=ordering)
+        assert curve.counts.tolist() == _oracle_curve(g, descending)
 
 
 @pytest.fixture(scope="module")

@@ -256,6 +256,16 @@ class TestNdr:
         assert code == 0
         assert json.loads(out)["N"][:2] == [3, 1]
 
+    @pytest.mark.parametrize("text, model", (
+        [("p cnf 0 0\n", m) for m in ("vig", "cvig", "cig")]
+        + [("p cnf 3 0\n", "cig")]))
+    def test_graph_without_nodes(self, tmp_path, capsys, text, model):
+        p = tmp_path / "empty.cnf"
+        p.write_text(text)
+        code, out, err = _run(capsys, "ndr", p, "--model", model)
+        assert (code, out) == (1, "")
+        assert err == "error: graph has no nodes\n"
+
     def test_no_weighted_flag(self, cnf_file, capsys):
         # covers ignore edge weights: the flag could not change the output
         with pytest.raises(SystemExit) as exc:

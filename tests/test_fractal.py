@@ -70,6 +70,14 @@ class TestGreedyCover:
         with pytest.raises(ValueError, match="radius must be >= 1"):
             verify_cover(_path(3), [0, 1, 2], r)
 
+    @pytest.mark.parametrize("centers, bad", (
+        ([-1], -1), ([9], 9), ([0, 4, -2], 4), (np.array([[1], [5]]), 5)))
+    def test_verify_cover_center_out_of_range(self, centers, bad):
+        # -1 used to wrap to node 3 and 9 to raise a bare IndexError
+        with pytest.raises(ValueError,
+                           match=rf"^center {bad} out of range for 4 nodes$"):
+            verify_cover(_path(4), centers, 4)
+
     def test_bad_ordering(self):
         with pytest.raises(ValueError):
             greedy_cover_count(_path(3), 2, ordering="by_id")
@@ -205,6 +213,12 @@ class TestCoverCurve:
             curve = cover_curve(g, r_stop=5, monotone_clamp=True)
             assert curve.clamped
             assert (np.diff(curve.counts) <= 0).all()
+
+    @pytest.mark.parametrize("ordering", ("desc_degree", "asc_degree"))
+    def test_graph_without_nodes(self, ordering):
+        # it used to fail on its own empty curve: "cover counts must be >= 1"
+        with pytest.raises(ValueError, match="^graph has no nodes$"):
+            cover_curve(graph_from_edges(0, []), ordering=ordering)
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):

@@ -173,6 +173,20 @@ class TestBuildCig:
                 assert np.array_equal(got, ref)
         assert seen_dup and seen_taut
 
+    def test_build_peak_memory(self):
+        """Each occurrence array is dropped once spent, and the unmasked
+        edge arrays before Graph.from_edges is called: the build peaks
+        within 3 times the bytes of the graph it returns."""
+        f = random_3cnf(10000, 100000, seed=1)
+        f.literal_arrays()
+        tracemalloc.start()
+        try:
+            g = build_cig(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (g.indptr.nbytes + g.indices.nbytes)
+
     def test_tautological_no_self_loop(self):
         f = CnfFormula.from_clauses(2, [[1, -1, 2]])
         g = build_cig(f)
