@@ -78,7 +78,8 @@ def _tuples(lengths: np.ndarray, lits: np.ndarray) -> tuple[Clause, ...]:
 
 
 def _clause_ids(lengths: np.ndarray) -> np.ndarray:
-    """The clause of each literal."""
+    """The clause of each literal; for any CSR array, the row of each
+    element, given the row lengths."""
     return np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
 
 
@@ -93,7 +94,7 @@ def _literal_order(lengths: np.ndarray, lits: np.ndarray
     if lengths.size * span >= 2**62:   # keys would overflow: rank the ids
         var = np.unique(var, return_inverse=True)[1]
         span = int(var.max(initial=0)) + 1
-    key = np.repeat(np.arange(lengths.size, dtype=np.int64) * span, lengths)
+    key = _clause_ids(lengths) * span
     key += var
     key *= 2
     key += lits < 0

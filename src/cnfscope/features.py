@@ -17,7 +17,7 @@ import numpy as np
 from .cnf import CnfFormula, _literal_order
 from .community import fold_communities
 from .fractal import CoverCurve, DimensionFit, cover_curve, fit_dimension
-from .graph import Graph, build_cvig, build_vig
+from .graph import Graph, build_cvig, build_vig, row_ranges
 from .scalefree import fit_alpha, occurrence_histogram
 
 FEATURE_NAMES = ("alpha", "q", "d", "d_b", "ratio")
@@ -122,10 +122,8 @@ def _canonical_clause_order(f: CnfFormula) -> CnfFormula:
     tuple; equal keys keep their order."""
     lengths, lits = f.literal_arrays()
     order = _clause_order(lengths, lits[_literal_order(lengths, lits)[0]])
-    starts = np.cumsum(lengths) - lengths
     new_lengths = lengths[order]
-    shift = starts[order] - (np.cumsum(new_lengths) - new_lengths)
-    pos = np.repeat(shift, new_lengths) + np.arange(int(new_lengths.sum()))
+    pos = row_ranges(np.cumsum(lengths)[order], new_lengths)
     return CnfFormula.from_arrays(f.num_vars, new_lengths, lits[pos])
 
 

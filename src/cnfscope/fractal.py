@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, bfs_layers, connected_components, gather_neighbors
+from .graph import (Graph, bfs_layers, connected_components, gather_neighbors,
+                    run_starts)
 
 ORDERINGS = ("desc_degree", "asc_degree")
 
@@ -85,16 +86,13 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree"
             lab = frontier_label.repeat(counts)
             better = label[nb] > lab
             nb, lab = nb[better], lab[better]
-            if counts.size > 1:
-                # several frontier nodes may reach one node: keep its least
-                key = nb * (n + 1)
-                key += lab
-                key.sort()
-                nb, lab = np.divmod(key, n + 1)
-                first = np.empty(nb.size, dtype=bool)
-                first[:1] = True
-                np.not_equal(nb[1:], nb[:-1], out=first[1:])
-                nb, lab = nb[first], lab[first]
+            # several frontier nodes may reach one node: keep its least
+            key = nb * (n + 1)
+            key += lab
+            key.sort()
+            nb, lab = np.divmod(key, n + 1)
+            first = run_starts(nb)
+            nb, lab = nb[first], lab[first]
             label[nb] = lab
             reached.append(nb)
             frontier_label = lab

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnf import CnfFormula
+from .cnf import CnfFormula, _clause_ids
 
 
 class Graph:
@@ -61,9 +61,7 @@ class Graph:
             # secondary sort on w keeps float summation order canonical
             order = np.lexsort((w, key))
             key, w = key[order], w[order]
-        boundary = np.empty(key.size, dtype=bool)
-        boundary[:1] = True
-        np.not_equal(key[1:], key[:-1], out=boundary[1:])
+        boundary = run_starts(key)
         if w is not None:
             w = np.add.reduceat(w, np.flatnonzero(boundary))
         key = key[boundary]
@@ -107,7 +105,7 @@ class Graph:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each undirected edge once, as (u, v, w) arrays with u < v."""
-        src = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
+        src = _clause_ids(self.degrees)
         mask = src < self.indices
         return src[mask], self.indices[mask], self.weights[mask]
 
@@ -119,27 +117,23 @@ class Graph:
 def build_vig(f: CnfFormula, weighted: bool = False) -> Graph:
     """Variable incidence graph: one node per variable, edges between
     variables sharing a clause. Weighted mode spreads weight 1 over the
-    C(k,2) pairs of each clause with k distinct variables."""
+    C(k,2) pairs of each clause with k distinct variables.
+
+    Each variable is paired with the later variables of its clause, all
+    clauses at once, so a clause costs linear work in its pairs."""
     indptr, vars_ = f.clause_vars
     sizes = np.diff(indptr)
-    us, vs, ws = [], [], []
-    # each clause size k >= 2 present (np.unique is ~10x slower here)
-    for k in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
-        # one row per clause of k variables, ascending, so row[i] < row[j]
-        rows = vars_[indptr[:-1][sizes == k][:, None] + np.arange(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                us.append(rows[:, i])
-                vs.append(rows[:, j])
-        if weighted:
-            pairs = k * (k - 1) // 2
-            ws.append(np.full(rows.shape[0] * pairs, 1.0 / pairs))
-    if us:
-        u = np.concatenate(us)
-        v = np.concatenate(vs)
-    else:
-        u = v = np.empty(0, dtype=np.int64)
-    w = np.concatenate(ws) if ws else None
+    # the end of each variable's clause row, and the variables after it there
+    ends = indptr[1:].repeat(sizes)
+    later = ends - np.arange(1, vars_.size + 1)
+    u = vars_.repeat(later)
+    v = vars_[row_ranges(ends, later)]
+    del ends, later
+    w = None
+    if weighted:
+        pairs = sizes * (sizes - 1) // 2
+        pairs = pairs[pairs > 0]
+        w = np.repeat(1.0 / pairs, pairs)
     return Graph.from_edges(f.num_vars, u, v, w)
 
 
@@ -150,7 +144,7 @@ def build_cvig(f: CnfFormula, weighted: bool = False) -> Graph:
     n, m = f.num_vars, f.num_clauses
     indptr, vars_ = f.clause_vars
     sizes = np.diff(indptr)
-    clause_nodes = n + np.repeat(np.arange(m, dtype=np.int64), sizes)
+    clause_nodes = n + _clause_ids(sizes)
     w = 1.0 / np.repeat(sizes, sizes) if weighted else None
     return Graph.from_edges(n + m, vars_, clause_nodes, w, variable_count=n)
 
@@ -165,7 +159,7 @@ def build_cig(f: CnfFormula) -> Graph:
     # those where it occurs negatively
     key = np.abs(lits) * 2 - (lits > 0) - 1
     key *= m
-    key += np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+    key += _clause_ids(lengths)
     group, clause = np.divmod(np.unique(key), m)
     # each array is dropped once spent, so the edge arrays reach
     # Graph.from_edges without the occurrence arrays beside them
@@ -179,14 +173,10 @@ def build_cig(f: CnfFormula) -> Graph:
     del group, negative
     u = np.repeat(clause[pos], counts)
     del pos
-    # v's index: pair j of occurrence k reads clause[j + lo_k - first_k]
-    first = np.cumsum(counts)
-    first -= counts
-    lo -= first
-    del first
-    idx = lo.repeat(counts)
+    # occurrence k pairs with clause[lo_k:lo_k + counts_k]
+    lo += counts
+    idx = row_ranges(lo, counts)
     del lo, counts
-    idx += np.arange(idx.size)
     v = clause[idx]
     del idx, clause
     keep = u != v
@@ -200,23 +190,34 @@ def build_cig(f: CnfFormula) -> Graph:
 # BFS machinery
 
 
+def row_ranges(ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The index ranges ends[k] - counts[k] .. ends[k] - 1, concatenated: the
+    positions of the rows of a CSR array that end at ends and hold counts."""
+    # output position p of range k reads p + ends[k] - counts[:k + 1].sum()
+    shift = counts.cumsum()
+    np.subtract(ends, shift, out=shift)
+    idx = shift.repeat(counts)
+    idx += np.arange(idx.size)
+    return idx
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal keys (sorted keys:
+    of each distinct key)."""
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
 def gather_neighbors(g: Graph, frontier: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated neighbor lists of all frontier nodes (with repeats), and
-    the neighbour count of each frontier node.
-
-    A one-node frontier gets its CSR row itself: a view into g.indices,
-    which callers must not write to."""
+    the neighbour count of each frontier node. The lists are a new array,
+    never a view of g.indices."""
     ends = g.indptr[frontier + 1]
     counts = ends - g.indptr[frontier]
-    if frontier.size == 1:
-        return g.indices[ends[0] - counts[0]:ends[0]], counts
-    # output position p of row k reads indices[p + start_k - counts[:k].sum()],
-    # and start_k - counts[:k].sum() == end_k - counts[:k + 1].sum()
-    ends -= counts.cumsum()
-    idx = ends.repeat(counts)
-    idx += np.arange(idx.size)
-    return g.indices[idx], counts
+    return g.indices[row_ranges(ends, counts)], counts
 
 
 def bfs_layers(g: Graph, sources, seen: np.ndarray, token,
@@ -229,9 +230,8 @@ def bfs_layers(g: Graph, sources, seen: np.ndarray, token,
     k holds the nodes first reached after k hops, sorted and distinct, up to
     max_depth hops (no cap on None).
 
-    A new layer is deduped by an in-place sort and an adjacent-difference
-    mask (np.unique is several times slower on large layers), except after a
-    one-node frontier, whose CSR row is already sorted and distinct.
+    A new layer is deduped by an in-place sort and a run mask (np.unique is
+    several times slower on large layers).
     """
     frontier = np.asarray(sources, dtype=np.int64)
     seen[frontier] = token
@@ -241,13 +241,8 @@ def bfs_layers(g: Graph, sources, seen: np.ndarray, token,
         fresh = neigh[seen[neigh] != token]
         if fresh.size == 0:
             break
-        if frontier.size > 1:
-            fresh.sort()
-            keep = np.empty(fresh.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(fresh[1:], fresh[:-1], out=keep[1:])
-            fresh = fresh[keep]
-        frontier = fresh
+        fresh.sort()
+        frontier = fresh[run_starts(fresh)]
         seen[frontier] = token
         layers.append(frontier)
     return layers

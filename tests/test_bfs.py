@@ -4,9 +4,9 @@ on bipartite CVIGs of small random formulas. Greedy centers also against the
 round-based maximal independent set, there and on VIGs and CVIGs of random
 3-CNF with 10^4 variables, and against the one-node-at-a-time oracle on the
 graphs that stress the window engine: complete graphs, stars, long paths,
-isolated nodes and disconnected unions. Also the CSR arrays the searches walk: a one-node
-frontier's row is used as a layer as it is, so each row must be sorted and
-distinct."""
+isolated nodes and disconnected unions. Also the CSR arrays the searches
+walk: each row must be sorted and distinct, a Graph invariant that makes
+degree-tie iteration canonical."""
 
 import numpy as np
 import pytest

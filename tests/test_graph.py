@@ -12,6 +12,9 @@ from cnfscope.graph import (
     build_vig,
     connected_components,
     eccentricities,
+    gather_neighbors,
+    row_ranges,
+    run_starts,
 )
 from oracles import graph_from_edges, random_formula, reference_csr
 
@@ -65,6 +68,89 @@ class TestBuildVig:
         for u in range(g.node_count):
             nb = g.neighbors(u)
             assert (np.diff(nb) > 0).all()
+
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_long_clause_peak_memory(self, weighted):
+        """The pairs of a clause are built as whole arrays, not one array
+        per pair position: one clause of 1000 variables peaks within 4 times
+        the bytes of the graph it returns."""
+        f = CnfFormula.from_clauses(1000, [list(range(1, 1001))])
+        f.clause_vars
+        tracemalloc.start()
+        try:
+            g = build_vig(f, weighted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == 1000 * 999 // 2
+        graph_bytes = g.indptr.nbytes + g.indices.nbytes
+        if weighted:
+            graph_bytes += g.weights.nbytes
+        assert peak <= 4 * graph_bytes
+
+
+def _raw_formulas():
+    """Seeded formulas built directly, so that duplicate literals and
+    tautologies stay, with clause lengths 0..40; the last has no pair of
+    distinct variables in any clause."""
+    rng = np.random.default_rng(31)
+    out = []
+    for _ in range(40):
+        n = int(rng.integers(1, 60))
+        sizes = rng.integers(0, 41, size=int(rng.integers(0, 10)))
+        out.append(CnfFormula(n, tuple(
+            tuple((rng.integers(1, n + 1, size=k)
+                   * rng.choice((-1, 1), size=k)).tolist()) for k in sizes)))
+    out.append(CnfFormula(3, ((1,), (), (-2, -2), (3, 3, -3))))
+    return out
+
+
+class TestBuilderOracles:
+    """VIG and CVIG arrays against the edge-by-edge reference CSR. The
+    reference adds parallel weights left to right, np.add.reduceat as
+    w0 + (w1 + w2 + ...), so weight sums of three or more non-dyadic
+    weights agree to rounding; everything else agrees exactly."""
+
+    @staticmethod
+    def _check(g, want):
+        for got, ref in zip((g.indptr, g.indices, g.weights), want):
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert np.array_equal(g.indptr, want[0])
+        assert np.array_equal(g.indices, want[1])
+        np.testing.assert_allclose(g.weights, want[2], rtol=1e-14, atol=0)
+
+    def test_formulas_have_defects(self):
+        formulas = _raw_formulas()
+        assert any(len(set(c)) < len(c) for f in formulas for c in f.clauses)
+        assert any(f.tautological for f in formulas)
+        assert max(len(c) for f in formulas for c in f.clauses) >= 35
+
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_vig(self, weighted):
+        for f in _raw_formulas():
+            u, v, w = [], [], []
+            for c in f.clauses:
+                vs = sorted({abs(lit) - 1 for lit in c})
+                pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]]
+                u += [a for a, _ in pairs]
+                v += [b for _, b in pairs]
+                w += [1.0 / len(pairs) for _ in pairs]
+            want = reference_csr(f.num_vars, u, v, w,
+                                 "sum" if weighted else "unit")
+            self._check(build_vig(f, weighted), want)
+
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_cvig(self, weighted):
+        for f in _raw_formulas():
+            u, v, w = [], [], []
+            for ci, c in enumerate(f.clauses):
+                vs = sorted({abs(lit) - 1 for lit in c})
+                u += vs
+                v += [f.num_vars + ci] * len(vs)
+                w += [1.0 / len(vs) for _ in vs]
+            want = reference_csr(f.num_vars + f.num_clauses, u, v, w,
+                                 "sum" if weighted else "unit")
+            self._check(build_cvig(f, weighted), want)
 
 
 class TestBuildCvig:
@@ -198,6 +284,43 @@ class TestBuildCig:
         assert build_vig(f).edge_arrays()[0].tolist() == [0, 1]
         assert build_vig(f).edge_arrays()[1].tolist() == [1, 2]
         assert build_cvig(f).degrees.tolist() == [1, 2, 1, 2, 2]
+
+
+class TestRowHelpers:
+    def test_row_ranges(self):
+        ends = np.array([3, 3, 9, 5], dtype=np.int64)
+        counts = np.array([2, 0, 3, 1], dtype=np.int64)
+        assert row_ranges(ends, counts).tolist() == [1, 2, 6, 7, 8, 4]
+        assert ends.tolist() == [3, 3, 9, 5]
+
+    def test_row_ranges_zero_and_empty(self):
+        zero = np.zeros(3, dtype=np.int64)
+        for ends, counts in ((np.array([4, 7, 7]), zero),
+                             (np.empty(0, np.int64), np.empty(0, np.int64))):
+            got = row_ranges(ends, counts)
+            assert (got.dtype, got.shape) == (np.int64, (0,))
+
+    def test_run_starts(self):
+        keys = np.array([1, 1, 2, 5, 5, 5, 7])
+        assert run_starts(keys).tolist() == [True, False, True, True,
+                                             False, False, True]
+        assert run_starts(np.array([4])).tolist() == [True]
+        got = run_starts(np.empty(0, dtype=np.int64))
+        assert (got.dtype, got.shape) == (np.bool_, (0,))
+
+    @pytest.mark.parametrize("frontier", ([], [0], [2], [1], [0, 2, 1], [3]))
+    def test_gather_never_a_view(self, frontier):
+        """The gathered lists are a new array for every frontier size, one
+        node included, so writing to them leaves the graph as it was."""
+        g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
+        before = g.indices.copy()
+        nb, counts = gather_neighbors(g, np.array(frontier, dtype=np.int64))
+        assert not np.shares_memory(nb, g.indices)
+        assert counts.tolist() == [g.degrees[x] for x in frontier]
+        assert nb.tolist() == [y for x in frontier
+                               for y in g.neighbors(x).tolist()]
+        nb[:] = -1
+        assert np.array_equal(g.indices, before)
 
 
 class TestBfs:
