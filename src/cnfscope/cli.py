@@ -20,13 +20,28 @@ DEFAULT_SEED = 42
 MODELS = ("vig", "cvig", "cig")
 
 
+def _seed(text: str) -> int:
+    """A seed: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _resolve_seed(arg_seed) -> int:
     if arg_seed is not None:
-        return int(arg_seed)
+        return arg_seed
     env = os.environ.get("CNFSCOPE_SEED")
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
+    if env is None:
+        return DEFAULT_SEED
+    try:
+        return _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"CNFSCOPE_SEED: {exc}") from None
 
 
 def _check_readable(paths):
@@ -305,7 +320,7 @@ def _checkpoints(text: str) -> tuple[int, ...]:
 
 
 def _add_common(p, fit=True):
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="random seed (default: $CNFSCOPE_SEED or 42)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", "-o", default=None, help="output path (default stdout)")

@@ -8,10 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .cnf import _clause_ids
+from .graph import Graph, run_starts
 
 # A level that raises Q by no more than MIN_GAIN ends a restart.
 MIN_GAIN = 1e-6
+# The move check of a drained queue (_flagged) takes the nodes in ranges of
+# at most CHECK_EDGES directed edges, so its temporaries stay small.
+CHECK_EDGES = 2 ** 15
 # Graphs of up to SMALL_GRAPH nodes are folded SMALL_GRAPH_RESTARTS times,
 # larger ones once.
 SMALL_GRAPH, SMALL_GRAPH_RESTARTS = 2000, 10
@@ -84,8 +88,10 @@ class ModularityResult:
     """Outcome of fold_communities. q is recomputed from scratch on the flat
     partition; q_incremental is the sum of the accepted move gains. levels
     counts aggregations. passes counts local-moving rounds, summed over
-    levels: a full round visits every node, the others only the nodes queued
-    by a move in the round before."""
+    levels: each level's first round visits every node, a queue round the
+    nodes queued by a move in the round before, and a flagged round the
+    nodes the check of a drained queue found a better community for. No
+    round only confirms that nothing moves."""
 
     q: float
     partition: Partition
@@ -121,6 +127,54 @@ class _LevelGraph:
                            selfw)
 
 
+def _flagged(lg: _LevelGraph, comm, sigma) -> np.ndarray:
+    """Mask of the nodes with a single move that raises modularity, given
+    the community of each node and the strength of each community.
+
+    The arithmetic is _local_moving's: each node's weights into a community
+    are summed in CSR neighbour order (np.bincount adds in input order, as
+    the dict does; np.add.reduceat does not sum left to right), and the stay
+    and move gains use the same expressions, so a node is flagged exactly
+    when its visit would move it. The nodes go in ranges of at most
+    CHECK_EDGES directed edges.
+    """
+    g = lg.g
+    n = g.node_count
+    comm = np.asarray(comm, dtype=np.int64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    strength = lg.strength
+    total_w = lg.total
+    two_w2 = 2.0 * total_w * total_w
+    indptr = g.indptr
+    flags = np.zeros(n, dtype=bool)
+    u0 = 0
+    while u0 < n:
+        u1 = max(u0 + 1, int(indptr.searchsorted(indptr[u0] + CHECK_EDGES,
+                                                 "right")) - 1)
+        lo, hi = indptr[u0], indptr[u1]
+        # one group per (node, neighbour community), numbered in key order
+        key = _clause_ids(np.diff(indptr[u0:u1 + 1])) * n
+        key += comm[g.indices[lo:hi]]
+        perm = key.argsort()
+        first = run_starts(key[perm])
+        group = np.empty(key.size, dtype=np.int64)
+        group[perm] = first.cumsum() - 1
+        w = np.bincount(group, weights=g.weights[lo:hi])
+        row, c = np.divmod(key[perm[first]], n)
+        u = row + u0
+        inside = c == comm[u]
+        stay = np.zeros(u1 - u0)
+        stay[row[inside]] = w[inside]
+        s = strength[u0:u1]
+        stay = stay / total_w - (sigma[comm[u0:u1]] - s) * s / two_w2
+        out = ~inside
+        row, u = row[out], u[out]
+        gain = w[out] / total_w - sigma[c[out]] * strength[u] / two_w2
+        flags[u[gain > stay[row]]] = True
+        u0 = u1
+    return flags
+
+
 def _local_moving(lg: _LevelGraph,
                   rng: np.random.Generator) -> tuple[np.ndarray, float, int]:
     """Move nodes greedily between communities until no single move raises
@@ -131,9 +185,14 @@ def _local_moving(lg: _LevelGraph,
     nodes queued in the round before, the neighbours of a moved node that
     lie outside its new community. A move also shifts two community
     strengths, which can open a move for a node that is not queued, so when
-    a round queues nothing the next round visits every node again, in a
-    fresh order. The loop ends when such a full round moves nothing. Every
-    move strictly raises Q, so no single move of one node raises Q then.
+    the queue drains, _flagged checks every node at once with the loop's own
+    arithmetic. The level ends when it flags nothing; otherwise the flagged
+    nodes are visited in the order of a fresh permutation, as queued nodes.
+    A flagged round that moves nothing also ends the level. The first
+    flagged node sees the state the check saw, so with equal arithmetic it
+    moves; the rule bounds the loop should the two ever disagree (a visit
+    that stays still runs sigma[a] -= s_u; sigma[a] += s_u, which can change
+    the last bit of a strength). Every move strictly raises Q.
 
     Plain-list state: the loop is node-at-a-time by nature and python list
     indexing beats numpy scalar access by a wide margin here.
@@ -149,7 +208,7 @@ def _local_moving(lg: _LevelGraph,
     weights = lg.g.weights.tolist()
     total_gain = 0.0
     rounds = 0
-    todo, full = rng.permutation(n).tolist(), True
+    todo, checked = rng.permutation(n).tolist(), False
     queued = [True] * n
     while True:
         rounds += 1
@@ -185,12 +244,17 @@ def _local_moving(lg: _LevelGraph,
             else:
                 sigma[a] += s_u
         if nxt:
-            todo, full = nxt, False
-        elif full and not moved:
+            todo, checked = nxt, False
+            continue
+        if checked and not moved:
             break
-        else:
-            todo, full = rng.permutation(n).tolist(), True
-            queued = [True] * n
+        flags = _flagged(lg, comm, sigma)
+        if not flags.any():
+            break
+        order = rng.permutation(n)
+        todo, checked = order[flags[order]].tolist(), True
+        for u in todo:
+            queued[u] = True
     return np.asarray(comm, dtype=np.int64), total_gain, rounds
 
 

@@ -30,13 +30,16 @@ def _node_order(g: Graph, ordering: str) -> np.ndarray:
     raise ValueError(f"unknown ordering {ordering!r} (expected one of {ORDERINGS})")
 
 
-def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree"
+def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree", *,
+                       order: np.ndarray | None = None
                        ) -> tuple[int, np.ndarray]:
     """Greedy burning estimate of N(r); returns (count, selected centers).
 
     Nodes are visited by the chosen degree ordering (ascending node id breaks
     ties); an unburned node is selected as a center and its radius-r circle
-    burned. The selected circles always cover the whole graph.
+    burned. The selected circles always cover the whole graph. order, when
+    given, is that visit order, _node_order(g, ordering), so a caller that
+    covers one graph at several radii sorts it once.
 
     The centers are decided a window at a time, with the same result as one
     node at a time. A window is the next unburned nodes of the order, each
@@ -53,7 +56,8 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree"
     """
     if r < 1:
         raise ValueError("radius must be >= 1")
-    order = _node_order(g, ordering)
+    if order is None:
+        order = _node_order(g, ordering)
     n = g.node_count
     if r == 1:
         return n, order.copy()
@@ -311,12 +315,13 @@ def cover_curve(g: Graph, r_stop: int | None = None,
     curve bottoms out at the component count, or r_stop is reached."""
     if g.node_count == 0:
         raise ValueError("graph has no nodes")
+    order = _node_order(g, ordering)
     counts: list[int] = []
     r_max = None
     ncomp = None
     r = 1
     while True:
-        count, _ = greedy_cover_count(g, r, ordering)
+        count, _ = greedy_cover_count(g, r, ordering, order=order)
         counts.append(count)
         if count == 1:
             r_max = r

@@ -33,7 +33,10 @@ class Graph:
 
         Coinciding edges collapse into one, whose weight is the sum of theirs;
         without weights (w None) every retained edge weighs 1. Self-loops and
-        node ids outside 0..node_count-1 are rejected.
+        node ids outside 0..node_count-1 are rejected. The parallel weights
+        of an edge are sorted ascending and summed by np.add.reduceat, which
+        does not add left to right: with three or more of them the sum can
+        differ from a left-to-right one in the last bit.
 
         Edges travel as int64 keys lo * node_count + hi. Without weights
         equal keys are identical edges, so the keys themselves are sorted

@@ -35,7 +35,12 @@ def adjacency_sets(g: Graph) -> list[set[int]]:
 def reference_csr(n, u, v, w, weight_mode):
     """CSR arrays built edge by edge: parallel edges in either direction
     collapse into one whose weight is the sum of theirs in ascending order
-    (or 1 in 'unit' mode); each row lists its neighbours in ascending order."""
+    (or 1 in 'unit' mode); each row lists its neighbours in ascending order.
+
+    The sum adds left to right. Graph.from_edges sums the same ascending
+    weights with np.add.reduceat, which groups them differently, so with
+    three or more parallel weights the two agree only to rounding; compare
+    weights with a relative tolerance (TestBuilderOracles uses 1e-14)."""
     merged: dict[tuple[int, int], list[float]] = {}
     for a, b, x in zip(u, v, w):
         merged.setdefault((min(a, b), max(a, b)), []).append(x)

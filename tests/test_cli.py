@@ -307,6 +307,59 @@ class TestFitWindow:
         assert "\nd," in out
 
 
+class TestSeed:
+    """A seed is a non-negative integer: a bad --seed is a usage error and
+    a bad CNFSCOPE_SEED one error naming the variable, never a failure of
+    every file."""
+
+    @staticmethod
+    def _argv(command, cnf_file, tmp_path):
+        if command == "gen":
+            return ("gen", tmp_path / "out", "--n", 10, "--m", 20)
+        if command == "evolution":
+            trace = tmp_path / "t.trace"
+            trace.write_text("t 10\n")
+            return ("evolution", cnf_file, "--trace", trace)
+        return ("features", cnf_file)
+
+    @pytest.mark.parametrize("value", ("-1", "abc", "1.5"))
+    @pytest.mark.parametrize("command", ("features", "evolution", "gen"))
+    def test_flag_usage_error(self, cnf_file, tmp_path, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            _run(capsys, *self._argv(command, cnf_file, tmp_path),
+                 f"--seed={value}")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ("-3", "abc", ""))
+    @pytest.mark.parametrize("command", ("features", "evolution", "gen"))
+    def test_bad_env_seed(self, cnf_file, tmp_path, capsys, monkeypatch,
+                          command, value):
+        monkeypatch.setenv("CNFSCOPE_SEED", value)
+        code, out, err = _run(capsys, *self._argv(command, cnf_file, tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: CNFSCOPE_SEED: expected a non-negative "
+                       f"integer, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_wins_over_bad_env_seed(self, cnf_file, capsys, monkeypatch):
+        monkeypatch.setenv("CNFSCOPE_SEED", "abc")
+        code, out, err = _run(capsys, "features", cnf_file, "--seed", 0)
+        assert code == 0
+        assert err == ""
+        assert out.count("\n") == 2
+
+    def test_env_seed_zero(self, cnf_file, capsys, monkeypatch):
+        _, by_flag, _ = _run(capsys, "features", cnf_file, "--seed", 0)
+        monkeypatch.setenv("CNFSCOPE_SEED", "0")
+        code, by_env, _ = _run(capsys, "features", cnf_file)
+        assert code == 0
+        assert by_env == by_flag
+
+
 class TestEvolution:
     def test_empty_trace_identity(self, tmp_path, capsys):
         f = random_3cnf(40, 160, seed=2)

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cnfscope import community
 from cnfscope.cnf import random_3cnf
 from cnfscope.community import (
     Partition,
+    _flagged,
     _LevelGraph,
     _local_moving,
     fold_communities,
@@ -195,6 +199,149 @@ class TestLocalMoving:
         upper, _, _ = _local_moving(lg.aggregate(compact, uniq.size), rng)
         blocks = [np.flatnonzero(compact == b) for b in range(uniq.size)]
         assert best_move_gain(g, upper[compact], blocks) <= 1e-12
+
+
+def _loop_moves(lg, comm, sigma):
+    """The nodes that one visit of _local_moving would move from the state
+    (comm, sigma), in the loop's own arithmetic: weights summed left to right
+    in CSR neighbour order into a dict, then the stay and move gains."""
+    g = lg.g
+    total_w = lg.total
+    two_w2 = 2.0 * total_w * total_w
+    moves = np.zeros(g.node_count, dtype=bool)
+    for u in range(g.node_count):
+        a, s_u = comm[u], float(lg.strength[u])
+        lo, hi = g.indptr[u], g.indptr[u + 1]
+        links = {}
+        for v, w in zip(g.indices[lo:hi].tolist(), g.weights[lo:hi].tolist()):
+            links[comm[v]] = links.get(comm[v], 0.0) + w
+        stay = links.get(a, 0.0) / total_w - (sigma[a] - s_u) * s_u / two_w2
+        moves[u] = any(w_c / total_w - sigma[c] * s_u / two_w2 > stay
+                       for c, w_c in links.items() if c != a)
+    return moves
+
+
+def _check_state(lg, rng):
+    """A random partition of the level graph into a few communities, with
+    the community strengths summed from it."""
+    n = lg.g.node_count
+    comm = rng.integers(0, max(1, n // 4), n).tolist()
+    sigma = np.bincount(comm, weights=lg.strength, minlength=n).tolist()
+    return comm, sigma
+
+
+class TestFlagged:
+    """The check of a drained queue flags exactly the nodes a visit moves."""
+
+    @pytest.fixture(params=[community.CHECK_EDGES, 16], ids=["one", "chunks"])
+    def check_edges(self, request, monkeypatch):
+        monkeypatch.setattr(community, "CHECK_EDGES", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graph_random_partition(self, seed, check_edges):
+        rng = np.random.default_rng(seed)
+        g = _random_weighted_graph(rng, seed % 3 == 0)
+        lg = _LevelGraph(g, np.zeros(g.node_count))
+        comm, sigma = _check_state(lg, rng)
+        np.testing.assert_array_equal(_flagged(lg, comm, sigma),
+                                      _loop_moves(lg, comm, sigma))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_aggregated_level_graph(self, seed, check_edges):
+        # level graphs carry self-loop weight in strength but not in links
+        rng = np.random.default_rng(50 + seed)
+        g = _random_weighted_graph(rng, False)
+        labels = rng.integers(0, max(2, g.node_count // 3), g.node_count)
+        uniq, compact = np.unique(labels, return_inverse=True)
+        lg = _LevelGraph(g, np.zeros(g.node_count)).aggregate(compact, uniq.size)
+        assert lg.selfw.any()
+        comm, sigma = _check_state(lg, rng)
+        np.testing.assert_array_equal(_flagged(lg, comm, sigma),
+                                      _loop_moves(lg, comm, sigma))
+
+    def test_state_of_a_running_loop(self, check_edges):
+        # sigma as the loop leaves it after moves, on a formula's VIG
+        g = build_vig(random_3cnf(200, 850, seed=3), weighted=True)
+        lg = _LevelGraph(g, np.zeros(g.node_count))
+        labels, _, _ = _local_moving(lg, np.random.default_rng(0))
+        comm = labels.tolist()
+        rng = np.random.default_rng(1)
+        for u in rng.choice(g.node_count, 40, replace=False).tolist():
+            comm[u] = int(rng.integers(0, g.node_count))
+        sigma = np.bincount(comm, weights=lg.strength,
+                            minlength=g.node_count).tolist()
+        np.testing.assert_array_equal(_flagged(lg, comm, sigma),
+                                      _loop_moves(lg, comm, sigma))
+
+    def test_sums_left_to_right(self, check_edges):
+        # node 0 has weights 0.1, 0.2, 0.3 into its own community and 0.2,
+        # 0.1, 0.3 into community 1: left to right both sum to
+        # 0.6000000000000001 and the strengths tie, so the loop stays put.
+        # Summed as 0.1 + (0.2 + 0.3) = 0.6, staying would look worse.
+        g = Graph.from_edges(7, [0] * 6, [1, 2, 3, 4, 5, 6],
+                             [0.1, 0.2, 0.3, 0.2, 0.1, 0.3])
+        lg = _LevelGraph(g, np.zeros(7))
+        comm = [0, 0, 0, 0, 1, 1, 1]
+        sigma = np.bincount(comm, weights=lg.strength).tolist()
+        assert sigma[0] - lg.strength[0] == sigma[1]
+        expected = _loop_moves(lg, comm, sigma)
+        assert not expected[0]
+        np.testing.assert_array_equal(_flagged(lg, comm, sigma), expected)
+
+    def test_isolated_nodes(self, check_edges):
+        g = Graph.from_edges(6, [1, 1, 4], [2, 3, 2], [0.5, 1.5, 2.0])
+        lg = _LevelGraph(g, np.zeros(6))
+        comm = list(range(6))
+        sigma = lg.strength.tolist()
+        np.testing.assert_array_equal(_flagged(lg, comm, sigma),
+                                      _loop_moves(lg, comm, sigma))
+
+    def test_memory_bounded_by_chunk(self):
+        # a dense graph of 2**18 directed edges: the check's temporaries
+        # must scale with CHECK_EDGES, not with the edge count
+        rng = np.random.default_rng(5)
+        n = 2000
+        u = rng.integers(0, n, 2 ** 17)
+        v = (u + rng.integers(1, n, u.size)) % n
+        g = Graph.from_edges(n, u, v, rng.uniform(0.1, 2.0, u.size))
+        lg = _LevelGraph(g, np.zeros(n))
+        comm = rng.integers(0, 50, n).tolist()
+        sigma = np.bincount(comm, weights=lg.strength, minlength=n).tolist()
+        assert g.indices.size > 6 * community.CHECK_EDGES
+        tracemalloc.start()
+        try:
+            _flagged(lg, comm, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * community.CHECK_EDGES + 64 * n
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flagged_round_without_move_ends_level(self, seed, monkeypatch):
+        # a check that flags a node with no better community, once the real
+        # check flags nothing: the flagged round moves nothing and the level
+        # ends after it, with the same labels and gain
+        g = _random_weighted_graph(np.random.default_rng(seed), False)
+        lg = _LevelGraph(g, np.zeros(g.node_count))
+        labels, gain, rounds = _local_moving(lg, np.random.default_rng(seed))
+        real, faked = community._flagged, []
+
+        def flag_a_settled_node(lg, comm, sigma):
+            flags = real(lg, comm, sigma)
+            if not flags.any():
+                faked.append(True)
+                flags[0] = True
+            return flags
+
+        monkeypatch.setattr(community, "_flagged", flag_a_settled_node)
+        labels2, gain2, rounds2 = _local_moving(lg, np.random.default_rng(seed))
+        assert faked == [True]
+        assert rounds2 == rounds + 1
+        assert gain2 == gain
+        np.testing.assert_array_equal(labels2, labels)
 
 
 class TestModularStructure:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cnfscope import fractal
 from cnfscope.cnf import CnfFormula
 from cnfscope.fractal import (
     CoverCurve,
@@ -219,6 +220,25 @@ class TestCoverCurve:
         # it used to fail on its own empty curve: "cover counts must be >= 1"
         with pytest.raises(ValueError, match="^graph has no nodes$"):
             cover_curve(graph_from_edges(0, []), ordering=ordering)
+
+    @pytest.mark.parametrize("ordering", ("desc_degree", "asc_degree"))
+    def test_one_order_per_curve(self, ordering, monkeypatch):
+        # the degree order is sorted once per curve and handed to every
+        # radius; counts and centers equal per-radius calls that sort it
+        g = build_cvig(random_formula(np.random.default_rng(3), 40, 120, 3))
+        sorts = []
+        node_order = fractal._node_order
+        monkeypatch.setattr(fractal, "_node_order",
+                            lambda *a: sorts.append(a) or node_order(*a))
+        curve = cover_curve(g, ordering=ordering)
+        assert len(sorts) == 1
+        assert len(curve) > 2
+        order = node_order(g, ordering)
+        for r, count in enumerate(curve.counts.tolist(), start=1):
+            sorted_here = greedy_cover_count(g, r, ordering)
+            given = greedy_cover_count(g, r, ordering, order=order)
+            assert given[0] == sorted_here[0] == count
+            np.testing.assert_array_equal(given[1], sorted_here[1])
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
