@@ -20,16 +20,24 @@ DEFAULT_SEED = 42
 MODELS = ("vig", "cvig", "cig")
 
 
-def _seed(text: str) -> int:
-    """A seed: a non-negative integer."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return seed
+def _int_from(low: int, kind: str):
+    """An argparse type: an integer of at least low, else a usage error
+    that says it expected a `kind` integer."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+# a seed is a non-negative integer, a file count a positive one
+_seed = _int_from(0, "non-negative")
+_count = _int_from(1, "positive")
 
 
 def _resolve_seed(arg_seed) -> int:
@@ -248,8 +256,11 @@ def cmd_evolution(args) -> int:
 
 def cmd_gen(args) -> int:
     seed = _resolve_seed(args.seed)
+    # random_3cnf's own checks, made before OUT is created
     if args.n < 3:
         raise ValueError("random 3-CNF needs n >= 3")
+    if args.m < 1:
+        raise ValueError("m must be positive")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
@@ -368,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("outdir")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1)
     _add_common(p, fit=False)
     p.set_defaults(func=cmd_gen)
 

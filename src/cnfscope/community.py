@@ -13,8 +13,9 @@ from .graph import Graph, run_starts
 
 # A level that raises Q by no more than MIN_GAIN ends a restart.
 MIN_GAIN = 1e-6
-# The move check of a drained queue (_flagged) takes the nodes in ranges of
-# at most CHECK_EDGES directed edges, so its temporaries stay small.
+# The move check of a drained queue (_flagged) and the row build of a level
+# graph (_rows) take the nodes in ranges of at most CHECK_EDGES directed
+# edges, so their temporaries stay small.
 CHECK_EDGES = 2 ** 15
 # Graphs of up to SMALL_GRAPH nodes are folded SMALL_GRAPH_RESTARTS times,
 # larger ones once.
@@ -103,7 +104,15 @@ class ModularityResult:
 class _LevelGraph:
     """Working graph during folding: a Graph without self-loops plus a
     per-node self-loop weight (a self-loop of weight w adds w to w_in and 2w
-    to strength)."""
+    to strength), and the rows that _local_moving visits.
+
+    The rows are built once per level graph, so every restart of a small
+    graph reuses its base level's. rows = (nbrs, ws): per node, a list of
+    its neighbour ids and one of its edge weights, in CSR order. The lists
+    share their objects, one int per node id and one float per distinct
+    weight, so they cost a pointer per directed edge and a list header per
+    node. A weighted VIG has few distinct weights (the VIG of a random
+    3-CNF at n=1e5 has two)."""
 
     def __init__(self, g: Graph, selfw: np.ndarray):
         self.g = g
@@ -114,6 +123,7 @@ class _LevelGraph:
             deg_w[nonempty] = np.add.reduceat(g.weights, g.indptr[:-1][nonempty])
         self.strength = deg_w + 2.0 * selfw
         self.total = g.total_weight + float(selfw.sum())
+        self.rows = _rows(g)
 
     def aggregate(self, labels: np.ndarray, n_comm: int) -> "_LevelGraph":
         u, v, w = self.g.edge_arrays()
@@ -125,6 +135,39 @@ class _LevelGraph:
         keep = ~loop
         return _LevelGraph(Graph.from_edges(n_comm, u[keep], v[keep], w[keep]),
                            selfw)
+
+
+def _node_ranges(indptr: np.ndarray):
+    """Consecutive node ranges (u0, u1) of at most CHECK_EDGES directed
+    edges each (a node of higher degree is a range of its own)."""
+    n = indptr.size - 1
+    u0 = 0
+    while u0 < n:
+        u1 = max(u0 + 1, int(indptr.searchsorted(indptr[u0] + CHECK_EDGES,
+                                                 "right")) - 1)
+        yield u0, u1
+        u0 = u1
+
+
+def _rows(g: Graph) -> tuple[list[list[int]], list[list[float]]]:
+    """Per node, its neighbour ids and its edge weights as two lists, cut
+    from one node range at a time so the temporaries stay small. Ids come
+    from one object array of the node ids and weights from one of the
+    distinct weights, so the lists point at shared objects."""
+    ids = np.arange(g.node_count).astype(object)
+    values = np.unique(g.weights)
+    objects = values.astype(object)
+    indptr = g.indptr.tolist()
+    nbrs: list[list[int]] = []
+    ws: list[list[float]] = []
+    for u0, u1 in _node_ranges(g.indptr):
+        lo, hi = indptr[u0], indptr[u1]
+        vs = ids[g.indices[lo:hi]].tolist()
+        wv = objects[values.searchsorted(g.weights[lo:hi])].tolist()
+        for a, b in zip(indptr[u0:u1], indptr[u0 + 1:u1 + 1]):
+            nbrs.append(vs[a - lo:b - lo])
+            ws.append(wv[a - lo:b - lo])
+    return nbrs, ws
 
 
 def _flagged(lg: _LevelGraph, comm, sigma) -> np.ndarray:
@@ -147,10 +190,7 @@ def _flagged(lg: _LevelGraph, comm, sigma) -> np.ndarray:
     two_w2 = 2.0 * total_w * total_w
     indptr = g.indptr
     flags = np.zeros(n, dtype=bool)
-    u0 = 0
-    while u0 < n:
-        u1 = max(u0 + 1, int(indptr.searchsorted(indptr[u0] + CHECK_EDGES,
-                                                 "right")) - 1)
+    for u0, u1 in _node_ranges(indptr):
         lo, hi = indptr[u0], indptr[u1]
         # one group per (node, neighbour community), numbered in key order
         key = _clause_ids(np.diff(indptr[u0:u1 + 1])) * n
@@ -171,7 +211,6 @@ def _flagged(lg: _LevelGraph, comm, sigma) -> np.ndarray:
         row, u = row[out], u[out]
         gain = w[out] / total_w - sigma[c[out]] * strength[u] / two_w2
         flags[u[gain > stay[row]]] = True
-        u0 = u1
     return flags
 
 
@@ -188,80 +227,97 @@ def _local_moving(lg: _LevelGraph,
     the queue drains, _flagged checks every node at once with the loop's own
     arithmetic. The level ends when it flags nothing; otherwise the flagged
     nodes are visited in the order of a fresh permutation, as queued nodes.
-    A flagged round that moves nothing also ends the level. The first
-    flagged node sees the state the check saw, so with equal arithmetic it
-    moves; the rule bounds the loop should the two ever disagree (a visit
-    that stays still runs sigma[a] -= s_u; sigma[a] += s_u, which can change
-    the last bit of a strength). Every move strictly raises Q.
+    The level also ends when the queue drains on a partition seen at an
+    earlier check of the level (kept as hashes of tuple(comm); two
+    partitions of one level share a hash with odds of about 2^-64, and
+    such a collision would only end the level early). Every move
+    strictly raises Q in the loop's arithmetic, so in exact arithmetic no
+    partition comes back. One does when a flagged round moves nothing,
+    should the check and a visit ever disagree (a visit that stays still
+    runs sigma[a] -= s_u; sigma[a] += s_u, which can change the last bit of
+    a strength), and when rounding makes moves cycle: a node between two
+    communities of equal strength, whose sigmas differ in the last bit,
+    can see each as one ulp better than staying and move back and forth.
 
     Plain-list state: the loop is node-at-a-time by nature and python list
-    indexing beats numpy scalar access by a wide margin here.
+    indexing beats numpy scalar access by a wide margin here. A visit reads
+    its node's row (lg.rows) and sums the weights into each neighbour
+    community in one flat accumulator indexed by community, acc, left to
+    right in CSR neighbour order, as _flagged does. The gain loop walks the
+    neighbours' communities and takes each nonzero entry once, resetting it
+    to 0.0; the own community's entry is read for the stay gain and reset
+    first. Edge weights are positive, so a summed entry is never 0.0, and
+    acc is all zeros again after every visit. Highest gain, then lowest
+    community id, wins, whatever the order of the walk; a node with no
+    neighbour outside its community keeps best_gain at -inf and stays.
     """
     n = lg.g.node_count
     comm = list(range(n))
+    community_of = comm.__getitem__
     strength = lg.strength.tolist()
     sigma = lg.strength.tolist()
     total_w = lg.total
     two_w2 = 2.0 * total_w * total_w
-    indptr = lg.g.indptr.tolist()
-    indices = lg.g.indices.tolist()
-    weights = lg.g.weights.tolist()
+    nbrs, ws = lg.rows
+    acc = [0.0] * n
+    no_gain = -np.inf
     total_gain = 0.0
     rounds = 0
-    todo, checked = rng.permutation(n).tolist(), False
+    todo = rng.permutation(n).tolist()
     queued = [True] * n
+    seen: set[int] = set()
     while True:
         rounds += 1
         nxt: list[int] = []
-        moved = False
         for u in todo:
             queued[u] = False
             a = comm[u]
             s_u = strength[u]
-            lo, hi = indptr[u], indptr[u + 1]
-            links: dict[int, float] = {}
-            for v, w in zip(indices[lo:hi], weights[lo:hi]):
-                c = comm[v]
-                links[c] = links.get(c, 0.0) + w
+            row = nbrs[u]
+            cs = list(map(community_of, row))
+            for c, w in zip(cs, ws[u]):
+                acc[c] += w
             sigma[a] -= s_u
-            stay = links.get(a, 0.0) / total_w - sigma[a] * s_u / two_w2
-            best_c, best_gain = -1, -np.inf
-            for c, w_c in links.items():
-                if c == a:
-                    continue
-                gain = w_c / total_w - sigma[c] * s_u / two_w2
-                if gain > best_gain or (gain == best_gain and c < best_c):
-                    best_gain, best_c = gain, c
-            if best_c >= 0 and best_gain > stay:
+            stay = acc[a] / total_w - sigma[a] * s_u / two_w2
+            acc[a] = 0.0
+            best_c, best_gain = -1, no_gain
+            for c in cs:
+                w_c = acc[c]
+                if w_c:
+                    acc[c] = 0.0
+                    gain = w_c / total_w - sigma[c] * s_u / two_w2
+                    if gain > best_gain or (gain == best_gain and c < best_c):
+                        best_gain, best_c = gain, c
+            if best_gain > stay:
                 sigma[best_c] += s_u
                 comm[u] = best_c
                 total_gain += best_gain - stay
-                moved = True
-                for v in indices[lo:hi]:
+                for v in row:
                     if not queued[v] and comm[v] != best_c:
                         queued[v] = True
                         nxt.append(v)
             else:
                 sigma[a] += s_u
         if nxt:
-            todo, checked = nxt, False
+            todo = nxt
             continue
-        if checked and not moved:
+        state = hash(tuple(comm))
+        if state in seen:
             break
+        seen.add(state)
         flags = _flagged(lg, comm, sigma)
         if not flags.any():
             break
         order = rng.permutation(n)
-        todo, checked = order[flags[order]].tolist(), True
+        todo = order[flags[order]].tolist()
         for u in todo:
             queued[u] = True
     return np.asarray(comm, dtype=np.int64), total_gain, rounds
 
 
-def _fold_once(g: Graph, lg: _LevelGraph, rng: np.random.Generator
+def _fold_once(lg: _LevelGraph, q_inc: float, rng: np.random.Generator
                ) -> tuple[np.ndarray, float, int, int]:
-    flat = np.arange(g.node_count, dtype=np.int64)
-    q_inc = modularity(g, Partition.singletons(g.node_count))
+    flat = np.arange(lg.g.node_count, dtype=np.int64)
     levels = 0
     passes = 0
     while True:
@@ -288,18 +344,28 @@ def fold_communities(g: Graph, seed: int = 42) -> ModularityResult:
     so graphs of up to 2000 nodes get 10 restarts (local moving is
     order-sensitive there) and larger graphs get one.
     The reported q is recomputed from scratch on the returned flat partition;
-    q_incremental tracks the accumulated move gains for cross-checking.
+    q_incremental tracks the accumulated move gains for cross-checking,
+    from the singleton Q, computed once per call. Edge weights must be
+    positive and finite (ValueError otherwise).
     """
     if g.node_count < 1:
         raise ValueError("graph must have at least one node")
+    w = g.weights
+    if not np.all((w > 0.0) & (w < np.inf)):
+        raise ValueError("edge weights must be positive and finite")
     base = _LevelGraph(g, np.zeros(g.node_count))
     if base.total == 0.0:
         return ModularityResult(0.0, Partition.singletons(g.node_count), 0, 0, 0.0)
+    q_singletons = modularity(g, Partition.singletons(g.node_count))
     restarts = SMALL_GRAPH_RESTARTS if g.node_count <= SMALL_GRAPH else 1
+    # the last restart holds the only reference to base, so the base rows
+    # are freed once it aggregates (the only restart of a large graph)
+    bases = [base] * restarts
+    del base
     best = None
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
-        flat, q_inc, levels, passes = _fold_once(g, base, rng)
+        flat, q_inc, levels, passes = _fold_once(bases.pop(), q_singletons, rng)
         part = Partition.from_labels(flat)
         q = modularity(g, part)
         if best is None or q > best.q:

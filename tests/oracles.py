@@ -8,7 +8,10 @@ the exact discrete CDF, inverse-distance weights loop over plain lists,
 greedy centers are found in rounds of a maximal independent set as well as
 by visiting nodes one by one, unit propagation edits clause lists through a
 dict of occurrence lists, and the canonical clause order is sorted() on
-tuple keys.
+tuple keys. dict_local_moving is the earlier local moving loop, kept as it
+was: each visit slices the flat CSR lists and sums its neighbour
+communities into a fresh dict (it shares only the drained-queue check,
+community._flagged, with the library).
 """
 
 from collections import deque
@@ -16,7 +19,7 @@ from collections import deque
 import numpy as np
 
 from cnfscope.cnf import CnfFormula, PropagationConflict
-from cnfscope.community import Partition, modularity
+from cnfscope.community import Partition, _flagged, modularity
 from cnfscope.graph import Graph
 
 
@@ -236,6 +239,75 @@ def best_move_gain(g: Graph, labels, groups=None) -> float:
             trial[group] = c
             best = max(best, modularity(g, Partition.from_labels(trial)) - base)
     return best
+
+
+def dict_local_moving(lg, rng: np.random.Generator
+                      ) -> tuple[np.ndarray, float, int]:
+    """community._local_moving as it was before the flat accumulator: the
+    same visits, gains, tie rule and queue, with each visit's weights per
+    neighbour community summed into a dict. Its level ends only when the
+    check flags nothing or a flagged round moves nothing, so where rounding
+    makes moves cycle it never returns; wherever it returns, the seen
+    partition rule of _local_moving ends the level in the same round."""
+    n = lg.g.node_count
+    comm = list(range(n))
+    strength = lg.strength.tolist()
+    sigma = lg.strength.tolist()
+    total_w = lg.total
+    two_w2 = 2.0 * total_w * total_w
+    indptr = lg.g.indptr.tolist()
+    indices = lg.g.indices.tolist()
+    weights = lg.g.weights.tolist()
+    total_gain = 0.0
+    rounds = 0
+    todo, checked = rng.permutation(n).tolist(), False
+    queued = [True] * n
+    while True:
+        rounds += 1
+        nxt: list[int] = []
+        moved = False
+        for u in todo:
+            queued[u] = False
+            a = comm[u]
+            s_u = strength[u]
+            lo, hi = indptr[u], indptr[u + 1]
+            links: dict[int, float] = {}
+            for v, w in zip(indices[lo:hi], weights[lo:hi]):
+                c = comm[v]
+                links[c] = links.get(c, 0.0) + w
+            sigma[a] -= s_u
+            stay = links.get(a, 0.0) / total_w - sigma[a] * s_u / two_w2
+            best_c, best_gain = -1, -np.inf
+            for c, w_c in links.items():
+                if c == a:
+                    continue
+                gain = w_c / total_w - sigma[c] * s_u / two_w2
+                if gain > best_gain or (gain == best_gain and c < best_c):
+                    best_gain, best_c = gain, c
+            if best_c >= 0 and best_gain > stay:
+                sigma[best_c] += s_u
+                comm[u] = best_c
+                total_gain += best_gain - stay
+                moved = True
+                for v in indices[lo:hi]:
+                    if not queued[v] and comm[v] != best_c:
+                        queued[v] = True
+                        nxt.append(v)
+            else:
+                sigma[a] += s_u
+        if nxt:
+            todo, checked = nxt, False
+            continue
+        if checked and not moved:
+            break
+        flags = _flagged(lg, comm, sigma)
+        if not flags.any():
+            break
+        order = rng.permutation(n)
+        todo, checked = order[flags[order]].tolist(), True
+        for u in todo:
+            queued[u] = True
+    return np.asarray(comm, dtype=np.int64), total_gain, rounds
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,29 @@ class TestGen:
         assert code == 1
         assert "n >= 3" in err
 
+    @pytest.mark.parametrize("value", ("0", "-2", "abc"))
+    def test_count_usage_error(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            _run(capsys, "gen", tmp_path / "out", "--n", 10, "--m", 20,
+                 f"--count={value}")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --count: expected a positive integer" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n,m,message", [
+        (10, 0, "m must be positive"),
+        (10, -3, "m must be positive"),
+        (2, 5, "random 3-CNF needs n >= 3"),
+    ])
+    def test_bad_size_leaves_no_dir(self, tmp_path, capsys, n, m, message):
+        code, out, err = _run(capsys, "gen", tmp_path / "out", "--n", n,
+                              "--m", m)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CNFSCOPE_SEED", "101")
         _run(capsys, "gen", tmp_path / "e1", "--n", 10, "--m", 20)

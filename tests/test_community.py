@@ -16,6 +16,7 @@ from cnfscope.community import (
 from cnfscope.graph import Graph, build_vig
 from oracles import (
     best_move_gain,
+    dict_local_moving,
     graph_from_edges,
     modularity_optimum,
     random_graph,
@@ -154,6 +155,14 @@ class TestFoldCommunities:
         assert res.q == 0.0
         assert res.partition.community_count == 4
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "-inf", "zero", "negative"])
+    def test_weights_positive_and_finite(self, bad):
+        g = Graph.from_edges(4, [0, 1, 2], [1, 2, 3], [1.0, bad, 2.0])
+        with pytest.raises(ValueError,
+                           match="edge weights must be positive and finite"):
+            fold_communities(g, seed=0)
+
     def test_random_phase_transition_low_q(self):
         # random formulas have weak community structure compared to ~0.8 for
         # modular industrial-like instances
@@ -204,7 +213,8 @@ class TestLocalMoving:
 def _loop_moves(lg, comm, sigma):
     """The nodes that one visit of _local_moving would move from the state
     (comm, sigma), in the loop's own arithmetic: weights summed left to right
-    in CSR neighbour order into a dict, then the stay and move gains."""
+    in CSR neighbour order per neighbour community (here into a dict, in the
+    loop into its flat accumulator), then the stay and move gains."""
     g = lg.g
     total_w = lg.total
     two_w2 = 2.0 * total_w * total_w
@@ -342,6 +352,115 @@ class TestStopRule:
         assert rounds2 == rounds + 1
         assert gain2 == gain
         np.testing.assert_array_equal(labels2, labels)
+
+    def test_rounding_cycle_ends_level(self, monkeypatch):
+        # on this VIG, in the second restart, a node lies between two
+        # communities of equal strength whose sigmas differ in the last bit;
+        # each looks one ulp better than staying, and a level that ended only
+        # on a flagged round without moves sent it back and forth forever
+        g = build_vig(random_3cnf(300, 1275, seed=741004), weighted=True)
+        lg = _LevelGraph(g, np.zeros(g.node_count))
+        real, checks = community._flagged, []
+
+        def counted(lg, comm, sigma):
+            checks.append(True)
+            if len(checks) > 1000:
+                raise AssertionError("local moving cycles")
+            return real(lg, comm, sigma)
+
+        monkeypatch.setattr(community, "_flagged", counted)
+        rng = np.random.default_rng(np.random.SeedSequence(42).spawn(10)[1])
+        labels, gain, _ = _local_moving(lg, rng)
+        assert best_move_gain(g, labels) <= 1e-12
+        singles = modularity(g, Partition.singletons(g.node_count))
+        q = modularity(g, Partition.from_labels(labels))
+        assert q == pytest.approx(singles + gain, abs=1e-12)
+        res = fold_communities(g, seed=42)
+        assert res.q == pytest.approx(res.q_incremental, abs=1e-12)
+
+
+def _aggregated_level_graph(seed):
+    """The level graph above one local moving of a random formula's
+    weighted VIG: nodes carry self-loops and the weights are sums."""
+    g = build_vig(random_3cnf(150, 640, seed=200 + seed), weighted=True)
+    lg = _LevelGraph(g, np.zeros(g.node_count))
+    labels, _, _ = _local_moving(lg, np.random.default_rng(seed))
+    uniq, compact = np.unique(labels, return_inverse=True)
+    return lg.aggregate(compact, uniq.size)
+
+
+class TestDictOracle:
+    """The flat accumulator is a change of data structure only: the same
+    labels, bit for bit the same gain, and the same rounds as the loop that
+    summed each visit into a fresh dict."""
+
+    @staticmethod
+    def _assert_same(lg, seed):
+        labels, gain, rounds = _local_moving(lg, np.random.default_rng(seed))
+        want = dict_local_moving(lg, np.random.default_rng(seed))
+        np.testing.assert_array_equal(labels, want[0])
+        assert gain == want[1]
+        assert rounds == want[2]
+
+    @pytest.mark.parametrize("seed,integer_weights", TestLocalMoving.CASES)
+    def test_random_graphs(self, seed, integer_weights):
+        g = _random_weighted_graph(np.random.default_rng(seed), integer_weights)
+        self._assert_same(_LevelGraph(g, np.zeros(g.node_count)), seed)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_aggregated_level_graphs(self, seed):
+        lg = _aggregated_level_graph(seed)
+        assert lg.selfw.any()
+        self._assert_same(lg, seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_3cnf_vigs(self, seed):
+        g = build_vig(random_3cnf(300, 1275, seed=seed), weighted=True)
+        self._assert_same(_LevelGraph(g, np.zeros(g.node_count)), seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fold_communities(self, seed, monkeypatch):
+        g = build_vig(random_3cnf(300, 1275, seed=seed), weighted=True)
+        got = fold_communities(g, seed=seed)
+        monkeypatch.setattr(community, "_local_moving", dict_local_moving)
+        want = fold_communities(g, seed=seed)
+        assert (got.q, got.q_incremental, got.levels, got.passes) == \
+            (want.q, want.q_incremental, want.levels, want.passes)
+        assert got.partition.community_count == want.partition.community_count
+        np.testing.assert_array_equal(got.partition.assignment,
+                                      want.partition.assignment)
+
+
+class TestLevelGraphRows:
+    def test_rows_are_csr_rows(self):
+        lg = _aggregated_level_graph(0)
+        g = lg.g
+        nbrs, ws = lg.rows
+        assert len(nbrs) == len(ws) == g.node_count
+        for u in range(g.node_count):
+            lo, hi = g.indptr[u], g.indptr[u + 1]
+            assert nbrs[u] == g.indices[lo:hi].tolist()
+            assert ws[u] == g.weights[lo:hi].tolist()
+
+    def test_rows_memory(self):
+        # the rows point at one int per node id and one float per distinct
+        # weight: a pointer per directed edge in each of the two lists, a
+        # list header per node and row. One int and one float object per
+        # edge would cost at least 68 bytes per edge.
+        g = build_vig(random_3cnf(2000, 8500, seed=1), weighted=True)
+        n, edges = g.node_count, g.indices.size
+        assert edges > 20 * n
+        _LevelGraph(_two_cliques(3), np.zeros(6))  # numpy's lazy imports
+        selfw = np.zeros(n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lg = _LevelGraph(g, selfw)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(lg.rows[0]) == n
+        assert held < 20 * edges + 256 * n
 
 
 class TestModularStructure:
