@@ -35,7 +35,8 @@ def _int_from(low: int, kind: str):
     return parse
 
 
-# a seed is a non-negative integer, a file count a positive one
+# a seed is a non-negative integer; a count (files, workers, radii, leaf
+# rows) a positive one
 _seed = _int_from(0, "non-negative")
 _count = _int_from(1, "positive")
 
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="extract feature rows for CNF files")
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_count, default=1)
     p.add_argument("--family-from-dir", action="store_true",
                    help="use each file's parent directory name as its family")
     _add_common(p)
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ndr", help="dump the N(r) cover curve of one formula")
     p.add_argument("input")
     p.add_argument("--model", choices=MODELS, default="vig")
-    p.add_argument("--r-stop", type=int, default=None, dest="r_stop")
+    p.add_argument("--r-stop", type=_count, default=None, dest="r_stop")
     _add_common(p)
     p.set_defaults(func=cmd_ndr)
 
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="leave-one-out family classification")
     p.add_argument("features")
     p.add_argument("--mode", choices=("tree-loo", "knn-loo"), default="tree-loo")
-    p.add_argument("--min-leaf", type=int, default=1, dest="min_leaf")
+    p.add_argument("--min-leaf", type=_count, default=1, dest="min_leaf")
     p.add_argument("--features-used", type=_feature_names,
                    default=features.FEATURE_NAMES,
                    help="comma-separated feature subset (default: all five)")

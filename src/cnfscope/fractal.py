@@ -139,8 +139,10 @@ def verify_cover(g: Graph, centers, r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact covers (exponential search; the general problem is intractable, which
-# is why the greedy estimate exists at all).
+# Exact covers: the fewest circles, or the fewest boxes, that hold every node.
+# Both are set cover over node bitmasks, solved by one exponential search,
+# _min_cover; the general problem is intractable, which is why the greedy
+# estimate exists at all.
 
 
 def _ball_masks(g: Graph, r: int) -> list[int]:
@@ -156,33 +158,18 @@ def _ball_masks(g: Graph, r: int) -> list[int]:
     return masks
 
 
-def exact_cover_count(g: Graph, r: int, max_nodes: int = 20) -> int:
-    """Minimum number of radius-r circles covering the graph.
-
-    Exhaustive branch and bound over center subsets: the lowest uncovered
-    node must lie in some selected circle, so only circles containing it
-    branch. Guarded to small graphs (the problem is NP-hard).
-    """
-    n = g.node_count
-    if n > max_nodes:
-        raise ValueError(f"graph too large for exact cover ({n} > {max_nodes} nodes)")
-    if r < 1:
-        raise ValueError("radius must be >= 1")
-    if n == 0:
-        return 0
-    if r == 1:
-        return n
-    masks = _ball_masks(g, r)
+def _min_cover(sets: list[int], n: int) -> int:
+    """Fewest of the node bitmasks in sets whose union holds all n nodes,
+    each node lying in some set. Branch and bound: a set inside another is
+    dropped, only the sets holding the lowest uncovered node branch, and the
+    bound starts at n, one set per node."""
     full = (1 << n) - 1
-    # drop duplicate and dominated circles; a minimum cover never needs a
-    # circle strictly contained in another
-    balls = sorted(set(masks), key=lambda b: -bin(b).count("1"))
     kept: list[int] = []
-    for b in balls:
+    for b in sorted(set(sets), key=lambda b: -bin(b).count("1")):
         if not any(b & ~k == 0 for k in kept):
             kept.append(b)
-    balls_at = [[b for b in kept if b >> i & 1] for i in range(n)]
-    best = n  # one singleton circle per node always covers
+    sets_at = [[b for b in kept if b >> i & 1] for i in range(n)]
+    best = n
 
     def search(covered: int, used: int):
         nonlocal best
@@ -193,11 +180,26 @@ def exact_cover_count(g: Graph, r: int, max_nodes: int = 20) -> int:
             return
         low = (~covered & full)
         low = (low & -low).bit_length() - 1
-        for b in balls_at[low]:
+        for b in sets_at[low]:
             search(covered | b, used + 1)
 
     search(0, 0)
     return best
+
+
+def exact_cover_count(g: Graph, r: int, max_nodes: int = 20) -> int:
+    """Minimum number of radius-r circles covering the graph: _min_cover over
+    every node's circle, guarded to small graphs (the problem is NP-hard)."""
+    n = g.node_count
+    if n > max_nodes:
+        raise ValueError(f"graph too large for exact cover ({n} > {max_nodes} nodes)")
+    if r < 1:
+        raise ValueError("radius must be >= 1")
+    if n == 0:
+        return 0
+    if r == 1:
+        return n
+    return _min_cover(_ball_masks(g, r), n)
 
 
 def _maximal_cliques(adj: list[int], n: int) -> list[int]:
@@ -233,9 +235,8 @@ def exact_box_cover_count(g: Graph, size: int, max_nodes: int = 16) -> int:
     """Minimum number of boxes of the given size covering the graph.
 
     A box is a node set with all pairwise hop distances < size, i.e. a clique
-    of the (size-1)-th power graph. Covers by maximal boxes are enumerated by
-    dynamic programming over node subsets.
-    """
+    of the (size-1)-th power graph. Every box lies in a maximal one, so this
+    is _min_cover over the maximal boxes, guarded to small graphs."""
     n = g.node_count
     if n > max_nodes:
         raise ValueError(f"graph too large for exact box cover ({n} > {max_nodes})")
@@ -247,25 +248,7 @@ def exact_box_cover_count(g: Graph, size: int, max_nodes: int = 16) -> int:
         return n
     # close[i] = bitmask of j != i with dist(i, j) < size
     close = [m & ~(1 << i) for i, m in enumerate(_ball_masks(g, size))]
-    maximal = _maximal_cliques(close, n)
-    by_low: dict[int, list[int]] = {i: [] for i in range(n)}
-    for b in maximal:
-        t = b
-        while t:
-            i = (t & -t).bit_length() - 1
-            t &= t - 1
-            by_low[i].append(b)
-    best = {0: 0}
-
-    def solve(mask: int) -> int:
-        if mask in best:
-            return best[mask]
-        low = (mask & -mask).bit_length() - 1
-        res = min(solve(mask & ~b) for b in by_low[low]) + 1
-        best[mask] = res
-        return res
-
-    return solve((1 << n) - 1)
+    return _min_cover(_maximal_cliques(close, n), n)
 
 
 # ---------------------------------------------------------------------------

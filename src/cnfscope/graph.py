@@ -280,9 +280,9 @@ def eccentricities(g: Graph, max_nodes: int = 5000) -> np.ndarray:
     """Per-node eccentricity within its component (all-pairs BFS; guarded)."""
     if g.node_count > max_nodes:
         raise ValueError(f"graph too large for all-pairs BFS ({g.node_count} nodes)")
+    # one seen array for every search: the BFS from u stamps it with u + 1
+    seen = np.zeros(g.node_count, dtype=np.int64)
     ecc = np.zeros(g.node_count)
     for u in range(g.node_count):
-        d = bfs_distances(g, u)
-        finite = d[np.isfinite(d)]
-        ecc[u] = finite.max() if finite.size else 0.0
+        ecc[u] = len(bfs_layers(g, [u], seen, u + 1)) - 1
     return ecc

@@ -27,13 +27,17 @@ class RuntimeMatrix:
     """Instance x solver runtimes in seconds; timeouts are stored as inf and
     stay distinct from every finite value. Finite runtimes must lie in
     (0, timeout_value]; NaN and -inf cannot be ranked and are rejected, as
-    are duplicate instance or solver names."""
+    are duplicate instance or solver names. timeout_value itself must be
+    positive and finite, since it stands in for a timeout in the averages."""
 
     def __init__(self, instances, solvers, times, timeout_value: float):
         self.instances = list(instances)
         self.solvers = list(solvers)
         self.times = np.asarray(times, dtype=np.float64)
         self.timeout_value = float(timeout_value)
+        if not 0 < self.timeout_value < np.inf:  # NaN compares False
+            raise ValueError("timeout_value must be positive and finite, "
+                             f"got {timeout_value}")
         if self.times.shape != (len(self.instances), len(self.solvers)):
             raise ValueError("times shape does not match instances x solvers")
         bad = self.times[~(self.times > 0)]  # NaN compares False

@@ -8,12 +8,15 @@ the exact discrete CDF, inverse-distance weights loop over plain lists,
 greedy centers are found in rounds of a maximal independent set as well as
 by visiting nodes one by one, unit propagation edits clause lists through a
 dict of occurrence lists, and the canonical clause order is sorted() on
-tuple keys. dict_local_moving is the earlier local moving loop, kept as it
+tuple keys. Minimum circle covers try center sets by increasing size,
+and minimum box covers place nodes into blocks one by one, as the coloring
+search does. dict_local_moving is the earlier local moving loop, kept as it
 was: each visit slices the flat CSR lists and sums its neighbour
 communities into a fresh dict (it shares only the drained-queue check,
 community._flagged, with the library).
 """
 
+import itertools
 from collections import deque
 
 import numpy as np
@@ -155,6 +158,53 @@ def random_formula(rng, max_vars=8, max_clauses=8, min_clause=1, max_clause=3
         signs = rng.integers(0, 2, size=size) * 2 - 1
         clauses.append(tuple(int(v * s) for v, s in zip(vs, signs)))
     return CnfFormula.from_clauses(n, clauses)
+
+
+# ---------------------------------------------------------------------------
+# Minimum circle and box covers by exhaustive search.
+
+
+def min_circle_cover(g: Graph, r: int) -> int:
+    """Fewest centers whose circles (the nodes fewer than r hops from a
+    center) hold every node: center sets are tried by increasing size."""
+    adj = adjacency_sets(g)
+    n = g.node_count
+    return next(k for k in range(n + 1)
+                if any(len(hop_distances(adj, centers, r - 1)) == n
+                       for centers in itertools.combinations(range(n), k)))
+
+
+def min_box_cover(g: Graph, size: int) -> int:
+    """Fewest boxes covering the graph. A box is a node set whose members
+    are pairwise fewer than `size` hops apart, and any subset of a box is a
+    box, so this is the fewest blocks of a node partition into boxes: for
+    k = 0, 1, ... each node in turn joins a block it fits or opens one of
+    at most k blocks."""
+    adj = adjacency_sets(g)
+    n = g.node_count
+    near = [set(hop_distances(adj, [u], size - 1)) for u in range(n)]
+
+    def fits(k: int) -> bool:
+        blocks: list[list[int]] = []
+
+        def place(v: int) -> bool:
+            if v == n:
+                return True
+            for block in blocks:
+                if all(u in near[v] for u in block):
+                    block.append(v)
+                    if place(v + 1):
+                        return True
+                    block.pop()
+            if len(blocks) < k:
+                blocks.append([v])
+                if place(v + 1):
+                    return True
+                blocks.pop()
+            return False
+        return place(0)
+
+    return next(k for k in range(n + 1) if fits(k))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ round-based maximal independent set, there and on VIGs and CVIGs of random
 graphs that stress the window engine: complete graphs, stars, long paths,
 isolated nodes and disconnected unions. Also the CSR arrays the searches
 walk: each row must be sorted and distinct, a Graph invariant that makes
-degree-tie iteration canonical."""
+degree-tie iteration canonical. Eccentricities are checked on the same
+graphs, against the farthest node the deque search reaches."""
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cnfscope.graph import (
     build_cvig,
     build_vig,
     connected_components,
+    eccentricities,
 )
 from oracles import (
     adjacency_sets,
@@ -92,6 +94,24 @@ def test_connected_components(g):
     assert sorted(np.unique(comp).tolist()) == list(range(count))
     for block in blocks:
         assert len({int(comp[v]) for v in block}) == 1
+
+
+@pytest.mark.parametrize("g", GRAPHS)
+def test_eccentricities(g):
+    # GRAPHS hold isolated nodes (eccentricity 0) and several components
+    adj = adjacency_sets(g)
+    want = [max(hop_distances(adj, [u]).values()) for u in range(g.node_count)]
+    ecc = eccentricities(g)
+    assert ecc.dtype == np.float64
+    assert ecc.tolist() == want
+
+
+def test_eccentricities_guard():
+    g = graph_from_edges(6, [(0, 1), (2, 3)])
+    assert eccentricities(g, max_nodes=6).tolist() == [1, 1, 1, 1, 0, 0]
+    with pytest.raises(ValueError,
+                       match=r"^graph too large for all-pairs BFS \(6 nodes\)$"):
+        eccentricities(g, max_nodes=5)
 
 
 @pytest.mark.parametrize("g", GRAPHS)

@@ -330,6 +330,23 @@ class TestFitWindow:
         assert "\nd," in out
 
 
+class TestCountFlags:
+    """--workers, --r-stop and --min-leaf take positive integers; 0 and
+    below used to run as 1 worker, a one-point curve or a leaf of 1."""
+
+    @pytest.mark.parametrize("value", ("0", "-2", "abc"))
+    @pytest.mark.parametrize("command, flag", (
+        ("features", "--workers"), ("ndr", "--r-stop"),
+        ("classify", "--min-leaf")))
+    def test_usage_error(self, cnf_file, capsys, command, flag, value):
+        # argparse rejects the value before any input is read
+        with pytest.raises(SystemExit) as exc:
+            _run(capsys, command, cnf_file, f"{flag}={value}")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a positive integer" in err
+
+
 class TestSeed:
     """A seed is a non-negative integer: a bad --seed is a usage error and
     a bad CNFSCOPE_SEED one error naming the variable, never a failure of
@@ -534,6 +551,19 @@ class TestClassifyPortfolio:
         assert code == 1 and out == ""
         assert err == ("error: runtimes must be positive seconds or timeouts, "
                        f"got {cell}\n")
+
+    @pytest.mark.parametrize("timeout", ("nan", "inf", "0", "-1"))
+    def test_portfolio_bad_timeout(self, features_csv, tmp_path, capsys,
+                                   timeout):
+        # nan and inf printed NaN or Infinity, which is not JSON, and exit 0
+        ids = [f"lo{k}" for k in range(4)] + [f"hi{k}" for k in range(4)]
+        p = tmp_path / "rt.csv"
+        p.write_text("\n".join(["instance,s"] + [f"{i},1.0" for i in ids]) + "\n")
+        code, out, err = _run(capsys, "portfolio", features_csv, p,
+                              "--timeout", timeout)
+        assert code == 1 and out == ""
+        assert err == ("error: timeout_value must be positive and finite, "
+                       f"got {float(timeout)}\n")
 
     def test_portfolio_duplicate_instance(self, features_csv, tmp_path, capsys):
         ids = [f"lo{k}" for k in range(4)] + [f"hi{k}" for k in range(4)]

@@ -12,10 +12,12 @@ from cnfscope.fractal import (
     greedy_cover_count,
     verify_cover,
 )
-from cnfscope.graph import build_cvig, build_vig
+from cnfscope.graph import build_cvig, build_vig, connected_components
 from oracles import (
     chromatic_number,
     graph_from_edges,
+    min_box_cover,
+    min_circle_cover,
     random_connected_graph,
     random_formula,
     random_graph,
@@ -131,6 +133,46 @@ class TestExactCover:
             g = random_graph(rng, int(rng.integers(2, 10)), 0.3)
             counts = [exact_cover_count(g, r) for r in range(1, 6)]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def _oracle_graphs():
+    """Seeded graphs of at most 9 nodes: edgeless ones, random ones (many
+    disconnected, some with isolated nodes) and connected ones."""
+    rng = np.random.default_rng(20)
+    graphs = [graph_from_edges(n, []) for n in range(10)]
+    graphs += [random_graph(rng, int(rng.integers(2, 10)), p)
+               for p in np.linspace(0.1, 0.8, 8) for _ in range(20)]
+    graphs += [random_connected_graph(rng, int(rng.integers(2, 10)),
+                                      int(rng.integers(0, 5)))
+               for _ in range(30)]
+    return graphs
+
+
+class TestExactOracles:
+    """Both exact covers against exhaustive searches that share nothing with
+    their branch and bound: circles by center sets of increasing size, boxes
+    by node partitions."""
+
+    GRAPHS = _oracle_graphs()
+
+    def test_graph_mix(self):
+        comps = [connected_components(g)[0] for g in self.GRAPHS]
+        assert len(self.GRAPHS) >= 100
+        assert sum(c == 1 for c in comps) >= 30
+        assert sum(c > 1 and g.edge_count > 0
+                   for c, g in zip(comps, self.GRAPHS)) >= 30
+        assert sum(g.edge_count == 0 for g in self.GRAPHS) >= 10
+        assert max(g.node_count for g in self.GRAPHS) <= 9
+
+    @pytest.mark.parametrize("r", (1, 2, 3, 4))
+    def test_circles(self, r):
+        for g in self.GRAPHS:
+            assert exact_cover_count(g, r) == min_circle_cover(g, r)
+
+    @pytest.mark.parametrize("size", (1, 2, 3, 4))
+    def test_boxes(self, size):
+        for g in self.GRAPHS:
+            assert exact_box_cover_count(g, size) == min_box_cover(g, size)
 
 
 class TestBoxCoverColoring:

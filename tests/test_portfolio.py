@@ -230,6 +230,17 @@ class TestRuntimeMatrix:
         with pytest.raises(ValueError, match="positive seconds or timeouts"):
             RuntimeMatrix(["a", "b"], ["s"], [[1.0], [cell]], 100.0)
 
+    @pytest.mark.parametrize("timeout", (np.nan, np.inf, 0.0, -5.0))
+    def test_bad_timeout_value(self, timeout):
+        # a NaN or infinite timeout made the penalized average NaN or inf,
+        # which no JSON reader takes; zero and below rank nothing
+        match = f"^timeout_value must be positive and finite, got {timeout}$"
+        with pytest.raises(ValueError, match=match):
+            RuntimeMatrix(["a"], ["s"], [[np.inf]], timeout)
+        with pytest.raises(ValueError, match=match):
+            RuntimeMatrix.from_csv("instance,s\na,TIMEOUT\n",
+                                   timeout_value=timeout)
+
     @pytest.mark.parametrize("text", (
         pytest.param("instance,s,t\na,nan,1\nb,-inf,2\n", id="nan-and-neg-inf"),
         pytest.param("instance,s,t\na,4,1\nb,-inf,2\n", id="neg-inf"),
