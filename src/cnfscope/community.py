@@ -54,12 +54,6 @@ class Partition:
     def singletons(cls, n: int) -> "Partition":
         return cls(np.arange(n, dtype=np.int64), n)
 
-    def communities(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.community_count)]
-        for node, c in enumerate(self.assignment.tolist()):
-            out[c].append(node)
-        return out
-
 
 def modularity(g: Graph, p: Partition) -> float:
     """Weighted Newman-Girvan modularity Q of the partition.

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
@@ -279,7 +278,3 @@ def row_to_dict(r: FeatureRow) -> dict:
     entry.update((n, getattr(v, n)) for n in FEATURE_NAMES)
     entry.update((n, v.extras[n]) for n in EXTRA_NAMES if n in v.extras)
     return entry
-
-
-def matrix_to_json(matrix: FeatureMatrix) -> str:
-    return json.dumps([row_to_dict(r) for r in matrix.rows], indent=2)

@@ -49,10 +49,18 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree", *,
     when a neighbour holds an earlier label: an earlier source lies within
     r - 1 hops of it. The sources before the first clash are the next
     centers (no earlier center reaches them, nor do they reach each other),
-    and every node their labels reached is burned, with the neighbours of
-    the last hop. The scan resumes after the clashing source, which is
-    burned by then, and the next window holds twice as many sources as
-    this one accepted.
+    and every node their labels reached is burned. The scan resumes after
+    the clashing source, which is burned by then, and the next window holds
+    twice as many sources as this one accepted.
+
+    The last hop, the neighbours at r - 1 hops, is gathered only once the
+    centers are known, and only from the deepest labelled layer's nodes
+    that an accepted label reached and that are not inner. inner marks every
+    node within r - 2 hops of a center of an earlier window: all of its
+    neighbours lie within r - 1 hops of that center and are burned already.
+    A node gathered here becomes inner after this window, so the last hop
+    reads each node's row at most once per cover. At r = 2 the last hop is
+    the sources' own neighbours, gathered for the clash test.
     """
     if r < 1:
         raise ValueError("radius must be >= 1")
@@ -62,6 +70,7 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree", *,
     if r == 1:
         return n, order.copy()
     burned = np.zeros(n, dtype=bool)
+    inner = np.zeros(n, dtype=bool)
     # label[x] is the order position of the earliest source of the current
     # window within the hops grown so far; n when none reached x
     label = np.full(n, n, dtype=np.int64)
@@ -82,25 +91,24 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree", *,
         src = order[pos]
         label[src] = pos
         near, near_counts = gather_neighbors(g, src)
-        nb, counts, frontier_label, reached = near, near_counts, pos, [src]
-        for _ in range(r - 2):
-            if nb.size == 0:
-                break
+        layer, layer_label, reached = src, pos, [src]
+        for hop in range(r - 2):
+            nb, counts = gather_neighbors(g, layer) if hop else (near, near_counts)
             # the pairs (neighbour, label) that lower the neighbour's label
-            lab = frontier_label.repeat(counts)
+            lab = layer_label.repeat(counts)
             better = label[nb] > lab
             nb, lab = nb[better], lab[better]
-            # several frontier nodes may reach one node: keep its least
+            # several layer nodes may reach one node: keep its least
             key = nb * (n + 1)
             key += lab
             key.sort()
             nb, lab = np.divmod(key, n + 1)
             first = run_starts(nb)
-            nb, lab = nb[first], lab[first]
-            label[nb] = lab
-            reached.append(nb)
-            frontier_label = lab
-            nb, counts = gather_neighbors(g, nb)
+            layer, layer_label = nb[first], lab[first]
+            label[layer] = layer_label
+            reached.append(layer)
+            if layer.size == 0:
+                break
         # the first source with a neighbour labelled earlier than itself; a
         # source labelled earlier has one too, the next node on its path
         clash = (label[near] < pos.repeat(near_counts)).nonzero()[0]
@@ -111,9 +119,15 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree", *,
             k, cut = pos.size, n
         centers.append(src[:k])
         reached = np.concatenate(reached)
-        burned[reached[label[reached] < cut]] = True
+        burn = reached[label[reached] < cut]
+        burned[burn] = True
         # the last hop: stamped, never labelled, sorted or deduped
-        burned[nb[frontier_label.repeat(counts) < cut]] = True
+        if r == 2:
+            burned[near[pos.repeat(near_counts) < cut]] = True
+        else:
+            last = layer[(layer_label < cut) & ~inner[layer]]
+            burned[gather_neighbors(g, last)[0]] = True
+            inner[burn] = True
         label[reached] = n
         p = int(cut) + 1 if k < pos.size else int(pos[-1]) + 1
         want = 2 * k
@@ -346,15 +360,22 @@ class DimensionFit:
 
 def fit_dimension(curve: CoverCurve, r_lo: int = 1, r_hi: int = 5) -> DimensionFit:
     """Fit d and beta on the window r = r_lo..r_hi, truncated at the end of
-    the curve. Requires r_lo >= 1 and at least two points."""
+    the curve. Requires r_lo >= 1 and at least two points. On a flat window,
+    where N(r) never changes, d, beta and the residual are exactly 0 and
+    both intercepts are that N, not the rounding noise of a fit."""
     if r_lo < 1:
         raise ValueError(f"r_lo must be >= 1, got {r_lo}")
     hi = min(r_hi, len(curve))
     if hi - r_lo + 1 < 2:
         raise ValueError(
             f"need >= 2 curve points in [{r_lo}, {r_hi}], have {max(hi - r_lo + 1, 0)}")
+    window = curve.counts[r_lo - 1:hi]
+    if (window == window[0]).all():
+        flat = float(window[0])
+        return DimensionFit(d=0.0, beta=0.0, r_range=(r_lo, hi), residual=0.0,
+                            intercept_loglog=flat, intercept_semilog=flat)
     rs = np.arange(r_lo, hi + 1, dtype=np.float64)
-    ys = np.log(curve.counts[r_lo - 1:hi])
+    ys = np.log(window)
     xs = np.log(rs)
     slope_ll, icpt_ll = np.polyfit(xs, ys, 1)
     slope_sl, icpt_sl = np.polyfit(rs, ys, 1)

@@ -91,9 +91,6 @@ class Graph:
             variable_count = node_count
         return cls(node_count, indptr, buf, weights, variable_count)
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
-
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)

@@ -13,7 +13,7 @@ from itertools import compress
 import numpy as np
 
 from .features import (FEATURE_NAMES, FeatureMatrix, FeatureVector, _minmax,
-                       csv_rows, csv_text)
+                       csv_rows)
 
 TIMEOUT = "TIMEOUT"
 
@@ -85,11 +85,6 @@ class RuntimeMatrix:
                 raise ValueError("cannot infer timeout_value: no finite runtimes")
             timeout_value = float(finite.max())
         return cls(instances, header[1:], times, timeout_value)
-
-    def to_csv(self) -> str:
-        return csv_text(["instance"] + self.solvers,
-                        ([inst] + [TIMEOUT if math.isinf(t) else t for t in row]
-                         for inst, row in zip(self.instances, self.times)))
 
 
 # ---------------------------------------------------------------------------

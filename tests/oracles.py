@@ -13,17 +13,23 @@ and minimum box covers place nodes into blocks one by one, as the coloring
 search does. dict_local_moving is the earlier local moving loop, kept as it
 was: each visit slices the flat CSR lists and sums its neighbour
 communities into a fresh dict (it shares only the drained-queue check,
-community._flagged, with the library).
+community._flagged, with the library). The last section holds small
+readers and writers that the program has no use for, kept for the tests
+that read graphs, partitions and matrices through them.
 """
 
 import itertools
+import json
+import math
 from collections import deque
 
 import numpy as np
 
 from cnfscope.cnf import CnfFormula, PropagationConflict
 from cnfscope.community import Partition, _flagged, modularity
+from cnfscope.features import FeatureMatrix, csv_text, row_to_dict
 from cnfscope.graph import Graph
+from cnfscope.portfolio import TIMEOUT, RuntimeMatrix
 
 
 def graph_from_edges(n, edges, weights=None) -> Graph:
@@ -35,7 +41,7 @@ def graph_from_edges(n, edges, weights=None) -> Graph:
 
 
 def adjacency_sets(g: Graph) -> list[set[int]]:
-    return [set(g.neighbors(u).tolist()) for u in range(g.node_count)]
+    return [set(neighbors(g, u).tolist()) for u in range(g.node_count)]
 
 
 def reference_csr(n, u, v, w, weight_mode):
@@ -460,3 +466,34 @@ def canonical_clauses(clauses):
     """Clauses sorted by their literals sorted on (abs(l), l < 0), compared
     as tuples; sorted() is stable."""
     return sorted(clauses, key=lambda c: tuple(sorted(c, key=lambda l: (abs(l), l < 0))))
+
+
+# ---------------------------------------------------------------------------
+# Views and writers the tests read through.
+
+
+def neighbors(g: Graph, u: int) -> np.ndarray:
+    """The CSR row of node u: its sorted, distinct neighbours."""
+    return g.indices[g.indptr[u]:g.indptr[u + 1]]
+
+
+def communities(p: Partition) -> list[list[int]]:
+    """The nodes of each community, by community id, each list ascending."""
+    out: list[list[int]] = [[] for _ in range(p.community_count)]
+    for node, c in enumerate(p.assignment.tolist()):
+        out[c].append(node)
+    return out
+
+
+def matrix_to_json(matrix: FeatureMatrix) -> str:
+    """A feature matrix as the JSON list of row objects that
+    `cnfscope features --format json` prints."""
+    return json.dumps([row_to_dict(r) for r in matrix.rows], indent=2)
+
+
+def runtime_csv(m: RuntimeMatrix) -> str:
+    """A runtime matrix as the CSV that RuntimeMatrix.from_csv reads, a
+    timeout written as TIMEOUT."""
+    return csv_text(["instance"] + m.solvers,
+                    ([inst] + [TIMEOUT if math.isinf(t) else t for t in row]
+                     for inst, row in zip(m.instances, m.times)))

@@ -1,19 +1,22 @@
 """Every breadth-first search of the library against the deque oracle, on
 seeded random graphs that include disconnected ones and isolated nodes, and
 on bipartite CVIGs of small random formulas. Greedy centers also against the
-round-based maximal independent set, there and on VIGs and CVIGs of random
-3-CNF with 10^4 variables, and against the one-node-at-a-time oracle on the
-graphs that stress the window engine: complete graphs, stars, long paths,
-isolated nodes and disconnected unions. Also the CSR arrays the searches
-walk: each row must be sorted and distinct, a Graph invariant that makes
-degree-tie iteration canonical. Eccentricities are checked on the same
-graphs, against the farthest node the deque search reaches."""
+round-based maximal independent set, there, on VIGs and CVIGs of random
+3-CNF with 10^4 variables and on CVIGs shaped like the feature pipeline's
+(canonical clause order, m/n = 10), and against the one-node-at-a-time
+oracle on the graphs that stress the window engine: complete graphs, stars,
+long paths, isolated nodes and disconnected unions. Also the CSR arrays
+the searches walk: each row must be sorted and distinct, a Graph invariant
+that makes degree-tie iteration canonical. Eccentricities are checked on
+the same graphs, against the farthest node the deque search reaches."""
 
 import numpy as np
 import pytest
 
-from cnfscope.fractal import cover_curve, greedy_cover_count, verify_cover
+from cnfscope import fractal
 from cnfscope.cnf import random_3cnf
+from cnfscope.features import _canonical_clause_order
+from cnfscope.fractal import cover_curve, greedy_cover_count, verify_cover
 from cnfscope.graph import (
     Graph,
     bfs_distances,
@@ -22,6 +25,7 @@ from cnfscope.graph import (
     build_vig,
     connected_components,
     eccentricities,
+    gather_neighbors,
 )
 from oracles import (
     adjacency_sets,
@@ -215,16 +219,25 @@ def test_greedy_windows(g, ordering):
 
 @pytest.fixture(scope="module")
 def large_graphs():
-    """VIG and CVIG of seeded random 3-CNF with n = 10^4 at m/n 1 and 4.25."""
+    """VIG and CVIG of seeded random 3-CNF with n = 10^4 at m/n 1 and 4.25,
+    and two CVIGs shaped like the ones extract_features covers: the m/n
+    4.25 formula in the canonical clause order it sorts clauses into (where
+    windows clash early), and n = 5000 at m/n 10 (where the last hop is
+    largest)."""
     n = 10_000
     formulas = {ratio: random_3cnf(n, round(ratio * n), seed=1000)
                 for ratio in (1.0, 4.25)}
-    return {(model, ratio): build(f) for ratio, f in formulas.items()
-            for model, build in (("vig", build_vig), ("cvig", build_cvig))}
+    graphs = {(model, ratio): build(f) for ratio, f in formulas.items()
+              for model, build in (("vig", build_vig), ("cvig", build_cvig))}
+    graphs["cvig-canonical", 4.25] = build_cvig(
+        _canonical_clause_order(formulas[4.25]))
+    graphs["cvig", 10.0] = build_cvig(random_3cnf(5_000, 50_000, seed=1000))
+    return graphs
 
 
-@pytest.mark.parametrize("model", ("vig", "cvig"))
-@pytest.mark.parametrize("ratio", (1.0, 4.25))
+@pytest.mark.parametrize("ratio, model", (
+    (1.0, "vig"), (1.0, "cvig"), (4.25, "vig"), (4.25, "cvig"),
+    (4.25, "cvig-canonical"), (10.0, "cvig")))
 @pytest.mark.parametrize("r", (2, 3, 4, 5))
 @pytest.mark.parametrize("ordering", ("desc_degree", "asc_degree"))
 def test_greedy_balls_large(large_graphs, model, ratio, r, ordering):
@@ -235,6 +248,25 @@ def test_greedy_balls_large(large_graphs, model, ratio, r, ordering):
     want = lex_first_mis(g, r - 1, ordering == "desc_degree")
     assert centers.tolist() == want
     assert count == len(want)
+
+
+def test_greedy_last_hop_reads_rows_once(monkeypatch):
+    """The last hop gathers only from nodes an accepted center reached and
+    whose rows no earlier circle has read there, so one cover gathers fewer
+    neighbour entries than the graph holds (gathering the whole deepest
+    layer of every window reads 3.2 times as many here)."""
+    g = build_cvig(random_3cnf(2000, 20000, seed=7))
+    entries = []
+
+    def counting(graph, frontier):
+        nb, counts = gather_neighbors(graph, frontier)
+        entries.append(nb.size)
+        return nb, counts
+
+    monkeypatch.setattr(fractal, "gather_neighbors", counting)
+    _, centers = greedy_cover_count(g, 4)
+    assert sum(entries) < g.indices.size
+    assert centers.tolist() == lex_first_mis(g, 3)
 
 
 @pytest.mark.parametrize("g", GRAPHS)

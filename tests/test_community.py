@@ -16,6 +16,7 @@ from cnfscope.community import (
 from cnfscope.graph import Graph, build_vig
 from oracles import (
     best_move_gain,
+    communities,
     dict_local_moving,
     graph_from_edges,
     modularity_optimum,
@@ -92,7 +93,7 @@ class TestPartition:
 
     def test_communities(self):
         p = Partition(np.array([0, 1, 0]), 2)
-        assert p.communities() == [[0, 2], [1]]
+        assert communities(p) == [[0, 2], [1]]
 
 
 class TestFoldCommunities:
@@ -100,7 +101,7 @@ class TestFoldCommunities:
         g = _two_cliques(5)
         res = fold_communities(g, seed=0)
         assert res.q == 0.5
-        blocks = {frozenset(b) for b in res.partition.communities()}
+        blocks = {frozenset(b) for b in communities(res.partition)}
         assert blocks == {frozenset(range(5)), frozenset(range(5, 10))}
 
     def test_k6_single_community(self):

@@ -16,10 +16,9 @@ from cnfscope.features import (
     extract_features,
     matrix_from_csv,
     matrix_to_csv,
-    matrix_to_json,
     normalize,
 )
-from oracles import canonical_clauses
+from oracles import canonical_clauses, matrix_to_json
 
 
 def _vec(**kw):

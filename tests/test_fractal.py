@@ -18,6 +18,7 @@ from oracles import (
     graph_from_edges,
     min_box_cover,
     min_circle_cover,
+    neighbors,
     random_connected_graph,
     random_formula,
     random_graph,
@@ -34,7 +35,7 @@ def _complete(n):
 
 def _complement(g):
     present = {(min(u, v), max(u, v))
-               for u in range(g.node_count) for v in g.neighbors(u).tolist()}
+               for u in range(g.node_count) for v in neighbors(g, u).tolist()}
     n = g.node_count
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if (i, j) not in present]
@@ -315,6 +316,20 @@ class TestFitDimension:
         curve = CoverCurve(np.array([5.0]))
         with pytest.raises(ValueError):
             fit_dimension(curve)
+
+    @pytest.mark.parametrize("counts, r_lo, r_hi", (
+        ([5.0, 5.0], 1, 5),             # no edges: every radius keeps N(1)
+        ([7.0, 7.0, 7.0, 7.0, 7.0], 1, 5),
+        ([12.0, 6.0, 3.0, 3.0, 3.0], 3, 5),  # a plateau at the component count
+    ))
+    def test_flat_window_fits_exactly(self, counts, r_lo, r_hi):
+        """Where N(r) never changes the fit is exactly flat, not the
+        rounding noise of a least-squares slope."""
+        fit = fit_dimension(CoverCurve(np.array(counts)), r_lo, r_hi)
+        flat = counts[r_lo - 1]
+        assert (fit.d, fit.beta, fit.residual) == (0.0, 0.0, 0.0)
+        assert (fit.intercept_loglog, fit.intercept_semilog) == (flat, flat)
+        assert fit.r_range == (r_lo, min(r_hi, len(counts)))
 
     @pytest.mark.parametrize("r_lo", (0, -2))
     def test_window_below_radius_one(self, r_lo):

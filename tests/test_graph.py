@@ -16,7 +16,8 @@ from cnfscope.graph import (
     row_ranges,
     run_starts,
 )
-from oracles import graph_from_edges, random_formula, reference_csr
+from oracles import (graph_from_edges, neighbors, random_formula,
+                     reference_csr)
 
 
 def _path(n):
@@ -66,7 +67,7 @@ class TestBuildVig:
         f = random_3cnf(30, 80, seed=1)
         g = build_vig(f)
         for u in range(g.node_count):
-            nb = g.neighbors(u)
+            nb = neighbors(g, u)
             assert (np.diff(nb) > 0).all()
 
     @pytest.mark.parametrize("weighted", (False, True))
@@ -197,7 +198,7 @@ class TestBuildCvig:
                 stack = [start]
                 while stack:
                     u = stack.pop()
-                    for v in g.neighbors(u).tolist():
+                    for v in neighbors(g, u).tolist():
                         if color[v] == -1:
                             color[v] = 1 - color[u]
                             stack.append(v)
@@ -205,7 +206,7 @@ class TestBuildCvig:
                             assert color[v] != color[u]
             # sides coincide with the variable/clause split
             for u in range(g.node_count):
-                for v in g.neighbors(u).tolist():
+                for v in neighbors(g, u).tolist():
                     assert (u < g.variable_count) != (v < g.variable_count)
 
     def test_kind_tags(self):
@@ -230,7 +231,7 @@ class TestBuildCig:
         f = CnfFormula.from_clauses(2, [[1], [-1], [2]])
         g = build_cig(f)
         assert g.edge_count == 1
-        assert g.neighbors(0).tolist() == [1]
+        assert neighbors(g, 0).tolist() == [1]
 
     def test_oracle_clause_pairs(self):
         """Against every clause pair checked by brute force, on formulas
@@ -318,7 +319,7 @@ class TestRowHelpers:
         assert not np.shares_memory(nb, g.indices)
         assert counts.tolist() == [g.degrees[x] for x in frontier]
         assert nb.tolist() == [y for x in frontier
-                               for y in g.neighbors(x).tolist()]
+                               for y in neighbors(g, x).tolist()]
         nb[:] = -1
         assert np.array_equal(g.indices, before)
 

