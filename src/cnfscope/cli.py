@@ -59,16 +59,6 @@ def _check_readable(paths):
             raise FileNotFoundError(f"input not readable: {p}")
 
 
-def _build_graph(f: cnf.CnfFormula, model: str) -> graph.Graph:
-    if model == "vig":
-        return graph.build_vig(f)
-    if model == "cvig":
-        return graph.build_cvig(f)
-    if model == "cig":
-        return graph.build_cig(f)
-    raise ValueError(f"unknown graph model {model!r}")
-
-
 def _emit(text: str, args) -> None:
     if args.output:
         Path(args.output).write_text(text)
@@ -99,8 +89,7 @@ def _emit_table(args, columns, records) -> None:
 def _feature_config(args) -> features.FeatureConfig:
     return features.FeatureConfig(seed=_resolve_seed(args.seed),
                                   fit_lo=args.fit_lo, fit_hi=args.fit_hi,
-                                  ordering=args.ordering,
-                                  monotone_clamp=args.monotone_clamp)
+                                  ordering=args.ordering)
 
 
 def _job_labels(job) -> tuple[str, str | None]:
@@ -182,9 +171,8 @@ def cmd_features(args) -> int:
 def cmd_ndr(args) -> int:
     _check_readable((args.input,))
     formula = cnf.parse_dimacs(cnf.read_input(args.input))
-    g = _build_graph(formula, args.model)
-    curve = fractal.cover_curve(g, r_stop=args.r_stop, ordering=args.ordering,
-                                monotone_clamp=args.monotone_clamp)
+    g = getattr(graph, f"build_{args.model}")(formula)
+    curve = fractal.cover_curve(g, r_stop=args.r_stop, ordering=args.ordering)
     try:
         fit = fractal.fit_dimension(curve, args.fit_lo, args.fit_hi)
     except ValueError:
@@ -227,7 +215,7 @@ def cmd_evolution(args) -> int:
     def dims(f: cnf.CnfFormula) -> tuple[float, float]:
         # unlike extract_features, no canonical clause order: the augmented
         # formulas are measured as built
-        return tuple(features.cover_and_fit(build(f, weighted=False), cfg)[1].d
+        return tuple(features.cover_and_fit(build(f), cfg)[1].d
                      for build in (graph.build_vig, graph.build_cvig))
 
     columns = ("checkpoint", "d_learnt", "d_b_learnt", "d_random",
@@ -257,15 +245,14 @@ def cmd_evolution(args) -> int:
 
 def cmd_gen(args) -> int:
     seed = _resolve_seed(args.seed)
-    # random_3cnf's own checks, made before OUT is created
-    if args.n < 3:
-        raise ValueError("random 3-CNF needs n >= 3")
-    if args.m < 1:
-        raise ValueError("m must be positive")
+    # random_3cnf checks --n and --m, so the first formula is made before
+    # OUT is created
+    formula = cnf.random_3cnf(args.n, args.m, seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
-        formula = cnf.random_3cnf(args.n, args.m, seed + k)
+        if k:
+            formula = cnf.random_3cnf(args.n, args.m, seed + k)
         path = outdir / f"rand_n{args.n}_m{args.m}_s{k}.cnf"
         path.write_text(cnf.write_dimacs(formula))
         print(path, file=sys.stderr)
@@ -331,18 +318,24 @@ def _checkpoints(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _add_common(p, fit=True):
+def _add_seed(p):
     p.add_argument("--seed", type=_seed, default=None,
                    help="random seed (default: $CNFSCOPE_SEED or 42)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_output(p):
     p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
-    if fit:
-        p.add_argument("--ordering", choices=fractal.ORDERINGS,
-                       default="desc_degree")
-        p.add_argument("--fit-lo", type=int, default=1, dest="fit_lo")
-        p.add_argument("--fit-hi", type=int, default=5, dest="fit_hi")
-        p.add_argument("--monotone-clamp", action="store_true",
-                       dest="monotone_clamp")
+
+
+def _add_curve_options(p):
+    """--format, -o and the cover and fit options of features, ndr and
+    evolution."""
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output(p)
+    p.add_argument("--ordering", choices=fractal.ORDERINGS,
+                   default="desc_degree")
+    p.add_argument("--fit-lo", type=int, default=1, dest="fit_lo")
+    p.add_argument("--fit-hi", type=int, default=5, dest="fit_hi")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,14 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_count, default=1)
     p.add_argument("--family-from-dir", action="store_true",
                    help="use each file's parent directory name as its family")
-    _add_common(p)
+    _add_seed(p)
+    _add_curve_options(p)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("ndr", help="dump the N(r) cover curve of one formula")
     p.add_argument("input")
     p.add_argument("--model", choices=MODELS, default="vig")
     p.add_argument("--r-stop", type=_count, default=None, dest="r_stop")
-    _add_common(p)
+    _add_curve_options(p)
     p.set_defaults(func=cmd_ndr)
 
     p = sub.add_parser("evolution",
@@ -373,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--checkpoints", type=_checkpoints, default=(),
                    help="comma-separated decision counts (default: all)")
-    _add_common(p)
+    _add_seed(p)
+    _add_curve_options(p)
     p.set_defaults(func=cmd_evolution)
 
     p = sub.add_parser("gen", help="generate random 3-CNF files")
@@ -381,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--count", type=_count, default=1)
-    _add_common(p, fit=False)
+    _add_seed(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("classify", help="leave-one-out family classification")
@@ -391,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-used", type=_feature_names,
                    default=features.FEATURE_NAMES,
                    help="comma-separated feature subset (default: all five)")
-    _add_common(p, fit=False)
+    _add_output(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("portfolio", help="leave-one-out portfolio simulation")
@@ -399,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("runtimes")
     p.add_argument("--timeout", type=float, default=None,
                    help="timeout seconds (default: max finite runtime)")
-    _add_common(p, fit=False)
+    _add_output(p)
     p.set_defaults(func=cmd_portfolio)
     return parser
 

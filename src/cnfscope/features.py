@@ -31,7 +31,6 @@ class FeatureConfig:
     fit_lo: int = 1
     fit_hi: int = 5
     ordering: str = "desc_degree"
-    monotone_clamp: bool = False
 
 
 @dataclass(frozen=True)
@@ -129,8 +128,7 @@ def _canonical_clause_order(f: CnfFormula) -> CnfFormula:
 def cover_and_fit(g: Graph, cfg: FeatureConfig
                   ) -> tuple[CoverCurve, DimensionFit]:
     """Greedy cover curve of g up to r = fit_hi and its dimension fit."""
-    curve = cover_curve(g, r_stop=cfg.fit_hi, ordering=cfg.ordering,
-                        monotone_clamp=cfg.monotone_clamp)
+    curve = cover_curve(g, r_stop=cfg.fit_hi, ordering=cfg.ordering)
     return curve, fit_dimension(curve, cfg.fit_lo, cfg.fit_hi)
 
 
@@ -154,7 +152,7 @@ def extract_features(f: CnfFormula, config: FeatureConfig | None = None
     curve, fit_v = cover_and_fit(vig, cfg)
     q = fold_communities(vig, seed=cfg.seed).q
     del vig
-    _, fit_b = cover_and_fit(build_cvig(f, weighted=False), cfg)
+    _, fit_b = cover_and_fit(build_cvig(f), cfg)
 
     extras = {
         "beta": fit_v.beta,

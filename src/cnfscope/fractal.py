@@ -279,7 +279,6 @@ class CoverCurve:
 
     counts: np.ndarray
     r_max: int | None = None
-    clamped: bool = False
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.float64)
@@ -306,8 +305,7 @@ class CoverCurve:
 
 
 def cover_curve(g: Graph, r_stop: int | None = None,
-                ordering: str = "desc_degree",
-                monotone_clamp: bool = False) -> CoverCurve:
+                ordering: str = "desc_degree") -> CoverCurve:
     """Greedy N(r) for r = 1, 2, ... until a single circle suffices, the
     curve bottoms out at the component count, or r_stop is reached."""
     if g.node_count == 0:
@@ -333,11 +331,7 @@ def cover_curve(g: Graph, r_stop: int | None = None,
         if r > g.node_count:
             break
         r += 1
-    arr = np.asarray(counts, dtype=np.float64)
-    if monotone_clamp:
-        arr = np.minimum.accumulate(arr)
-        return CoverCurve(arr, r_max, clamped=True)
-    return CoverCurve(arr, r_max)
+    return CoverCurve(np.asarray(counts, dtype=np.float64), r_max)
 
 
 @dataclass(frozen=True)

@@ -139,14 +139,16 @@ def build_vig(f: CnfFormula, weighted: bool = False) -> Graph:
 
 def build_cvig(f: CnfFormula, weighted: bool = False) -> Graph:
     """Clause-variable incidence graph: bipartite, variable nodes 0..n-1
-    followed by clause nodes n..n+m-1, one edge per occurrence. Weighted mode
-    gives each clause's star total weight 1."""
+    followed by clause nodes n..n+m-1, one unweighted edge per occurrence.
+
+    `weighted` only keeps the call shape of build_vig, build_cvig(f, False);
+    True is a ValueError."""
+    if weighted:
+        raise ValueError("the CVIG is built unweighted")
     n, m = f.num_vars, f.num_clauses
     indptr, vars_ = f.clause_vars
-    sizes = np.diff(indptr)
-    clause_nodes = n + _clause_ids(sizes)
-    w = 1.0 / np.repeat(sizes, sizes) if weighted else None
-    return Graph.from_edges(n + m, vars_, clause_nodes, w, variable_count=n)
+    clause_nodes = n + _clause_ids(np.diff(indptr))
+    return Graph.from_edges(n + m, vars_, clause_nodes, variable_count=n)
 
 
 def build_cig(f: CnfFormula) -> Graph:

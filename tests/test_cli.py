@@ -1,3 +1,4 @@
+import argparse
 import bz2
 import gzip
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cnfscope.cli import main
+from cnfscope.cli import build_parser, main
 from cnfscope.cnf import parse_dimacs, random_3cnf, write_dimacs
 from cnfscope.features import (
     FeatureConfig,
@@ -345,6 +346,85 @@ class TestCountFlags:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: expected a positive integer" in err
+
+
+class _ReadLog(argparse.Namespace):
+    """A Namespace that logs the name of each attribute read from it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _valid_argv(command, cnf_file, tmp_path):
+    """A small valid invocation of each subcommand."""
+    if command == "evolution":
+        trace = tmp_path / "t.trace"
+        trace.write_text("t 10\n1 -2 0\n")
+        return ("evolution", cnf_file, "--trace", trace)
+    if command == "gen":
+        return ("gen", tmp_path / "out", "--n", 10, "--m", 20)
+    if command in ("classify", "portfolio"):
+        feats, runtimes = tmp_path / "f.csv", tmp_path / "rt.csv"
+        feats.write_text(
+            "instance,family,alpha,q,d,d_b,ratio,beta,beta_b,n,m,r_max\n"
+            "a,x,1.0,0.5,2.0,2.1,4.0,,,,,\nb,x,1.1,0.4,2.2,2.0,4.2,,,,,\n"
+            "c,y,9.0,0.9,3.0,3.1,8.0,,,,,\nd,y,9.1,0.8,3.2,3.0,8.3,,,,,\n")
+        runtimes.write_text("instance,s1,s2\na,1.0,2.0\nb,1.0,2.0\n"
+                            "c,2.0,1.0\nd,2.0,1.0\n")
+        return ((command, feats) if command == "classify"
+                else (command, feats, runtimes))
+    return (command, cnf_file)
+
+
+class TestOptions:
+    """Each subcommand defines only options it reads; a flag it used to
+    accept and ignore is a usage error."""
+
+    COMMANDS = ("features", "ndr", "evolution", "gen", "classify",
+                "portfolio")
+
+    def test_every_option_is_read(self, cnf_file, tmp_path, capsys):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.COMMANDS)
+        for command in self.COMMANDS:
+            argv = [str(a) for a in _valid_argv(command, cnf_file, tmp_path)]
+            args = _ReadLog(**vars(parser.parse_args(argv)))
+            assert args.func(args) == 0
+            options = {a.dest for a in sub.choices[command]._actions
+                       if a.dest != "help"}
+            assert options - args._read == set(), command
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command, flag", (
+        ("features", ("--monotone-clamp",)),
+        ("ndr", ("--monotone-clamp",)),
+        ("evolution", ("--monotone-clamp",)),
+        ("ndr", ("--seed", "1")),
+        ("gen", ("--format", "json")),
+        ("gen", ("-o", "x.txt")),
+        ("classify", ("--seed", "1")),
+        ("classify", ("--format", "csv")),
+        ("portfolio", ("--seed", "1")),
+        ("portfolio", ("--format", "json"))),
+        ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_removed_flag_usage_error(self, cnf_file, tmp_path, capsys,
+                                      command, flag):
+        argv = _valid_argv(command, cnf_file, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            _run(capsys, *argv, *flag)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in out.err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSeed:

@@ -263,7 +263,7 @@ class TestDerivedViews:
         assert parsed == f
         assert f.tautological == parsed.tautological == (0,)
         builders = (lambda h: build_vig(h), lambda h: build_vig(h, weighted=True),
-                    lambda h: build_cvig(h), lambda h: build_cvig(h, weighted=True))
+                    lambda h: build_cvig(h))
         for build in builders:
             a, b = build(f), build(parsed)
             for name in ("indptr", "indices", "weights"):

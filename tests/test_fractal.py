@@ -250,14 +250,6 @@ class TestCoverCurve:
         assert curve.normalized[0] == 1.0
         assert curve.counts[0] == 7
 
-    def test_monotone_clamp(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            g = random_graph(rng, 10, 0.3)
-            curve = cover_curve(g, r_stop=5, monotone_clamp=True)
-            assert curve.clamped
-            assert (np.diff(curve.counts) <= 0).all()
-
     @pytest.mark.parametrize("ordering", ("desc_degree", "asc_degree"))
     def test_graph_without_nodes(self, ordering):
         # it used to fail on its own empty curve: "cover counts must be >= 1"

@@ -140,34 +140,26 @@ class TestBuilderOracles:
                                  "sum" if weighted else "unit")
             self._check(build_vig(f, weighted), want)
 
-    @pytest.mark.parametrize("weighted", (False, True))
+    # build_cvig(f, False) is the call shape build_cvig shares with
+    # build_vig; True is an error (TestBuildCvig.test_weighted_rejected)
+    @pytest.mark.parametrize("weighted", (False,))
     def test_cvig(self, weighted):
         for f in _raw_formulas():
-            u, v, w = [], [], []
+            u, v = [], []
             for ci, c in enumerate(f.clauses):
                 vs = sorted({abs(lit) - 1 for lit in c})
                 u += vs
                 v += [f.num_vars + ci] * len(vs)
-                w += [1.0 / len(vs) for _ in vs]
-            want = reference_csr(f.num_vars + f.num_clauses, u, v, w,
-                                 "sum" if weighted else "unit")
+            want = reference_csr(f.num_vars + f.num_clauses, u, v,
+                                 [1.0] * len(u), "unit")
             self._check(build_cvig(f, weighted), want)
 
 
 class TestBuildCvig:
-    def test_star(self):
+    def test_weighted_rejected(self):
         f = CnfFormula.from_clauses(3, [[1, 2, -3]])
-        g = build_cvig(f, weighted=True)
-        assert g.node_count == 4
-        assert g.degrees[3] == 3  # the clause node
-        assert np.allclose(g.weights[g.indptr[3]:g.indptr[4]], 1 / 3)
-
-    def test_two_unit_clauses(self):
-        f = CnfFormula.from_clauses(1, [[1], [1]])
-        g = build_cvig(f, weighted=True)
-        assert g.node_count == 3
-        assert g.degrees[0] == 2
-        assert np.allclose(g.weights[g.indptr[0]:g.indptr[1]], 1.0)
+        with pytest.raises(ValueError, match="^the CVIG is built unweighted$"):
+            build_cvig(f, weighted=True)
 
     def test_edge_count_is_occurrences(self):
         rng = np.random.default_rng(5)
@@ -176,14 +168,6 @@ class TestBuildCvig:
             g = build_cvig(f)
             occurrences = sum(len({abs(l) for l in c}) for c in f.clauses)
             assert g.edge_count == occurrences
-
-    def test_total_weight_is_clause_count(self):
-        rng = np.random.default_rng(6)
-        for _ in range(25):
-            f = random_formula(rng)
-            g = build_cvig(f, weighted=True)
-            nonempty = sum(1 for c in f.clauses if len(c) > 0)
-            assert g.total_weight == pytest.approx(nonempty)
 
     def test_bipartite_two_coloring(self):
         rng = np.random.default_rng(7)
