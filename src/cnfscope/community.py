@@ -18,8 +18,9 @@ MIN_GAIN = 1e-6
 # edges, so their temporaries stay small.
 CHECK_EDGES = 2 ** 15
 # Graphs of up to SMALL_GRAPH nodes are folded SMALL_GRAPH_RESTARTS times,
-# larger ones once.
-SMALL_GRAPH, SMALL_GRAPH_RESTARTS = 2000, 10
+# each fold refined by one local moving pass over the input graph; larger
+# ones are folded once, unrefined.
+SMALL_GRAPH, SMALL_GRAPH_RESTARTS = 2000, 3
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,12 @@ class ModularityResult:
     """Outcome of fold_communities. q is recomputed from scratch on the flat
     partition; q_incremental is the sum of the accepted move gains. levels
     counts aggregations. passes counts local-moving rounds, summed over
-    levels: each level's first round visits every node, a queue round the
-    nodes queued by a move in the round before, and a flagged round the
-    nodes the check of a drained queue found a better community for. No
-    round only confirms that nothing moves."""
+    levels and, on a small graph, the refinement pass: each level's first
+    round visits every node, a queue round the nodes queued by a move in
+    the round before, and a flagged round the nodes the check of a drained
+    queue found a better community for. The refinement pass starts at the
+    check, so it adds no round when nothing moves, and no round only
+    confirms that nothing moves."""
 
     q: float
     partition: Partition
@@ -101,11 +104,11 @@ class _LevelGraph:
     to strength), and the rows that _local_moving visits.
 
     The rows are built once per level graph, so every restart of a small
-    graph reuses its base level's. rows = (nbrs, ws): per node, a list of
-    its neighbour ids and one of its edge weights, in CSR order. The lists
-    share their objects, one int per node id and one float per distinct
-    weight, so they cost a pointer per directed edge and a list header per
-    node. A weighted VIG has few distinct weights (the VIG of a random
+    graph, and the refinement pass that ends each one, reuses its base
+    level's. rows = (nbrs, ws): per node, a list of its neighbour ids and
+    one of its edge weights, in CSR order. The lists share their objects,
+    one int per node id and one float per distinct weight, so they cost a
+    pointer per directed edge and a list header per node. A weighted VIG has few distinct weights (the VIG of a random
     3-CNF at n=1e5 has two)."""
 
     def __init__(self, g: Graph, selfw: np.ndarray):
@@ -208,18 +211,23 @@ def _flagged(lg: _LevelGraph, comm, sigma) -> np.ndarray:
     return flags
 
 
-def _local_moving(lg: _LevelGraph,
-                  rng: np.random.Generator) -> tuple[np.ndarray, float, int]:
+def _local_moving(lg: _LevelGraph, rng: np.random.Generator, start=None
+                  ) -> tuple[np.ndarray, float, int]:
     """Move nodes greedily between communities until no single move raises
     modularity. Returns (labels, total gain, rounds).
 
-    Fast local moving (Traag, Waltman & van Eck 2019): round 1 visits every
-    node once in seeded random order; each later round visits only the
-    nodes queued in the round before, the neighbours of a moved node that
-    lie outside its new community. A move also shifts two community
-    strengths, which can open a move for a node that is not queued, so when
-    the queue drains, _flagged checks every node at once with the loop's own
-    arithmetic. The level ends when it flags nothing; otherwise the flagged
+    Fast local moving (Traag, Waltman & van Eck 2019): from singletons,
+    round 1 visits every node once in seeded random order; each later round
+    visits only the nodes queued in the round before, the neighbours of a
+    moved node that lie outside its new community. Given start, per-node
+    community ids below the node count, the level starts from that
+    partition with sigma summed from it and an empty queue, so it begins at
+    the check: a start that no single move improves comes back unchanged
+    after one check, with gain 0.0 and 0 rounds, and draws nothing from
+    rng. A move also shifts two community strengths, which can open a move
+    for a node that is not queued, so when the queue drains, _flagged
+    checks every node at once with the loop's own arithmetic. The level
+    ends when it flags nothing; otherwise the flagged
     nodes are visited in the order of a fresh permutation, as queued nodes.
     The level also ends when the queue drains on a partition seen at an
     earlier check of the level (kept as hashes of tuple(comm); two
@@ -246,10 +254,16 @@ def _local_moving(lg: _LevelGraph,
     neighbour outside its community keeps best_gain at -inf and stays.
     """
     n = lg.g.node_count
-    comm = list(range(n))
-    community_of = comm.__getitem__
     strength = lg.strength.tolist()
-    sigma = lg.strength.tolist()
+    if start is None:
+        comm = list(range(n))
+        sigma = strength[:]
+        todo = rng.permutation(n).tolist()
+    else:
+        comm = np.asarray(start, dtype=np.int64).tolist()
+        sigma = np.bincount(comm, weights=lg.strength, minlength=n).tolist()
+        todo = []
+    community_of = comm.__getitem__
     total_w = lg.total
     two_w2 = 2.0 * total_w * total_w
     nbrs, ws = lg.rows
@@ -257,10 +271,21 @@ def _local_moving(lg: _LevelGraph,
     no_gain = -np.inf
     total_gain = 0.0
     rounds = 0
-    todo = rng.permutation(n).tolist()
-    queued = [True] * n
+    queued = [start is None] * n
     seen: set[int] = set()
     while True:
+        if not todo:
+            state = hash(tuple(comm))
+            if state in seen:
+                break
+            seen.add(state)
+            flags = _flagged(lg, comm, sigma)
+            if not flags.any():
+                break
+            order = rng.permutation(n)
+            todo = order[flags[order]].tolist()
+            for u in todo:
+                queued[u] = True
         rounds += 1
         nxt: list[int] = []
         for u in todo:
@@ -292,20 +317,7 @@ def _local_moving(lg: _LevelGraph,
                         nxt.append(v)
             else:
                 sigma[a] += s_u
-        if nxt:
-            todo = nxt
-            continue
-        state = hash(tuple(comm))
-        if state in seen:
-            break
-        seen.add(state)
-        flags = _flagged(lg, comm, sigma)
-        if not flags.any():
-            break
-        order = rng.permutation(n)
-        todo = order[flags[order]].tolist()
-        for u in todo:
-            queued[u] = True
+        todo = nxt
     return np.asarray(comm, dtype=np.int64), total_gain, rounds
 
 
@@ -334,9 +346,14 @@ def fold_communities(g: Graph, seed: int = 42) -> ModularityResult:
 
     Each restart alternates seeded local moving (queue-based, run to a local
     optimum) with community aggregation until a level improves Q by no more
-    than MIN_GAIN; the best restart wins. Small graphs are cheap to re-run,
-    so graphs of up to 2000 nodes get 10 restarts (local moving is
-    order-sensitive there) and larger graphs get one.
+    than MIN_GAIN; the best restart wins. Graphs of up to SMALL_GRAPH nodes
+    are cheap to re-run and local moving is order-sensitive there, so they
+    get SMALL_GRAPH_RESTARTS restarts, each ending with one refinement
+    pass: local moving over the input graph from the restart's flat
+    partition, on the restart's generator, whose gain and rounds add to
+    q_incremental and passes. After it no single node move raises Q, which
+    aggregation alone does not promise. Larger graphs get one restart,
+    unrefined.
     The reported q is recomputed from scratch on the returned flat partition;
     q_incremental tracks the accumulated move gains for cross-checking,
     from the singleton Q, computed once per call. Edge weights must be
@@ -351,15 +368,21 @@ def fold_communities(g: Graph, seed: int = 42) -> ModularityResult:
     if base.total == 0.0:
         return ModularityResult(0.0, Partition.singletons(g.node_count), 0, 0, 0.0)
     q_singletons = modularity(g, Partition.singletons(g.node_count))
-    restarts = SMALL_GRAPH_RESTARTS if g.node_count <= SMALL_GRAPH else 1
-    # the last restart holds the only reference to base, so the base rows
-    # are freed once it aggregates (the only restart of a large graph)
+    # a small graph keeps base for its refinement passes; a large graph's
+    # only restart holds the only reference to base, so the base rows are
+    # freed once it aggregates
+    refine = base if g.node_count <= SMALL_GRAPH else None
+    restarts = 1 if refine is None else SMALL_GRAPH_RESTARTS
     bases = [base] * restarts
     del base
     best = None
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
         flat, q_inc, levels, passes = _fold_once(bases.pop(), q_singletons, rng)
+        if refine is not None:
+            flat, gain, rounds = _local_moving(refine, rng, flat)
+            q_inc += gain
+            passes += rounds
         part = Partition.from_labels(flat)
         q = modularity(g, part)
         if best is None or q > best.q:

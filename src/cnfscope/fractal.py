@@ -310,6 +310,8 @@ def cover_curve(g: Graph, r_stop: int | None = None,
     curve bottoms out at the component count, or r_stop is reached."""
     if g.node_count == 0:
         raise ValueError("graph has no nodes")
+    if r_stop is not None and r_stop < 1:
+        raise ValueError("r_stop must be >= 1")
     order = _node_order(g, ordering)
     counts: list[int] = []
     r_max = None

@@ -33,7 +33,8 @@ class Graph:
 
         Coinciding edges collapse into one, whose weight is the sum of theirs;
         without weights (w None) every retained edge weighs 1. Self-loops and
-        node ids outside 0..node_count-1 are rejected. The parallel weights
+        node ids outside 0..node_count-1 are rejected, and so are u, v and w
+        that are not 1-D arrays of one length. The parallel weights
         of an edge are sorted ascending and summed by np.add.reduceat, which
         does not add left to right: with three or more of them the sum can
         differ from a left-to-right one in the last bit.
@@ -46,6 +47,13 @@ class Graph:
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
+        arrays = {"u": u, "v": v}
+        if w is not None:
+            w = np.asarray(w, dtype=np.float64)
+            arrays["w"] = w
+        if any(a.ndim != 1 or a.shape != u.shape for a in arrays.values()):
+            shapes = ", ".join(f"{k} {a.shape}" for k, a in arrays.items())
+            raise ValueError(f"edge arrays must be 1-D of one length, got {shapes}")
         if u.size:
             if (u == v).any():
                 raise ValueError("self-loops are not allowed")
@@ -60,7 +68,6 @@ class Graph:
         if w is None:
             key.sort()
         else:
-            w = np.asarray(w, dtype=np.float64)
             # secondary sort on w keeps float summation order canonical
             order = np.lexsort((w, key))
             key, w = key[order], w[order]

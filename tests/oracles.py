@@ -297,18 +297,28 @@ def best_move_gain(g: Graph, labels, groups=None) -> float:
     return best
 
 
-def dict_local_moving(lg, rng: np.random.Generator
+def dict_local_moving(lg, rng: np.random.Generator, start=None
                       ) -> tuple[np.ndarray, float, int]:
     """community._local_moving as it was before the flat accumulator: the
     same visits, gains, tie rule and queue, with each visit's weights per
     neighbour community summed into a dict. Its level ends only when the
     check flags nothing or a flagged round moves nothing, so where rounding
     makes moves cycle it never returns; wherever it returns, the seen
-    partition rule of _local_moving ends the level in the same round."""
+    partition rule of _local_moving ends the level in the same round. Given
+    start, it begins at the check from that partition, with the community
+    strengths summed from it."""
     n = lg.g.node_count
-    comm = list(range(n))
     strength = lg.strength.tolist()
-    sigma = lg.strength.tolist()
+    if start is None:
+        comm = list(range(n))
+        sigma = lg.strength.tolist()
+        todo = rng.permutation(n).tolist()
+    else:
+        comm = [int(c) for c in start]
+        sigma = [0.0] * n
+        for u, c in enumerate(comm):
+            sigma[c] += strength[u]
+        todo = []
     total_w = lg.total
     two_w2 = 2.0 * total_w * total_w
     indptr = lg.g.indptr.tolist()
@@ -316,46 +326,47 @@ def dict_local_moving(lg, rng: np.random.Generator
     weights = lg.g.weights.tolist()
     total_gain = 0.0
     rounds = 0
-    todo, checked = rng.permutation(n).tolist(), False
-    queued = [True] * n
+    checked = False
+    queued = [start is None] * n
     while True:
-        rounds += 1
-        nxt: list[int] = []
-        moved = False
-        for u in todo:
-            queued[u] = False
-            a = comm[u]
-            s_u = strength[u]
-            lo, hi = indptr[u], indptr[u + 1]
-            links: dict[int, float] = {}
-            for v, w in zip(indices[lo:hi], weights[lo:hi]):
-                c = comm[v]
-                links[c] = links.get(c, 0.0) + w
-            sigma[a] -= s_u
-            stay = links.get(a, 0.0) / total_w - sigma[a] * s_u / two_w2
-            best_c, best_gain = -1, -np.inf
-            for c, w_c in links.items():
-                if c == a:
-                    continue
-                gain = w_c / total_w - sigma[c] * s_u / two_w2
-                if gain > best_gain or (gain == best_gain and c < best_c):
-                    best_gain, best_c = gain, c
-            if best_c >= 0 and best_gain > stay:
-                sigma[best_c] += s_u
-                comm[u] = best_c
-                total_gain += best_gain - stay
-                moved = True
-                for v in indices[lo:hi]:
-                    if not queued[v] and comm[v] != best_c:
-                        queued[v] = True
-                        nxt.append(v)
-            else:
-                sigma[a] += s_u
-        if nxt:
-            todo, checked = nxt, False
-            continue
-        if checked and not moved:
-            break
+        if todo:
+            rounds += 1
+            nxt: list[int] = []
+            moved = False
+            for u in todo:
+                queued[u] = False
+                a = comm[u]
+                s_u = strength[u]
+                lo, hi = indptr[u], indptr[u + 1]
+                links: dict[int, float] = {}
+                for v, w in zip(indices[lo:hi], weights[lo:hi]):
+                    c = comm[v]
+                    links[c] = links.get(c, 0.0) + w
+                sigma[a] -= s_u
+                stay = links.get(a, 0.0) / total_w - sigma[a] * s_u / two_w2
+                best_c, best_gain = -1, -np.inf
+                for c, w_c in links.items():
+                    if c == a:
+                        continue
+                    gain = w_c / total_w - sigma[c] * s_u / two_w2
+                    if gain > best_gain or (gain == best_gain and c < best_c):
+                        best_gain, best_c = gain, c
+                if best_c >= 0 and best_gain > stay:
+                    sigma[best_c] += s_u
+                    comm[u] = best_c
+                    total_gain += best_gain - stay
+                    moved = True
+                    for v in indices[lo:hi]:
+                        if not queued[v] and comm[v] != best_c:
+                            queued[v] = True
+                            nxt.append(v)
+                else:
+                    sigma[a] += s_u
+            if nxt:
+                todo, checked = nxt, False
+                continue
+            if checked and not moved:
+                break
         flags = _flagged(lg, comm, sigma)
         if not flags.any():
             break

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from cnfscope.community import (
     fold_communities,
     modularity,
 )
+from cnfscope.features import _canonical_clause_order
 from cnfscope.graph import Graph, build_vig
 from oracles import (
     best_move_gain,
@@ -164,6 +166,36 @@ class TestFoldCommunities:
                            match="edge weights must be positive and finite"):
             fold_communities(g, seed=0)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_small_graph_no_single_move_raises_q_vig(self, seed):
+        # a small graph's folds end with a refinement pass over the input
+        # graph; aggregation alone leaves moves that raise Q
+        g = build_vig(random_3cnf(300, 1275, seed=1000 + seed), weighted=True)
+        res = fold_communities(g, seed=seed)
+        assert best_move_gain(g, res.partition.assignment) <= 1e-12
+
+    @pytest.mark.parametrize("seed,integer_weights", [
+        (seed, seed % 2 == 0) for seed in range(40)])
+    def test_small_graph_no_single_move_raises_q(self, seed, integer_weights):
+        g = _random_weighted_graph(np.random.default_rng(seed), integer_weights)
+        res = fold_communities(g, seed=seed)
+        assert best_move_gain(g, res.partition.assignment) <= 1e-12
+
+    def test_large_graph_folds_once_unrefined(self):
+        # above SMALL_GRAPH nodes: one restart and no refinement pass, so
+        # the fold is the one recorded before refinement was added
+        f = _canonical_clause_order(random_3cnf(2500, 10625, seed=1))
+        g = build_vig(f, weighted=True)
+        assert g.node_count > community.SMALL_GRAPH
+        res = fold_communities(g, seed=42)
+        assert (res.q, res.q_incremental, res.levels, res.passes) == \
+            (0.16774478542099228, 0.1677447854209916, 3, 47)
+        assert res.partition.community_count == 17
+        digest = hashlib.sha256(
+            res.partition.assignment.astype("<i8").tobytes()).hexdigest()
+        assert digest == ("6e1198bb910d83b304160b82240a4746"
+                          "7fda606c5311fef9f08c0fc3e357ab76")
+
     def test_random_phase_transition_low_q(self):
         # random formulas have weak community structure compared to ~0.8 for
         # modular industrial-like instances
@@ -196,6 +228,20 @@ class TestLocalMoving:
         singles = modularity(g, Partition.singletons(g.node_count))
         q = modularity(g, Partition.from_labels(labels))
         assert q == pytest.approx(singles + gain, abs=1e-12)
+
+    @pytest.mark.parametrize("seed,integer_weights", CASES)
+    def test_locally_optimal_start_returns_unchanged(self, seed,
+                                                     integer_weights):
+        # one check finds nothing to move: no round, no gain, no draw
+        g = _random_weighted_graph(np.random.default_rng(seed), integer_weights)
+        lg = _LevelGraph(g, np.zeros(g.node_count))
+        start, _, _ = _local_moving(lg, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        state = rng.bit_generator.state
+        labels, gain, rounds = _local_moving(lg, rng, start)
+        np.testing.assert_array_equal(labels, start)
+        assert (gain, rounds) == (0.0, 0)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("seed", range(10))
     def test_level_graph_no_block_move_raises_q(self, seed):
@@ -396,9 +442,10 @@ class TestDictOracle:
     summed each visit into a fresh dict."""
 
     @staticmethod
-    def _assert_same(lg, seed):
-        labels, gain, rounds = _local_moving(lg, np.random.default_rng(seed))
-        want = dict_local_moving(lg, np.random.default_rng(seed))
+    def _assert_same(lg, seed, start=None):
+        labels, gain, rounds = _local_moving(lg, np.random.default_rng(seed),
+                                             start)
+        want = dict_local_moving(lg, np.random.default_rng(seed), start)
         np.testing.assert_array_equal(labels, want[0])
         assert gain == want[1]
         assert rounds == want[2]
@@ -418,6 +465,26 @@ class TestDictOracle:
     def test_random_3cnf_vigs(self, seed):
         g = build_vig(random_3cnf(300, 1275, seed=seed), weighted=True)
         self._assert_same(_LevelGraph(g, np.zeros(g.node_count)), seed)
+
+    @pytest.mark.parametrize("seed,integer_weights", TestLocalMoving.CASES)
+    def test_random_start(self, seed, integer_weights):
+        rng = np.random.default_rng(seed)
+        g = _random_weighted_graph(rng, integer_weights)
+        lg = _LevelGraph(g, np.zeros(g.node_count))
+        start = rng.integers(0, g.node_count, g.node_count)
+        assert _flagged(lg, start, np.bincount(
+            start, weights=lg.strength, minlength=g.node_count)).any()
+        self._assert_same(lg, seed, start)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_start_from_a_fold(self, seed):
+        # the refinement pass of fold_communities: the input graph, started
+        # from the flat partition of one fold
+        g = build_vig(random_3cnf(300, 1275, seed=seed), weighted=True)
+        lg = _LevelGraph(g, np.zeros(g.node_count))
+        flat = community._fold_once(lg, 0.0, np.random.default_rng(seed))[0]
+        assert _flagged(lg, flat, np.bincount(flat, weights=lg.strength)).any()
+        self._assert_same(lg, seed, flat)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fold_communities(self, seed, monkeypatch):

@@ -238,6 +238,12 @@ class TestCoverCurve:
         assert len(curve) == 3
         assert curve.r_max is None
 
+    @pytest.mark.parametrize("r_stop", [0, -1])
+    def test_r_stop_below_one(self, r_stop):
+        # it used to return the one-point curve [N(1)]
+        with pytest.raises(ValueError, match="^r_stop must be >= 1$"):
+            cover_curve(_path(9), r_stop=r_stop)
+
     def test_disconnected_plateau_stops(self):
         g = graph_from_edges(6, [(0, 1), (2, 3), (4, 5)])
         curve = cover_curve(g)

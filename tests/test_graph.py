@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -380,6 +381,21 @@ class TestFromEdges:
         w = [1.0] * len(u) if weighted else None
         with pytest.raises(ValueError, match=rf"^node id {bad} out of range"):
             Graph.from_edges(3, u, v, w)
+
+    @pytest.mark.parametrize("args,shapes", [
+        ((3, [0, 2], [1]), "u (2,), v (1,)"),
+        ((4, [0, 2, 3], [1], [1.0, 2.0, 3.0]), "u (3,), v (1,), w (3,)"),
+        ((3, [0, 1], [1]), "u (2,), v (1,)"),
+        ((3, [0, 1], [1, 2], [1.0]), "u (2,), v (2,), w (1,)"),
+        ((3, [[0, 1]], [[1, 2]]), "u (1, 2), v (1, 2)"),
+    ], ids=["short-v", "short-v-weighted", "short-v-self-loop", "short-w",
+            "2-d"])
+    def test_mismatched_edge_arrays(self, args, shapes):
+        # they used to broadcast: the first two built edges 0-1 and 2-1 and
+        # a star, and the third reported a self-loop
+        with pytest.raises(ValueError, match=rf"^edge arrays must be 1-D of "
+                           rf"one length, got {re.escape(shapes)}$"):
+            Graph.from_edges(*args)
 
     @pytest.mark.parametrize("build", (build_vig, build_cvig, build_cig))
     def test_unit_weights_read_only_view(self, build):
