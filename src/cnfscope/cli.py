@@ -420,6 +420,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # DimacsError/TraceError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # say, a header declaring billions of variables
+        print(f"error: out of memory: {exc}" if str(exc) else
+              "error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -83,6 +83,15 @@ def _clause_ids(lengths: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
 
 
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal keys (sorted keys:
+    of each distinct key)."""
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
 def _literal_order(lengths: np.ndarray, lits: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Stable order of the literals by (clause, variable, sign), and the
@@ -211,13 +220,25 @@ class CnfFormula:
         distinct 0-based variables of clause i, ascending, are
         vars[indptr[i]:indptr[i + 1]]."""
         m = self._lengths.size
-        order, key = _literal_order(self._lengths, self._lits)
-        first = np.diff(key >> 1, prepend=-1) != 0
-        vars_ = np.abs(self._lits[order[first]]) - 1
+        var = np.abs(self._lits) - 1
+        ids = None
+        span = int(var.max(initial=-1)) + 1
+        if m * span > _INT64.max:   # keys would overflow: rank the ids
+            ids, var = np.unique(var, return_inverse=True)
+            span = ids.size
+        # one plain sort of the keys clause * span + variable, deduped
+        key = _clause_ids(self._lengths)
+        key *= span
+        key += var
+        del var
+        key.sort()
+        key = key[run_starts(key)]
+        clause = key // span
         indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(_clause_ids(self._lengths)[first], minlength=m),
-                  out=indptr[1:])
-        return indptr, vars_
+        np.cumsum(np.bincount(clause, minlength=m), out=indptr[1:])
+        clause *= span
+        key -= clause
+        return indptr, key if ids is None else ids[key]
 
     @cached_property
     def tautological(self) -> tuple[int, ...]:
@@ -483,10 +504,18 @@ def unit_propagate(f: CnfFormula) -> tuple[CnfFormula, dict[int, bool]]:
         raise PropagationConflict(0)
     starts = np.cumsum(lengths) - lengths
     ids = _clause_ids(lengths)
-    # the positions of variable v, in clause order, are occ[bounds[v]:bounds[v + 1]]
-    var = np.abs(lits)
-    occ = np.argsort(var, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(var)))).tolist()
+    # the positions of variable v, in clause order, are occ[bounds[v]:bounds[v + 1]],
+    # from one plain sort of the keys v * size + position
+    occ = np.abs(lits)
+    size = lits.size
+    if (int(occ.max(initial=0)) + 1) * size > _INT64.max:
+        raise MemoryError(f"{size} literals over {f.num_vars} variables are "
+                          "too many to propagate")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(occ)))).tolist()
+    occ *= size
+    occ += np.arange(size)
+    occ.sort()
+    occ %= size
     live = lengths.tolist()              # literals left in each clause
     alive = [True] * lengths.size
     removed = bytearray(lits.size)
@@ -532,10 +561,14 @@ def unit_propagate(f: CnfFormula) -> tuple[CnfFormula, dict[int, bool]]:
 def _with_learnt(f: CnfFormula, trace: ClauseTrace, checkpoint: int,
                  replace=None) -> CnfFormula:
     """f plus the learnt clauses recorded at `checkpoint` (normalized, each
-    replaced by replace(its length) when given), unit-propagated."""
+    replaced by replace(its number of distinct variables) when given),
+    unit-propagated."""
     lengths, lits, _ = _normalized(f.num_vars, *_arrays(trace.learnt_at(checkpoint)),
                                    label="learnt clause")
     if replace is not None:
+        # a tautological clause holds fewer distinct variables than literals
+        rows = CnfFormula.from_arrays(f.num_vars, lengths, lits).clause_vars[0]
+        lengths = np.diff(rows)
         lits = np.concatenate([lits[:0], *map(replace, lengths.tolist())])
     base_lengths, base_lits = f.literal_arrays()
     result, _ = unit_propagate(CnfFormula.from_arrays(
@@ -556,7 +589,8 @@ def augment_with_learnt(f: CnfFormula, trace: ClauseTrace, checkpoint: int) -> C
 def random_replacement(f: CnfFormula, trace: ClauseTrace, checkpoint: int,
                        seed: int) -> CnfFormula:
     """Like augment_with_learnt, but each learnt clause is replaced by a fresh
-    uniformly random clause of the same size before propagation."""
+    uniformly random clause over as many distinct variables before
+    propagation: a tautological clause's stand-in is shorter than it."""
     rng = np.random.default_rng(seed)
     return _with_learnt(f, trace, checkpoint,
                         lambda size: _random_clause(rng, f.num_vars, size))

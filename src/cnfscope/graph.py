@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnf import CnfFormula, _clause_ids
+from .cnf import _INT64, CnfFormula, _clause_ids, run_starts
 
 
 class Graph:
@@ -149,13 +149,37 @@ def build_cvig(f: CnfFormula, weighted: bool = False) -> Graph:
     followed by clause nodes n..n+m-1, one unweighted edge per occurrence.
 
     `weighted` only keeps the call shape of build_vig, build_cvig(f, False);
-    True is a ValueError."""
+    True is a ValueError.
+
+    The edges are distinct already, so the CSR is assembled without
+    Graph.from_edges: each clause row is the clause's clause_vars row, and
+    the variable rows come from one plain sort of the keys
+    variable * m + clause."""
     if weighted:
         raise ValueError("the CVIG is built unweighted")
     n, m = f.num_vars, f.num_clauses
-    indptr, vars_ = f.clause_vars
-    clause_nodes = n + _clause_ids(np.diff(indptr))
-    return Graph.from_edges(n + m, vars_, clause_nodes, variable_count=n)
+    if n * m > _INT64.max:   # the keys would overflow
+        raise MemoryError(f"a CVIG of {n} variables and {m} clauses is too large")
+    rows, vars_ = f.clause_vars
+    size = vars_.size
+    # the variable rows fill the first half of indices, and the second half
+    # holds each key's variable until the clause rows overwrite it
+    indices = np.empty(2 * size, dtype=np.int64)
+    key, var = indices[:size], indices[size:]
+    np.multiply(vars_, m, out=key)
+    key += _clause_ids(np.diff(rows))
+    key.sort()
+    np.floor_divide(key, m, out=var)
+    var *= m
+    key -= var
+    key += n
+    var[:] = vars_
+    indptr = np.empty(n + m + 1, dtype=np.int64)
+    indptr[0] = 0
+    np.cumsum(np.bincount(vars_, minlength=n), out=indptr[1:n + 1])
+    np.add(rows[1:], size, out=indptr[n + 1:])
+    weights = np.broadcast_to(np.float64(1.0), (2 * size,))
+    return Graph(n + m, indptr, indices, weights, n)
 
 
 def build_cig(f: CnfFormula) -> Graph:
@@ -208,15 +232,6 @@ def row_ranges(ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
     idx = shift.repeat(counts)
     idx += np.arange(idx.size)
     return idx
-
-
-def run_starts(keys: np.ndarray) -> np.ndarray:
-    """Mask of the first element of each run of equal keys (sorted keys:
-    of each distinct key)."""
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return first
 
 
 def gather_neighbors(g: Graph, frontier: np.ndarray

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cnfscope import graph
 from cnfscope.cli import build_parser, main
 from cnfscope.cnf import parse_dimacs, random_3cnf, write_dimacs
 from cnfscope.features import (
@@ -303,6 +304,42 @@ class TestNdr:
         assert code == 1
         assert "error" in err
 
+    def test_cvig_empty_clause_and_unused_variables(self, tmp_path, capsys):
+        # 5 variables (2 of them unused) and 3 clauses, one of them empty:
+        # every node is its own circle at r=1
+        p = tmp_path / "f.cnf"
+        p.write_text("p cnf 5 3\n1 -2 0\n0\n2 3 0\n")
+        code, out, _ = _run(capsys, "ndr", p, "--model", "cvig")
+        assert code == 0
+        assert out.splitlines()[1] == "1,8,1.0"
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command, model", (("ndr", "vig"), ("ndr", "cvig"),
+                                                ("evolution", "vig")))
+    def test_one_error_line(self, cnf_file, tmp_path, capsys, monkeypatch,
+                            command, model):
+        """A MemoryError, as a header declaring billions of variables
+        raises, exits 1 with one error line, not a traceback."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 22.4 GiB for an array")
+
+        monkeypatch.setattr(graph, f"build_{model}", exhausted)
+        tr = tmp_path / "t.trace"
+        tr.write_text("t 10\n1 2 0\n")
+        extra = {"ndr": ("--model", model), "evolution": ("--trace", tr)}
+        code, out, err = _run(capsys, command, cnf_file, *extra[command])
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory: Unable to allocate 22.4 GiB for an array\n"
+
+    def test_bare_memory_error(self, cnf_file, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(graph, "build_vig", exhausted)
+        code, out, err = _run(capsys, "ndr", cnf_file)
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
 
 class TestFitWindow:
     """--fit-lo below 1, or --fit-hi not above --fit-lo, is a usage error
@@ -521,6 +558,19 @@ class TestEvolution:
   }
 ]
 """
+
+    def test_tautological_learnt_clause(self, tmp_path, capsys):
+        # the learnt clause holds 3 literals over the only 2 variables; its
+        # random stand-in draws 2 distinct variables
+        p = tmp_path / "f.cnf"
+        p.write_text("p cnf 2 1\n1 2 0\n")
+        tr = tmp_path / "t.trace"
+        tr.write_text("t 1\n1 -1 2 0\n")
+        code, out, err = _run(capsys, "evolution", p, "--trace", tr)
+        assert (code, err) == (0, "")
+        header, row = out.splitlines()
+        assert header == "checkpoint,d_learnt,d_b_learnt,d_random,d_b_random,status"
+        assert row.startswith("1,") and row.endswith(",ok")
 
     def test_row_independent_of_other_checkpoints(self, tmp_path, capsys):
         # each random stand-in is seeded by its checkpoint's place in the

@@ -343,6 +343,14 @@ class TestUnitPropagate:
             unit_propagate(f)
         assert exc.value.variable == 1
 
+    def test_keys_past_int64(self):
+        # the keys variable * literals + position would pass int64: a
+        # MemoryError, before any array of 2**62 counts is asked for
+        big = 2**62
+        f = CnfFormula(big, ((big, 1), (2, 3)))
+        with pytest.raises(MemoryError, match="too many to propagate"):
+            unit_propagate(f)
+
     def test_no_units_unchanged(self):
         f = CnfFormula.from_clauses(2, [[1, 2], [-1, 2]])
         out, assign = unit_propagate(f)
@@ -486,10 +494,18 @@ class TestRandomReplacement:
         # one random unit clause was added and propagated away
         assert all(len(c) >= 2 for c in out.clauses)
 
-    def test_size_too_large(self):
+    def test_tautological_stand_in_distinct_variables(self):
+        """A tautological learnt clause is replaced by one over as many
+        distinct variables as it holds, so n=2 takes the clause 1 -1 2."""
         f = CnfFormula.from_clauses(2, [[1, 2]])
-        with pytest.raises(ValueError):
-            random_replacement(f, _trace((5, [[1, 2, -1]])), 5, seed=0)
+        learnt = [[1, 2, -1], [-2, 1]]
+        out = random_replacement(f, _trace((5, learnt)), 5, seed=0)
+        added = out.clauses[f.num_clauses:]
+        assert [len({abs(l) for l in c}) for c in added] == [2, 2]
+        assert all(len(c) == 2 for c in added)
+        # the draws are those of the clause without its repeated variable
+        assert out == random_replacement(f, _trace((5, [[1, 2], [-2, 1]])), 5,
+                                         seed=0)
 
 
 class TestTrace:

@@ -156,7 +156,57 @@ class TestBuilderOracles:
             self._check(build_cvig(f, weighted), want)
 
 
+def _degenerate_formulas():
+    """No clause, an empty clause, unused variables, duplicate and
+    complementary literals, and clauses over one variable only."""
+    return [CnfFormula(4, ()), CnfFormula(3, ((),)),
+            CnfFormula(6, ((2, 5), (), (5,))),
+            CnfFormula(5, ((1, 1, 3), (-3, 3, 4), (4, -4), (2, 2, -2))),
+            CnfFormula(0, ((),)), CnfFormula(0, ())]
+
+
 class TestBuildCvig:
+    @pytest.mark.parametrize("formulas", (_raw_formulas, _degenerate_formulas))
+    def test_equals_from_edges(self, formulas):
+        """The CSR build_cvig assembles from the clause rows is the one
+        Graph.from_edges builds from the occurrence edges, array for array:
+        values, dtypes, shapes and the zero-stride weights."""
+        for f in formulas():
+            n, m = f.num_vars, f.num_clauses
+            indptr, vars_ = f.clause_vars
+            want = Graph.from_edges(n + m, vars_,
+                                    n + np.repeat(np.arange(m), np.diff(indptr)),
+                                    variable_count=n)
+            got = build_cvig(f, False)
+            assert ((got.node_count, got.variable_count)
+                    == (want.node_count, want.variable_count) == (n + m, n))
+            for name in ("indptr", "indices", "weights"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+                assert np.array_equal(a, b)
+            assert not got.weights.flags.writeable
+
+    def test_build_peak_memory(self):
+        """The variable rows are sorted inside the indices array the graph
+        returns, and its second half holds the sort's scratch: the build
+        peaks within 1.75 times the bytes of the graph."""
+        f = random_3cnf(10000, 100000, seed=1)
+        f.clause_vars
+        tracemalloc.start()
+        try:
+            g = build_cvig(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * (g.indptr.nbytes + g.indices.nbytes)
+
+    def test_keys_past_int64(self):
+        # the keys variable * m + clause would pass int64: a MemoryError,
+        # before any array of 2**62 rows is asked for
+        f = CnfFormula(2**62, ((1,), (2,)))
+        with pytest.raises(MemoryError, match="too large"):
+            build_cvig(f)
+
     def test_weighted_rejected(self):
         f = CnfFormula.from_clauses(3, [[1, 2, -3]])
         with pytest.raises(ValueError, match="^the CVIG is built unweighted$"):
