@@ -92,24 +92,24 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _literal_order(lengths: np.ndarray, lits: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Stable order of the literals by (clause, variable, sign), and the
-    sorted keys 2 * (clause * span + variable) + (literal < 0): equal keys
-    are equal literals of a clause, and keys 2k, 2k + 1 a complementary
-    pair."""
-    var = np.abs(lits)
+def _literal_keys(lengths: np.ndarray, lits: np.ndarray
+                  ) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """(key, span, ids): the keys 2 * (clause * span + variable) + (literal
+    < 0) in clause order, 0-based variables: equal keys are equal literals of
+    a clause, keys 2k, 2k + 1 a complementary pair. Where 2 * m * span would
+    pass int64, ids holds the variables and the keys their ranks in it."""
+    var = np.abs(lits) - 1
+    ids = None
     span = int(var.max(initial=0)) + 1
-    if lengths.size * span >= 2**62:   # keys would overflow: rank the ids
-        var = np.unique(var, return_inverse=True)[1]
-        span = int(var.max(initial=0)) + 1
-    key = _clause_ids(lengths) * span
+    if 2 * max(lengths.size, 1) * span > _INT64.max:
+        ids, var = np.unique(var, return_inverse=True)
+        span = ids.size
+    key = _clause_ids(lengths)
+    key *= span
     key += var
     key *= 2
     key += lits < 0
-    # clause-major keys arrive nearly sorted, which a stable sort exploits
-    order = np.argsort(key, kind="stable")
-    return order, key[order]
+    return key, span, ids
 
 
 def _normalized(num_vars: int, lengths: np.ndarray, lits: np.ndarray,
@@ -125,7 +125,11 @@ def _normalized(num_vars: int, lengths: np.ndarray, lits: np.ndarray,
         ci = int(np.searchsorted(np.cumsum(lengths), i, side="right"))
         raise error(f"literal {lits[i]} out of range in {label} {ci} "
                     f"(n={num_vars})")
-    order, key = _literal_order(lengths, lits)
+    key = _literal_keys(lengths, lits)[0]
+    # clause-major keys arrive nearly sorted, which a stable sort exploits;
+    # stability keeps the first occurrence of a literal
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     step = np.diff(key)
     # the sorted literals stay grouped by clause, so position i + 1 of the
     # sorted order lies in clause ids[i]
@@ -220,17 +224,9 @@ class CnfFormula:
         distinct 0-based variables of clause i, ascending, are
         vars[indptr[i]:indptr[i + 1]]."""
         m = self._lengths.size
-        var = np.abs(self._lits) - 1
-        ids = None
-        span = int(var.max(initial=-1)) + 1
-        if m * span > _INT64.max:   # keys would overflow: rank the ids
-            ids, var = np.unique(var, return_inverse=True)
-            span = ids.size
         # one plain sort of the keys clause * span + variable, deduped
-        key = _clause_ids(self._lengths)
-        key *= span
-        key += var
-        del var
+        key, span, ids = _literal_keys(self._lengths, self._lits)
+        key >>= 1
         key.sort()
         key = key[run_starts(key)]
         clause = key // span
@@ -243,9 +239,10 @@ class CnfFormula:
     @cached_property
     def tautological(self) -> tuple[int, ...]:
         """Indices of the clauses holding both some literal l and -l."""
-        _, key = _literal_order(self._lengths, self._lits)
+        key, span, _ = _literal_keys(self._lengths, self._lits)
+        key.sort()
         pair = (np.diff(key) == 1) & (key[:-1] % 2 == 0)
-        return tuple(np.unique(_clause_ids(self._lengths)[1:][pair]).tolist())
+        return tuple(np.unique(key[1:][pair] // (2 * span)).tolist())
 
     @classmethod
     def from_clauses(cls, num_vars: int, clauses) -> "CnfFormula":
@@ -292,11 +289,14 @@ _OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open}
 
 
 def read_input(path) -> bytes:
-    """Raw bytes of a DIMACS or trace file. A `.gz`, `.bz2` or `.xz` suffix
-    (any case) selects the matching decompressor."""
+    """Raw bytes of a DIMACS or trace file, decompressed per a `.gz`, `.bz2`
+    or `.xz` suffix (any case); truncated or corrupt data is an OSError."""
     opener = _OPENERS.get(Path(path).suffix.lower(), open)
-    with opener(path, "rb") as fh:
-        return fh.read()
+    try:
+        with opener(path, "rb") as fh:
+            return fh.read()
+    except (EOFError, lzma.LZMAError) as exc:
+        raise OSError(f"{path}: corrupt or truncated input ({exc})") from None
 
 
 def _decode(source) -> str:

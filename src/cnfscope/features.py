@@ -13,7 +13,7 @@ from itertools import compress
 
 import numpy as np
 
-from .cnf import CnfFormula, _literal_order
+from .cnf import CnfFormula, _literal_keys
 from .community import fold_communities
 from .fractal import CoverCurve, DimensionFit, cover_curve, fit_dimension
 from .graph import Graph, build_cvig, build_vig, row_ranges
@@ -119,7 +119,8 @@ def _canonical_clause_order(f: CnfFormula) -> CnfFormula:
     clause's key is its literals sorted by (abs(l), l < 0), compared as a
     tuple; equal keys keep their order."""
     lengths, lits = f.literal_arrays()
-    order = _clause_order(lengths, lits[_literal_order(lengths, lits)[0]])
+    key = _literal_keys(lengths, lits)[0]
+    order = _clause_order(lengths, lits[np.argsort(key, kind="stable")])
     new_lengths = lengths[order]
     pos = row_ranges(np.cumsum(lengths)[order], new_lengths)
     return CnfFormula.from_arrays(f.num_vars, new_lengths, lits[pos])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnf import _INT64, CnfFormula, _clause_ids, run_starts
+from .cnf import _INT64, CnfFormula, _clause_ids, _literal_keys, run_starts
 
 
 class Graph:
@@ -186,13 +186,14 @@ def build_cig(f: CnfFormula) -> Graph:
     """Clause incidence graph: one node per clause, an edge when two clauses
     contain complementary occurrences of some variable. Unweighted."""
     m = max(f.num_clauses, 1)
-    lengths, lits = f.literal_arrays()
-    # one sorted key per distinct (variable, polarity, clause) occurrence;
-    # group 2(v-1) holds the clauses where v occurs positively, 2(v-1)+1
-    # those where it occurs negatively
-    key = np.abs(lits) * 2 - (lits > 0) - 1
+    key, span, _ = _literal_keys(*f.literal_arrays())
+    # one sorted key group * m + clause per distinct (variable, polarity,
+    # clause) occurrence; group 2v holds the clauses where variable v occurs
+    # positively, 2v + 1 those where it occurs negatively. group < 2 * span,
+    # so the key fits int64 whenever the literal key does
+    clause, key = np.divmod(key, 2 * span)
     key *= m
-    key += _clause_ids(lengths)
+    key += clause
     group, clause = np.divmod(np.unique(key), m)
     # each array is dropped once spent, so the edge arrays reach
     # Graph.from_edges without the occurrence arrays beside them

@@ -7,8 +7,8 @@ arrays are built edge by edge from a dict, the power-law sampler inverts
 the exact discrete CDF, inverse-distance weights loop over plain lists,
 greedy centers are found in rounds of a maximal independent set as well as
 by visiting nodes one by one, unit propagation edits clause lists through a
-dict of occurrence lists, and the canonical clause order is sorted() on
-tuple keys. Minimum circle covers try center sets by increasing size,
+dict of occurrence lists, the canonical clause order is sorted() on
+tuple keys, and a formula's ranked twin renames its variables by a dict. Minimum circle covers try center sets by increasing size,
 and minimum box covers place nodes into blocks one by one, as the coloring
 search does. dict_local_moving is the earlier local moving loop, kept as it
 was: each visit slices the flat CSR lists and sums its neighbour
@@ -471,6 +471,17 @@ def propagate_lists(clauses):
                 if len(c) == 1:
                     queue.append(c[0])
     return tuple(tuple(c) for c, a in zip(clauses, alive) if a), assignment
+
+
+def ranked_twin(clauses):
+    """(twin, ids): the clauses over the variables renumbered 1..k in
+    increasing order, signs kept, and the sorted ids, so that ids[r - 1] is
+    the variable renamed r. The twin is the same formula up to the names of
+    its variables."""
+    ids = sorted({abs(lit) for c in clauses for lit in c})
+    rank = {v: r for r, v in enumerate(ids, 1)}
+    return [tuple(rank[abs(lit)] * (1 if lit > 0 else -1) for lit in c)
+            for c in clauses], ids
 
 
 def canonical_clauses(clauses):

@@ -247,6 +247,28 @@ class TestCompressedInputs:
                 outs.append(out)
             assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("suffix", sorted(_COMPRESS))
+    def test_truncated_or_corrupt(self, plain, tmp_path, capsys, suffix):
+        """A cut compressed file (and xz garbage, which lzma rejects with
+        its own error) is one error line, exit 1, for the formula and the
+        trace alike; in a features batch it is an ERROR row."""
+        data = self._compressed(plain, suffix).read_bytes()
+        bad = [tmp_path / f"cut{suffix}"]
+        bad[0].write_bytes(data[:len(data) // 2])
+        if suffix == ".xz":
+            bad.append(tmp_path / f"junk{suffix}")
+            bad[1].write_bytes(b"not xz data\n")
+        for path in bad:
+            for argv in (["ndr", path], ["evolution", path, "--trace", plain],
+                         ["evolution", plain, "--trace", path]):
+                code, out, err = _run(capsys, *argv)
+                assert (code, out) == (1, "")
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert str(path) in err
+            code, out, _ = _run(capsys, "features", path, plain, "--seed", 1)
+            rows = out.splitlines()[1:]
+            assert code == 0 and "ERROR" in rows[0] and "ERROR" not in rows[1]
+
 
 class TestNdr:
     def test_k4_formula_counts(self, tmp_path, capsys):
@@ -280,6 +302,22 @@ class TestNdr:
                             "--format", "json")
         assert code == 0
         assert json.loads(out)["N"][:2] == [3, 1]
+
+    def test_cig_model_huge_ids(self, tmp_path, capsys):
+        # ids near 2**62 put the literal keys past int64; the CIG is the one
+        # of the ranked twin, where B, 5, C are 4, 2, 3
+        big = 4291692617761627708
+        outs = []
+        for b, five, c in ((big, 5, big - 1), (4, 2, 3)):
+            p = tmp_path / f"cig{b}.cnf"
+            p.write_text(f"p cnf {b} 5\n{b} {five} 0\n{five} -{c} 0\n"
+                         f"-{c} 1 0\n-1 {c} 0\n{five} -{c} 0\n")
+            code, out, _ = _run(capsys, "ndr", p, "--model", "cig",
+                                "--format", "json")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["N"] == [5, 2, 2]
 
     @pytest.mark.parametrize("text, model", (
         [("p cnf 0 0\n", m) for m in ("vig", "cvig", "cig")]

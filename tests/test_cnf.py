@@ -10,6 +10,7 @@ from cnfscope.cnf import (
     DimacsError,
     PropagationConflict,
     TraceError,
+    _literal_keys,
     augment_with_learnt,
     parse_dimacs,
     parse_trace,
@@ -19,8 +20,9 @@ from cnfscope.cnf import (
     write_dimacs,
     write_trace,
 )
+from cnfscope.features import _canonical_clause_order
 from cnfscope.graph import build_cvig, build_vig
-from oracles import propagate_lists
+from oracles import propagate_lists, ranked_twin
 
 
 class TestParseDimacs:
@@ -101,6 +103,24 @@ class TestParseDimacs:
         indptr, vars_ = f.clause_vars
         assert indptr.tolist() == [0, 2, 4]
         assert vars_.tolist() == [0, big - 1, 0, big - 2]
+        # two clauses: the literal keys rank the ids from the largest id
+        # 2**61 on, where 2 * m * span first passes int64; on both sides of
+        # that bound every view is the one of the ranked twin, ids renamed
+        for top in (2**61 - 2, 2**61 - 1, 2**61):
+            raw = [(top, -top, 1, 1), (top, -1, top - 1)]
+            f = parse_dimacs(write_dimacs(CnfFormula(top, raw)))
+            assert (_literal_keys(*f.literal_arrays())[2] is None) == (top < 2**61)
+            twin, ids = ranked_twin(raw)
+            t = parse_dimacs(write_dimacs(CnfFormula(3, twin)))
+            assert f.warnings == t.warnings
+            assert f.tautological == t.tautological == (0,)
+            indptr, vars_ = f.clause_vars
+            assert np.array_equal(indptr, t.clause_vars[0])
+            assert vars_.tolist() == [ids[v] - 1 for v in t.clause_vars[1]]
+            named = [tuple(ids[abs(lit) - 1] * (1 if lit > 0 else -1) for lit in c)
+                     for c in _canonical_clause_order(t).clauses]
+            assert list(_canonical_clause_order(f).clauses) == named == [
+                (top, -1, top - 1), (top, -top, 1)]
 
     def test_matches_from_clauses(self):
         """Parsing raw clauses gives the formula and the warnings, text and

@@ -18,7 +18,22 @@ from cnfscope.graph import (
     run_starts,
 )
 from oracles import (graph_from_edges, neighbors, random_formula,
-                     reference_csr)
+                     ranked_twin, reference_csr)
+
+
+def _clause_pair_csr(clauses):
+    """The CIG's CSR arrays, every clause pair checked by brute force."""
+    pairs = [(i, j) for i, a in enumerate(clauses)
+             for j, b in enumerate(clauses)
+             if i < j and any(-lit in b for lit in a)]
+    return reference_csr(len(clauses), [i for i, _ in pairs],
+                         [j for _, j in pairs], [1.0] * len(pairs), "unit")
+
+
+def _assert_csr(g, want):
+    for got, ref in zip((g.indptr, g.indices, g.weights), want):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
 
 
 def _path(n):
@@ -282,18 +297,33 @@ class TestBuildCig:
             f = CnfFormula(n, tuple(clauses))
             seen_dup |= any(len(set(c)) < len(c) for c in clauses)
             seen_taut |= bool(f.tautological)
-            pairs = [(i, j) for i, a in enumerate(clauses)
-                     for j, b in enumerate(clauses)
-                     if i < j and any(-lit in b for lit in a)]
-            want = reference_csr(len(clauses), [i for i, _ in pairs],
-                                 [j for _, j in pairs], [1.0] * len(pairs),
-                                 "unit")
             g = build_cig(f)
             assert g.node_count == len(clauses)
-            for got, ref in zip((g.indptr, g.indices, g.weights), want):
-                assert got.dtype == ref.dtype
-                assert np.array_equal(got, ref)
+            _assert_csr(g, _clause_pair_csr(clauses))
         assert seen_dup and seen_taut
+
+    def test_huge_ids_match_ranked_twin(self):
+        """Variable ids near 2**62 and 2**63 put 2 * m * span past int64, so
+        the literal keys rank them: the CIG is the brute-force one, and the
+        one of the same formula over the ids 1..k."""
+        rng = np.random.default_rng(25)
+        for trial in range(80):
+            n = int(rng.integers(1, 8))
+            top = 2**62 if trial % 2 else 2**63 - 1
+            off = top - n - int(rng.integers(0, 16))
+            sizes = rng.integers(0, 6, size=int(rng.integers(2, 15)))
+            clauses = [tuple(int((v + off) * s) for v, s in zip(
+                           rng.integers(1, n + 1, size=k),
+                           rng.choice((-1, 1), size=k)))
+                       for k in sizes]
+            twin, ids = ranked_twin(clauses)
+            for f, ranked in ((CnfFormula(off + n, clauses),
+                               CnfFormula(len(ids), twin)),
+                              (CnfFormula.from_clauses(off + n, clauses),
+                               CnfFormula.from_clauses(len(ids), twin))):
+                want = _clause_pair_csr(f.clauses)
+                _assert_csr(build_cig(f), want)
+                _assert_csr(build_cig(ranked), want)
 
     def test_build_peak_memory(self):
         """Each occurrence array is dropped once spent, and the unmasked
