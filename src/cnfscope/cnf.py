@@ -290,11 +290,17 @@ _OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open}
 
 def read_input(path) -> bytes:
     """Raw bytes of a DIMACS or trace file, decompressed per a `.gz`, `.bz2`
-    or `.xz` suffix (any case); truncated or corrupt data is an OSError."""
+    or `.xz` suffix (any case); truncated or corrupt data is an OSError.
+    Every OSError names the path once."""
     opener = _OPENERS.get(Path(path).suffix.lower(), open)
     try:
         with opener(path, "rb") as fh:
             return fh.read()
+    except OSError as exc:
+        if exc.filename is not None:  # open's own errors name it already
+            raise
+        # gzip and bz2 reject garbage this way: "Invalid data stream"
+        raise OSError(f"{path}: {exc}") from None
     except (EOFError, lzma.LZMAError) as exc:
         raise OSError(f"{path}: corrupt or truncated input ({exc})") from None
 

@@ -47,20 +47,24 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree", *,
     together, each node keeping the smallest label that reaches it, so a
     node's label is the earliest source within those hops. A source clashes
     when a neighbour holds an earlier label: an earlier source lies within
-    r - 1 hops of it. The sources before the first clash are the next
-    centers (no earlier center reaches them, nor do they reach each other),
-    and every node their labels reached is burned. The scan resumes after
-    the clashing source, which is burned by then, and the next window holds
+    r - 1 hops of it. A source that does not clash is a center wherever it
+    sits in the window, since no earlier center can reach it (Blelloch,
+    Fineman & Shun, SPAA 2012, decide a node of a greedy independent set
+    the same way). The sources before the first clash burn every node their
+    labels reached. Past the first clash a node of an accepted circle may
+    hold the label of an earlier source that clashed (at r >= 4), so those
+    circles are searched afresh with bfs_layers. The scan resumes after the
+    first clashing source, which is burned by then; the sources after it
+    that clashed are decided in a later window, and the next window holds
     twice as many sources as this one accepted.
 
     The last hop, the neighbours at r - 1 hops, is gathered only once the
-    centers are known, and only from the deepest labelled layer's nodes
-    that an accepted label reached and that are not inner. inner marks every
-    node within r - 2 hops of a center of an earlier window: all of its
-    neighbours lie within r - 1 hops of that center and are burned already.
-    A node gathered here becomes inner after this window, so the last hop
-    reads each node's row at most once per cover. At r = 2 the last hop is
-    the sources' own neighbours, gathered for the clash test.
+    centers are known, and only from the deepest layer of accepted circles
+    and from nodes that are not inner. inner marks every node within r - 2
+    hops of a center whose last hop was gathered: all of its neighbours are
+    burned already. A node gathered here becomes inner right after, so the
+    last hop reads each node's row at most once per cover. At r = 2 the last
+    hop is the sources' own neighbours, gathered for the clash test.
     """
     if r < 1:
         raise ValueError("radius must be >= 1")
@@ -74,7 +78,7 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree", *,
     # label[x] is the order position of the earliest source of the current
     # window within the hops grown so far; n when none reached x
     label = np.full(n, n, dtype=np.int64)
-    centers = []
+    chosen = []
     p, want, span = 0, 1, 1
     while p < n:
         # scan the order in doubling spans until the window is full; start
@@ -109,30 +113,45 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree", *,
             reached.append(layer)
             if layer.size == 0:
                 break
-        # the first source with a neighbour labelled earlier than itself; a
-        # source labelled earlier has one too, the next node on its path
+        # a source labelled earlier than itself has a clashing neighbour
+        # too, the next node on its path
         clash = (label[near] < pos.repeat(near_counts)).nonzero()[0]
+        free = np.ones(pos.size, dtype=bool)
+        free[near_counts.cumsum().searchsorted(clash, "right")] = False
         if clash.size:
-            k = int(near_counts.cumsum().searchsorted(clash[0], "right"))
+            k = int(free.argmin())
             cut = pos[k]
         else:
             k, cut = pos.size, n
-        centers.append(src[:k])
-        reached = np.concatenate(reached)
-        burn = reached[label[reached] < cut]
-        burned[burn] = True
-        # the last hop: stamped, never labelled, sorted or deduped
+        chosen.append(pos[free])
         if r == 2:
-            burned[near[pos.repeat(near_counts) < cut]] = True
+            burned[src[free]] = True
+            burned[near[free.repeat(near_counts)]] = True
+            label[src] = n
         else:
+            reached = np.concatenate(reached)
+            burn = reached[label[reached] < cut]
+            burned[burn] = True
+            # the last hop: stamped, never labelled, sorted or deduped
             last = layer[(layer_label < cut) & ~inner[layer]]
             burned[gather_neighbors(g, last)[0]] = True
             inner[burn] = True
-        label[reached] = n
+            label[reached] = n
+            late = src[k + 1:][free[k + 1:]]
+            if late.size:
+                # their circles may hold earlier labels; label, all n again,
+                # stamps a fresh search with -1
+                circle = bfs_layers(g, late, label, -1, r - 2)
+                burn = np.concatenate(circle)
+                burned[burn] = True
+                last = circle[-1][~inner[circle[-1]]]
+                burned[gather_neighbors(g, last)[0]] = True
+                inner[burn] = True
+                label[burn] = n
         p = int(cut) + 1 if k < pos.size else int(pos[-1]) + 1
-        want = 2 * k
-    centers = np.concatenate(centers) if centers else np.empty(0, dtype=np.int64)
-    return centers.size, centers
+        want = 2 * len(chosen[-1])
+    chosen = np.sort(np.concatenate(chosen)) if chosen else np.empty(0, np.int64)
+    return chosen.size, order[chosen]
 
 
 def verify_cover(g: Graph, centers, r: int) -> bool:

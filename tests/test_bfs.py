@@ -5,15 +5,18 @@ round-based maximal independent set, there, on VIGs and CVIGs of random
 3-CNF with 10^4 variables and on CVIGs shaped like the feature pipeline's
 (canonical clause order, m/n = 10), and against the one-node-at-a-time
 oracle on the graphs that stress the window engine: complete graphs, stars,
-long paths, isolated nodes and disconnected unions. Also the CSR arrays
-the searches walk: each row must be sorted and distinct, a Graph invariant
-that makes degree-tie iteration canonical. Eccentricities are checked on
-the same graphs, against the farthest node the deque search reaches."""
+long paths, isolated nodes and disconnected unions, and on a graph where
+a window accepts a source whose circle holds an earlier clashing source's
+label. Also the CSR arrays the searches walk: each row must be sorted and
+distinct, a Graph invariant that makes degree-tie iteration canonical.
+Eccentricities are checked on the same graphs, against the farthest node
+the deque search reaches."""
 
 import numpy as np
 import pytest
 
 from cnfscope import fractal
+from cnfscope import graph as graph_module
 from cnfscope.cnf import random_3cnf
 from cnfscope.features import _canonical_clause_order
 from cnfscope.fractal import cover_curve, greedy_cover_count, verify_cover
@@ -253,8 +256,9 @@ def test_greedy_balls_large(large_graphs, model, ratio, r, ordering):
 def test_greedy_last_hop_reads_rows_once(monkeypatch):
     """The last hop gathers only from nodes an accepted center reached and
     whose rows no earlier circle has read there, so one cover gathers fewer
-    neighbour entries than the graph holds (gathering the whole deepest
-    layer of every window reads 3.2 times as many here)."""
+    neighbour entries than the graph holds, counting the labelling hops and
+    the searches from sources accepted past a clash (gathering the whole
+    deepest layer of every window reads 3.2 times as many here at r = 4)."""
     g = build_cvig(random_3cnf(2000, 20000, seed=7))
     entries = []
 
@@ -264,9 +268,74 @@ def test_greedy_last_hop_reads_rows_once(monkeypatch):
         return nb, counts
 
     monkeypatch.setattr(fractal, "gather_neighbors", counting)
-    _, centers = greedy_cover_count(g, 4)
-    assert sum(entries) < g.indices.size
-    assert centers.tolist() == lex_first_mis(g, 3)
+    monkeypatch.setattr(graph_module, "gather_neighbors", counting)
+    for r in (3, 4, 5):
+        entries.clear()
+        _, centers = greedy_cover_count(g, r)
+        assert sum(entries) < g.indices.size
+        assert centers.tolist() == lex_first_mis(g, r - 1)
+
+
+def test_greedy_accepts_past_first_clash(monkeypatch):
+    """A window accepts every source that no earlier source reaches, not
+    only those before its first clash, so the canonically ordered CVIG,
+    whose windows clash after a few sources, is covered in few windows."""
+    g = build_cvig(_canonical_clause_order(random_3cnf(2000, 8500, seed=1)))
+    calls = []
+
+    def counting(graph, frontier):
+        calls.append(frontier.size)
+        return gather_neighbors(graph, frontier)
+
+    monkeypatch.setattr(fractal, "gather_neighbors", counting)
+    _, centers = greedy_cover_count(g, 3)
+    assert len(calls) < 100
+    assert centers.tolist() == lex_first_mis(g, 2)
+
+
+def _late_circle_graph(r):
+    """Three stars whose hubs fill the first windows, so the third window
+    holds four sources: c, b, a and a fourth hub, in that order. b lies
+    r - 1 hops from c (it clashes), a and the hub are free, and x lies
+    r - 2 hops from both b and a, so x keeps b's label although only a's
+    circle burns it. x comes next in the order: a burn by labels alone
+    leaves it unburned and makes it a center."""
+    edges, count = [], 0
+
+    def node():
+        nonlocal count
+        count += 1
+        return count - 1
+
+    def leaves(u, k):
+        edges.extend((u, node()) for _ in range(k))
+
+    def path(u, v, length):
+        for _ in range(length - 1):
+            w = node()
+            edges.append((u, w))
+            u = w
+        edges.append((u, v))
+
+    for k in (10, 9, 8):
+        leaves(node(), k)
+    c, b, a, hub, x = (node() for _ in range(5))
+    for u, k in ((c, 6), (b, 4), (a, 4), (hub, 4), (x, 1)):
+        leaves(u, k)
+    path(c, b, r - 1)
+    path(b, x, r - 2)
+    path(x, a, r - 2)
+    return graph_from_edges(count, edges), a, x
+
+
+@pytest.mark.parametrize("r", (4, 5))
+def test_greedy_late_circle_through_rejected_label(r):
+    g, a, x = _late_circle_graph(r)
+    _, centers = greedy_cover_count(g, r)
+    want = greedy_centers(g, r)
+    assert centers.tolist() == want
+    assert lex_first_mis(g, r - 1) == want
+    assert a in want and x not in want
 
 
 @pytest.mark.parametrize("g", GRAPHS)

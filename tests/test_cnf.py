@@ -15,6 +15,7 @@ from cnfscope.cnf import (
     parse_dimacs,
     parse_trace,
     random_3cnf,
+    read_input,
     random_replacement,
     unit_propagate,
     write_dimacs,
@@ -563,3 +564,20 @@ class TestTrace:
         with pytest.raises(TraceError, match="malformed checkpoint line") as err:
             parse_trace("t " + "1" * 5000 + "\n1 0\n")
         assert len(str(err.value)) < 70
+
+
+class TestReadInput:
+    @pytest.mark.parametrize("name", ("g.gz", "g.bz2", "g.xz", "g.GZ", "g.BZ2"))
+    def test_garbage_names_path_once(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"garbage data here\n")
+        with pytest.raises(OSError) as err:
+            read_input(path)
+        assert str(err.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize("name", ("missing.cnf", "missing.gz", "missing.bz2"))
+    def test_missing_names_path_once(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(FileNotFoundError) as err:
+            read_input(path)
+        assert str(err.value).count(str(path)) == 1
