@@ -481,13 +481,25 @@ def random_3cnf(n: int, m: int, seed: int) -> CnfFormula:
         raise ValueError("m must be positive")
     rng = np.random.default_rng(seed)
     vars_ = _distinct_rows(rng, n, m, 3)
-    signs = rng.integers(0, 2, size=(m, 3), dtype=np.int64) * 2 - 1
+    # in place: no temporary of m rows beside the formula being built
+    signs = rng.integers(0, 2, size=(m, 3), dtype=np.int64)
+    signs *= 2
+    signs -= 1
+    vars_ *= signs
+    del signs
     return CnfFormula.from_arrays(n, np.full(m, 3, dtype=np.int64),
-                                  (vars_ * signs).ravel())
+                                  vars_.ravel())
 
 
 def _random_clause(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    row = _distinct_rows(rng, n, 1, size)[0]
+    """One clause of `size` distinct variables in 1..n, random signs: the
+    draws of _distinct_rows(rng, n, 1, size) and its signs, one row redrawn
+    whole while it repeats a variable."""
+    if size > n:
+        raise ValueError(f"cannot draw {size} distinct variables from 1..{n}")
+    row = rng.integers(1, n + 1, size=size, dtype=np.int64)
+    while len(set(row.tolist())) < size:
+        row = rng.integers(1, n + 1, size=size, dtype=np.int64)
     signs = rng.integers(0, 2, size=size, dtype=np.int64) * 2 - 1
     return row * signs
 

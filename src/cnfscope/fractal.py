@@ -53,10 +53,11 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree", *,
     the same way). The sources before the first clash burn every node their
     labels reached. Past the first clash a node of an accepted circle may
     hold the label of an earlier source that clashed (at r >= 4), so those
-    circles are searched afresh with bfs_layers. The scan resumes after the
-    first clashing source, which is burned by then; the sources after it
-    that clashed are decided in a later window, and the next window holds
-    twice as many sources as this one accepted.
+    circles are searched afresh with bfs_layers, from the rings gathered for
+    the clash test. The scan resumes after the first clashing source, which
+    is burned by then; the sources after it that clashed are decided in a
+    later window, and the next window holds twice as many sources as this
+    one accepted.
 
     The last hop, the neighbours at r - 1 hops, is gathered only once the
     centers are known, and only from the deepest layer of accepted circles
@@ -137,12 +138,18 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree", *,
             burned[gather_neighbors(g, last)[0]] = True
             inner[burn] = True
             label[reached] = n
-            late = src[k + 1:][free[k + 1:]]
-            if late.size:
+            free[:k + 1] = False
+            if free.any():
                 # their circles may hold earlier labels; label, all n again,
-                # stamps a fresh search with -1
-                circle = bfs_layers(g, late, label, -1, r - 2)
-                burn = np.concatenate(circle)
+                # stamps a fresh search with -1. It starts at their rings,
+                # the neighbours in near, which are distinct (the sources lie
+                # r >= 3 hops apart), with the sources stamped already, so no
+                # row of near is read again
+                late = src[free]
+                label[late] = -1
+                circle = bfs_layers(g, near[free.repeat(near_counts)], label,
+                                    -1, r - 3)
+                burn = np.concatenate([late, *circle])
                 burned[burn] = True
                 last = circle[-1][~inner[circle[-1]]]
                 burned[gather_neighbors(g, last)[0]] = True

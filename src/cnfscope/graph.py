@@ -127,21 +127,76 @@ def build_vig(f: CnfFormula, weighted: bool = False) -> Graph:
     C(k,2) pairs of each clause with k distinct variables.
 
     Each variable is paired with the later variables of its clause, all
-    clauses at once, so a clause costs linear work in its pairs."""
+    clauses at once, so a clause costs linear work in its pairs.
+
+    The CSR is assembled without Graph.from_edges, array for array the one
+    it builds from these pairs: both directions of every pair go into one buffer of int64 keys
+    u * n + v, sorted once by numpy's plain sort, with repeats dropped and
+    the rows cut by searchsorted. A weighted pair weighs 1 / C(k, 2) by its
+    clause size k alone, so the rank of k among the distinct sizes, largest
+    first, is the lowest digit of its key: the one sort lays each edge's
+    parallel weights out ascending, the order from_edges sums them in, and
+    both directions get the same sum to the bit."""
+    n = f.num_vars
     indptr, vars_ = f.clause_vars
     sizes = np.diff(indptr)
+    digits = 1
+    if weighted:
+        pairs = sizes * (sizes - 1) // 2
+        # the pair counts of the distinct sizes, ascending: rank 0 goes to
+        # the last, the largest clause and the smallest weight
+        table = np.unique(pairs[pairs > 0])
+        digits = max(table.size, 1)
+    if n * n * digits > _INT64.max:   # the keys would overflow
+        raise MemoryError(f"a VIG of {n} variables is too large")
     # the end of each variable's clause row, and the variables after it there
     ends = indptr[1:].repeat(sizes)
     later = ends - np.arange(1, vars_.size + 1)
+    idx = row_ranges(ends, later)
+    del ends
+    count = idx.size
+    key = np.empty(2 * count, dtype=np.int64)
+    lo, hi = key[:count], key[count:]
+    # hi holds v until it becomes v * n + u; mode "clip" writes to hi
+    # directly, and the indices are in range anyway
+    vars_.take(idx, out=hi, mode="clip")
+    del idx
     u = vars_.repeat(later)
-    v = vars_[row_ranges(ends, later)]
-    del ends, later
-    w = None
+    del later
+    np.multiply(u, n, out=lo)
+    lo += hi
+    hi *= n
+    hi += u
+    del u
     if weighted:
-        pairs = sizes * (sizes - 1) // 2
-        pairs = pairs[pairs > 0]
-        w = np.repeat(1.0 / pairs, pairs)
-    return Graph.from_edges(f.num_vars, u, v, w)
+        key *= digits
+        rank = (table.size - 1 - table.searchsorted(pairs)).repeat(pairs)
+        lo += rank
+        hi += rank
+        del rank
+    del lo, hi
+    key.sort()
+    if weighted:
+        rank = np.empty_like(key)
+        np.divmod(key, digits, out=(key, rank))
+        w = (1.0 / table)[::-1][rank]
+        del rank
+    first = run_starts(key)
+    if weighted:
+        weights = np.add.reduceat(w, np.flatnonzero(first))
+        del w
+    if not first.all():
+        key = key[first]
+    del first
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    # each key less its row's base row * n is its column
+    base = _clause_ids(np.diff(indptr))
+    base *= n
+    key -= base
+    del base
+    if not weighted:
+        weights = np.broadcast_to(np.float64(1.0), key.shape)
+    return Graph(n, indptr, key, weights, n)
 
 
 def build_cvig(f: CnfFormula, weighted: bool = False) -> Graph:

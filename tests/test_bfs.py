@@ -258,7 +258,10 @@ def test_greedy_last_hop_reads_rows_once(monkeypatch):
     whose rows no earlier circle has read there, so one cover gathers fewer
     neighbour entries than the graph holds, counting the labelling hops and
     the searches from sources accepted past a clash (gathering the whole
-    deepest layer of every window reads 3.2 times as many here at r = 4)."""
+    deepest layer of every window reads 3.2 times as many here at r = 4).
+    Those searches start at the rings already gathered for the clash test,
+    so no source's row is read twice (a search that reads them again takes
+    73,438, 89,673 and 104,912 entries)."""
     g = build_cvig(random_3cnf(2000, 20000, seed=7))
     entries = []
 
@@ -269,10 +272,10 @@ def test_greedy_last_hop_reads_rows_once(monkeypatch):
 
     monkeypatch.setattr(fractal, "gather_neighbors", counting)
     monkeypatch.setattr(graph_module, "gather_neighbors", counting)
-    for r in (3, 4, 5):
+    for r, most in ((3, 69_374), (4, 87_088), (5, 104_885)):
         entries.clear()
         _, centers = greedy_cover_count(g, r)
-        assert sum(entries) < g.indices.size
+        assert sum(entries) <= most < g.indices.size
         assert centers.tolist() == lex_first_mis(g, r - 1)
 
 

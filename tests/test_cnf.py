@@ -10,7 +10,9 @@ from cnfscope.cnf import (
     DimacsError,
     PropagationConflict,
     TraceError,
+    _distinct_rows,
     _literal_keys,
+    _random_clause,
     augment_with_learnt,
     parse_dimacs,
     parse_trace,
@@ -527,6 +529,37 @@ class TestRandomReplacement:
         # the draws are those of the clause without its repeated variable
         assert out == random_replacement(f, _trace((5, [[1, 2], [-2, 1]])), 5,
                                          seed=0)
+
+
+class TestRandomClause:
+    @pytest.mark.parametrize("n, sizes", (
+        (2, range(3)), (3, range(4)), (6, range(7)), (8, range(9)),
+        (50, (1, 3, 8, 12, 14))))
+    def test_draws_of_distinct_rows(self, n, sizes):
+        """A stand-in is the row _distinct_rows(rng, n, 1, size) draws and
+        its signs, from twin-seeded generators, redraws included: sizes
+        near n redraw most rows several times."""
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.integers(*args, **kwargs)
+
+        old, new = np.random.default_rng(11), Counting(np.random.default_rng(11))
+        for size in list(sizes) * 20:
+            row = _distinct_rows(old, n, 1, size)[0]
+            want = row * (old.integers(0, 2, size=size, dtype=np.int64) * 2 - 1)
+            got = _random_clause(new, n, size)
+            assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
+        # one row and one sign draw per clause, the rest redraws
+        assert new.calls > 2 * 20 * len(sizes)
+
+    def test_more_than_n_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^cannot draw 4 distinct variables from 1\.\.3$"):
+            _random_clause(np.random.default_rng(0), 3, 4)
 
 
 class TestTrace:

@@ -180,6 +180,96 @@ def _degenerate_formulas():
             CnfFormula(0, ((),)), CnfFormula(0, ())]
 
 
+def _and_gate_formulas():
+    """Tseitin AND gates g = a & b over earlier variables, clauses (-g a),
+    (-g b) and (g -a -b): each gate's three edges come from five pairs, so
+    most edges are built from parallel pairs of clauses of two sizes."""
+    rng = np.random.default_rng(3)
+    inputs, gates = 40, 300
+    clauses = []
+    for g in range(inputs + 1, inputs + gates + 1):
+        a, b = (rng.choice(g - 1, 2, replace=False) + 1).tolist()
+        clauses += [(-g, a), (-g, b), (g, -a, -b)]
+    return [CnfFormula(inputs + gates, tuple(clauses))]
+
+
+class TestBuildVigCsr:
+    @staticmethod
+    def _pairs(f):
+        """Each clause's variable pairs and their weights 1 / C(k, 2), in
+        the order build_vig enumerates them."""
+        indptr, vars_ = f.clause_vars
+        u, v, w = [], [], []
+        for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+            row = vars_[a:b].tolist()
+            pairs = len(row) * (len(row) - 1) // 2
+            for i, x in enumerate(row):
+                u += [x] * (len(row) - 1 - i)
+                v += row[i + 1:]
+            w += [1.0 / pairs for _ in range(pairs)]
+        return (np.array(u, dtype=np.int64), np.array(v, dtype=np.int64),
+                np.array(w))
+
+    @pytest.mark.parametrize("formulas", (_raw_formulas, _degenerate_formulas,
+                                          _and_gate_formulas))
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_equals_from_edges(self, formulas, weighted):
+        """The CSR build_vig assembles from one key sort is the one
+        Graph.from_edges builds from the same pairs, array for array:
+        values, dtypes, shapes and strides, the weights bit for bit and
+        the zero-stride read-only unit weights."""
+        for f in formulas():
+            u, v, w = self._pairs(f)
+            want = Graph.from_edges(f.num_vars, u, v, w if weighted else None)
+            got = build_vig(f, weighted)
+            assert ((got.node_count, got.variable_count)
+                    == (want.node_count, want.variable_count)
+                    == (f.num_vars, f.num_vars))
+            for name in ("indptr", "indices", "weights"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+                assert np.array_equal(a, b)
+            assert got.weights.flags.writeable == weighted
+
+    def test_and_gates_repeat_pairs(self):
+        f = _and_gate_formulas()[0]
+        assert len(self._pairs(f)[0]) > 1.6 * build_vig(f).edge_count
+
+    @pytest.mark.parametrize("weighted, most", ((False, 2.75), (True, 2.3)))
+    def test_build_peak_memory(self, weighted, most):
+        """Both directions of every pair are sorted in one buffer and the
+        scratch arrays are dropped once spent: the build peaks within 2.75
+        times the bytes of the graph, weights included, unweighted and 2.3
+        times weighted (Graph.from_edges took 3.1 times both ways)."""
+        f = random_3cnf(10000, 100000, seed=1)
+        f.clause_vars
+        tracemalloc.start()
+        try:
+            g = build_vig(f, weighted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        graph_bytes = g.indptr.nbytes + g.indices.nbytes
+        if weighted:
+            graph_bytes += g.weights.nbytes
+        assert peak <= most * graph_bytes
+
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_keys_past_int64(self, weighted):
+        # the keys u * n + v would pass int64: a MemoryError, before any
+        # array of 2**62 rows is asked for
+        f = CnfFormula(2**62, ((1, 2),))
+        with pytest.raises(MemoryError, match=f"^a VIG of {2**62} variables "
+                           "is too large$"):
+            build_vig(f, weighted)
+
+    def test_weight_ranks_past_int64(self):
+        # n * n fits int64, but not times the 2 ranks of clause sizes 2 and 3
+        f = CnfFormula(2**31, ((1, 2), (1, 2, 3)))
+        with pytest.raises(MemoryError, match="too large"):
+            build_vig(f, True)
+
+
 class TestBuildCvig:
     @pytest.mark.parametrize("formulas", (_raw_formulas, _degenerate_formulas))
     def test_equals_from_edges(self, formulas):
