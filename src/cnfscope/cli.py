@@ -59,6 +59,16 @@ def _check_readable(paths):
             raise FileNotFoundError(f"input not readable: {p}")
 
 
+def _parsed(parse, path):
+    """parse(read_input(path)): a malformed file is an error that names it
+    once, as read_input's own errors do."""
+    data = cnf.read_input(path)
+    try:
+        return parse(data)
+    except ValueError as exc:  # DimacsError, TraceError, UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _emit(text: str, args) -> None:
     if args.output:
         Path(args.output).write_text(text)
@@ -170,7 +180,7 @@ def cmd_features(args) -> int:
 
 def cmd_ndr(args) -> int:
     _check_readable((args.input,))
-    formula = cnf.parse_dimacs(cnf.read_input(args.input))
+    formula = _parsed(cnf.parse_dimacs, args.input)
     g = getattr(graph, f"build_{args.model}")(formula)
     curve = fractal.cover_curve(g, r_stop=args.r_stop, ordering=args.ordering)
     try:
@@ -202,8 +212,8 @@ def cmd_ndr(args) -> int:
 def cmd_evolution(args) -> int:
     cfg = _feature_config(args)
     _check_readable((args.input, args.trace))
-    formula = cnf.parse_dimacs(cnf.read_input(args.input))
-    trace = cnf.parse_trace(cnf.read_input(args.trace))
+    formula = _parsed(cnf.parse_dimacs, args.input)
+    trace = _parsed(cnf.parse_trace, args.trace)
     # a checkpoint's random stand-in is seeded by its place in the trace,
     # so its row does not depend on which other checkpoints were asked for
     index = {ck: i for i, ck in enumerate(trace.decision_counts)}
@@ -254,7 +264,8 @@ def cmd_gen(args) -> int:
         if k:
             formula = cnf.random_3cnf(args.n, args.m, seed + k)
         path = outdir / f"rand_n{args.n}_m{args.m}_s{k}.cnf"
-        path.write_text(cnf.write_dimacs(formula))
+        with open(path, "w") as fh:
+            fh.writelines(cnf.iter_dimacs(formula))
         print(path, file=sys.stderr)
     return 0
 

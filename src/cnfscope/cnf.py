@@ -13,6 +13,7 @@ import gzip
 import lzma
 import re
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain
@@ -22,6 +23,9 @@ import numpy as np
 
 Clause = tuple[int, ...]
 _INT64 = np.iinfo(np.int64)
+# the normaliser and the writers take the clauses in ranges of at most
+# RANGE_LITERALS literals, so their temporaries stay small
+RANGE_LITERALS = 2 ** 16
 # the tokens int() reads, but for its digit limit
 _DECIMAL = re.compile(r"[+-]?\d+(?:_\d+)*")
 
@@ -112,37 +116,61 @@ def _literal_keys(lengths: np.ndarray, lits: np.ndarray
     return key, span, ids
 
 
+def _row_ranges(indptr: np.ndarray, limit: int):
+    """Consecutive row ranges (r0, r1) of a CSR array, each of at most
+    `limit` elements (a longer row is a range of its own)."""
+    rows = indptr.size - 1
+    r0 = 0
+    while r0 < rows:
+        r1 = max(r0 + 1, int(indptr.searchsorted(indptr[r0] + limit, "right")) - 1)
+        yield r0, r1
+        r0 = r1
+
+
 def _normalized(num_vars: int, lengths: np.ndarray, lits: np.ndarray,
                 error=ValueError, label="clause"
                 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Range-check raw clauses, given as (lengths, literals) arrays, and
     collapse duplicate literals (first occurrences kept, in order). Returns
     the arrays and their warnings, in clause order: duplicates collapsed,
-    then tautologies (kept)."""
-    bad = (lits == 0) | (lits < -num_vars) | (lits > num_vars)
-    if bad.any():
-        i = int(bad.argmax())
-        ci = int(np.searchsorted(np.cumsum(lengths), i, side="right"))
-        raise error(f"literal {lits[i]} out of range in {label} {ci} "
-                    f"(n={num_vars})")
-    key = _literal_keys(lengths, lits)[0]
-    # clause-major keys arrive nearly sorted, which a stable sort exploits;
-    # stability keeps the first occurrence of a literal
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    step = np.diff(key)
-    # the sorted literals stay grouped by clause, so position i + 1 of the
-    # sorted order lies in clause ids[i]
-    ids = _clause_ids(lengths)[1:]
-    dup = step == 0
-    taut = (step == 1) & (key[:-1] % 2 == 0)
-    flags = sorted([(ci, 0) for ci in set(ids[dup].tolist())]
-                   + [(ci, 1) for ci in set(ids[taut].tolist())])
+    then tautologies (kept). The clauses go in ranges of at most
+    RANGE_LITERALS literals, so the temporaries stay small."""
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    flags, drop, shrink = [], [], []
+    for c0, c1 in _row_ranges(indptr, RANGE_LITERALS):
+        lo, hi = indptr[c0], indptr[c1]
+        part = lits[lo:hi]
+        bad = (part == 0) | (part < -num_vars) | (part > num_vars)
+        if bad.any():
+            i = lo + int(bad.argmax())
+            ci = c0 + int(np.searchsorted(indptr[c0 + 1:c1 + 1], i, side="right"))
+            raise error(f"literal {lits[i]} out of range in {label} {ci} "
+                        f"(n={num_vars})")
+        key = _literal_keys(lengths[c0:c1], part)[0]
+        srt = np.sort(key)
+        step = np.diff(srt)
+        # the sorted literals stay grouped by clause, so position i + 1 of
+        # the sorted order lies in clause ids[i]
+        ids = _clause_ids(lengths[c0:c1])[1:] + c0
+        dup = step == 0
+        taut = (step == 1) & (srt[:-1] % 2 == 0)
+        flags += sorted([(ci, 0) for ci in set(ids[dup].tolist())]
+                        + [(ci, 1) for ci in set(ids[taut].tolist())])
+        if dup.any():
+            # every occurrence of a repeated literal but its first
+            pos = np.flatnonzero(np.isin(key, srt[1:][dup]))
+            pos = pos[np.argsort(key[pos], kind="stable")]
+            drop.append(pos[~run_starts(key[pos])] + lo)
+            shrink.append(ids[dup])
+    if drop:
+        keep = np.ones(lits.size, dtype=bool)
+        keep[np.concatenate(drop)] = False
+        lits = lits[keep]
+        lengths = lengths - np.bincount(np.concatenate(shrink),
+                                        minlength=lengths.size)
     texts = ("duplicate literal collapsed", "tautological (kept)")
-    keep = np.ones(lits.size, dtype=bool)
-    keep[order[1:][dup]] = False
-    lengths = lengths - np.bincount(ids[dup], minlength=lengths.size)
-    return (lengths, lits[keep],
+    return (lengths, lits,
             tuple(f"clause {ci}: {texts[k]}" for ci, k in flags))
 
 
@@ -305,44 +333,224 @@ def read_input(path) -> bytes:
         raise OSError(f"{path}: corrupt or truncated input ({exc})") from None
 
 
-def _decode(source) -> str:
-    data = source if isinstance(source, (str, bytes)) else source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+# The reader takes the input in chunks of about CHUNK_BYTES that end at a
+# line end. An ASCII chunk is read as arrays, its bytes classed by _CLASS:
+# 0 digit, 1 other ink, 2 blank (space, tab, \x1f) and 3 line break (the
+# ASCII ones of str.splitlines: \n, \r, \v, \f, \x1c-\x1e).
+CHUNK_BYTES = 2 ** 18
+_CLASS = np.ones(256, dtype=np.uint8)
+_CLASS[48:58] = 0
+_CLASS[list(b" \t\x1f")] = 2
+_CLASS[list(b"\n\r\v\f\x1c\x1d\x1e")] = 3
+_DIGIT = np.zeros(256, dtype=np.int64)
+_DIGIT[48:58] = np.arange(10)
+# a plain token is an optional "-" and at most this many digits: within int64
+_PLAIN_DIGITS = 18
+# a byte that UTF-8 rejects, as decoding with surrogateescape keeps it
+_ESCAPED = re.compile("[\udc80-\udcff]")
 
 
-def _read_blocks(text: str, tag: str, what: str, error
-                 ) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """Split DIMACS-style text into blocks: each directive line (one starting
-    with `tag`) with the (lengths, literals) arrays of the 0-terminated
-    clauses that follow it. Blank and `c` lines are skipped, and a line
-    starting with `%` ends the input, as in SATLIB files. A token is whatever
-    int() reads, within int64. Malformed clause data raises `error`; `what`
-    names the directive in its messages."""
-    text = "\n" + "\n".join(text.splitlines())
-    pieces: list[list[str]] = [[]]   # data before the first directive, then per block
-    heads = []
-    pos = 0
-    for mark in re.finditer(rf"\n[^\S\n]*(?:c.*|(%)|({tag}.*))", text):
-        pieces[-1].append(text[pos:mark.start()])
-        pos = mark.end()
-        if mark[1]:
-            break
-        if mark[2]:
-            heads.append(mark[2].strip())
-            pieces.append([])
-    else:
-        pieces[-1].append(text[pos:])
-    if "".join(pieces[0]).split():
-        raise error(f"clause data before {what}")
-    values = [_tokens("".join(p).split(), error) for p in pieces[1:]]
-    out = []
-    for i, (head, toks) in enumerate(zip(heads, values)):
-        if toks.size and toks[-1]:
-            raise error(f"clause not terminated by 0 before {what}"
-                        if i + 1 < len(heads) else "last clause not terminated by 0")
+class _Blocks:
+    """The blocks of DIMACS-style input, filled as it is read: each
+    directive line with the (lengths, literals) arrays of the clauses that
+    follow it. All literals go into one int64 array, grown to the literals
+    per byte read so far over the whole input and trimmed at the end; no
+    view of it exists before blocks() returns, so it is resized in place
+    without a reference check."""
+
+    def __init__(self, size: int, tag: str, what: str, error):
+        self.size, self.tag, self.what, self.error = size, tag, what, error
+        self.lits = np.empty(0, dtype=np.int64)
+        self.n = self.m = 0        # literals and clauses read
+        self.lengths = []          # the clause lengths, one array per chunk
+        self.heads = []            # per block: its line, first literal, first clause
+        self.open = []             # per block: literals after its last 0
+        self.stopped = False       # a % line ended the input
+
+    def words(self, words: list[str], done: int) -> None:
+        """Clause data as text tokens, each read by int()."""
+        if words and not self.heads:
+            raise self.error(f"clause data before {self.what}")
+        self.tokens(_tokens(words, self.error), done)
+
+    def tokens(self, toks: np.ndarray, done: int) -> None:
+        """Clause data as int64 tokens, 0 ending a clause, read up to byte
+        `done` of the input."""
+        if not toks.size:
+            return
+        if not self.heads:
+            raise self.error(f"clause data before {self.what}")
         ends = np.flatnonzero(toks == 0)
-        out.append((head, np.diff(ends, prepend=-1) - 1, toks[toks != 0]))
-    return out
+        lits = toks[toks != 0]
+        end = self.n + lits.size
+        if end > self.lits.size:
+            self.lits.resize(end * self.size // done + end // 16, refcheck=False)
+        self.lits[self.n:end] = lits
+        self.n = end
+        if not ends.size:
+            self.open[-1] += toks.size
+            return
+        lengths = np.diff(ends, prepend=-1) - 1
+        lengths[0] += self.open[-1]
+        self.open[-1] = toks.size - 1 - int(ends[-1])
+        self.lengths.append(lengths)
+        self.m += lengths.size
+
+    def head(self, line: str) -> None:
+        self.heads.append((line, self.n, self.m))
+        self.open.append(0)
+
+    def blocks(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        for i, rest in enumerate(self.open):
+            if rest:
+                raise self.error(f"clause not terminated by 0 before {self.what}"
+                                 if i + 1 < len(self.open)
+                                 else "last clause not terminated by 0")
+        self.lits.resize(self.n, refcheck=False)
+        lengths = np.concatenate([np.empty(0, dtype=np.int64), *self.lengths])
+        bounds = [*self.heads[1:], (None, self.n, self.m)]
+        return [(line, lengths[m0:m1], self.lits[n0:n1])
+                for (line, n0, m0), (_, n1, m1) in zip(self.heads, bounds)]
+
+
+def _read_blocks(source, tag: str, what: str, error
+                 ) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """Split DIMACS-style input (str, bytes or a file-like object) into
+    blocks: each directive line (one starting with `tag`) with the (lengths,
+    literals) arrays of the 0-terminated clauses that follow it. Blank and
+    `c` lines are skipped, and a line starting with `%` ends the input, as
+    in SATLIB files. Lines end where str.splitlines() ends them. A token is
+    whatever int() reads, within int64. Malformed clause data raises
+    `error`; `what` names the directive in its messages. Comment lines, and
+    whatever follows a `%` line, are not decoded: only clause data and
+    directive lines must be UTF-8."""
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    out = _Blocks(len(data), tag, what, error)
+    if isinstance(data, str):
+        if not data.isascii():
+            _read_text(out, data, len(data))
+            return out.blocks()
+        data = data.encode("ascii")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    a = 0
+    while a < len(data) and not out.stopped:
+        z = _chunk_end(data, a)
+        if buf[a:z].max() >= 128 or not _read_plain(out, buf[a:z], z):
+            _read_text(out, data[a:z].decode("utf-8", "surrogateescape"), z, data, a)
+        a = z
+    return out.blocks()
+
+
+def _chunk_end(data: bytes, a: int) -> int:
+    """The end of the chunk starting at byte a: just past the last \\n or
+    \\r in the next CHUNK_BYTES bytes, or past the first one after them."""
+    z = a + CHUNK_BYTES
+    if z >= len(data):
+        return len(data)
+    cut = max(data.rfind(b"\n", a, z), data.rfind(b"\r", a, z))
+    if cut < 0:
+        cut = min([i for i in (data.find(b"\n", z), data.find(b"\r", z)) if i >= 0],
+                  default=len(data) - 1)
+    return cut + 1
+
+
+def _read_plain(out: _Blocks, b: np.ndarray, done: int) -> bool:
+    """Read an ASCII chunk into out with array arithmetic. False, with
+    nothing read, when its clause data holds a token other than an optional
+    "-" and 1 to _PLAIN_DIGITS digits."""
+    cls = _CLASS[b]
+    starts, ends = _token_bounds(cls)
+    lead = b[starts]
+    cand = np.flatnonzero((lead == ord("c")) | (lead == ord("%"))
+                          | (lead == ord(out.tag)))
+    heads, stop = [], False
+    if cand.size:
+        # a candidate token leads its line when a line break lies between
+        # it and the token before; such a line is blanked once read
+        brk = np.append(np.flatnonzero(cls == 3), b.size)
+        line = np.searchsorted(brk, starts[cand])
+        first = (cand == 0) | (np.searchsorted(brk, ends[cand - 1]) < line)
+        for p, end in zip(starts[cand[first]].tolist(), brk[line[first]].tolist()):
+            if b[p] == ord("%"):
+                cls[p:] = 2
+                stop = True
+                break
+            if b[p] == ord(out.tag):
+                heads.append((p, b[p:end].tobytes().decode("ascii").strip()))
+            cls[p:end] = 2
+        starts, ends = _token_bounds(cls)
+        lead = b[starts]
+    neg = lead == ord("-")
+    digits = ends - starts - neg
+    # each non-digit of the clause data must be the sign of a signed token
+    if starts.size and (digits.min() < 1 or digits.max() > _PLAIN_DIGITS
+                        or np.count_nonzero(cls == 1) != np.count_nonzero(neg)):
+        return False
+    toks = _DIGIT[b[ends - 1]]
+    pos = ends - 1
+    for k in range(1, int(digits.max(initial=0))):
+        pos -= 1
+        d = _DIGIT[b.take(pos, mode="clip")]
+        d *= digits > k
+        d *= 10 ** k
+        toks += d
+    np.negative(toks, out=toks, where=neg)
+    at = 0
+    for p, line in heads:
+        cut = int(np.searchsorted(starts, p))
+        out.tokens(toks[at:cut], done)
+        out.head(line)
+        at = cut
+    out.tokens(toks[at:], done)
+    out.stopped = stop
+    return True
+
+
+def _token_bounds(cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the runs of ink bytes (classes 0 and 1)."""
+    ink = np.zeros(cls.size + 2, dtype=bool)
+    np.less(cls, 2, out=ink[1:-1])
+    bounds = np.flatnonzero(ink[1:] != ink[:-1])
+    return bounds[::2], bounds[1::2]
+
+
+def _read_text(out: _Blocks, text: str, done: int, raw: bytes | None = None,
+               offset: int = 0) -> None:
+    """Read text into out line by line, its tokens by int(). When text was
+    decoded from raw[offset:] with surrogateescape, a byte that did not
+    decode is an error outside comment lines."""
+    lines = []                   # (lead, position, line), comments left out
+    pos = 0
+    for line in text.splitlines(keepends=True):
+        lead = line.lstrip()[:1]
+        if lead != "c":
+            lines.append((lead if lead in ("%", out.tag) else "", pos, line))
+        if lead == "%":
+            break
+        pos += len(line)
+    if raw is not None:
+        for lead, pos, line in lines:
+            bad = _ESCAPED.search(line)
+            if bad and lead != "%":
+                at = offset + len(text[:pos + bad.start()].encode(
+                    "utf-8", "surrogateescape"))
+                try:   # the error strict decoding raises there
+                    raw[at:at + 4].decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise UnicodeDecodeError(exc.encoding, raw, at + exc.start,
+                                             at + exc.end, exc.reason) from None
+    data = []
+    for lead, _, line in lines:
+        if not lead:
+            data.append(line)
+            continue
+        out.words("".join(data).split(), done)
+        data = []
+        if lead == "%":
+            out.stopped = True
+        else:
+            out.head(line.strip())
+    out.words("".join(data).split(), done)
 
 
 def _tokens(tokens: list[str], error) -> np.ndarray:
@@ -360,6 +568,15 @@ def _tokens(tokens: list[str], error) -> np.ndarray:
                     raise error(f"bad token {_head(repr(tok))}") from None
             raise error(f"literal {_head(tok)} out of range") from None
         raise
+
+
+def _clause_text(lengths: np.ndarray, lits: np.ndarray) -> Iterator[str]:
+    """The DIMACS clause lines of the clauses, RANGE_LITERALS literals at a
+    time."""
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    for c0, c1 in _row_ranges(indptr, RANGE_LITERALS):
+        yield _clause_lines(lengths[c0:c1], lits[indptr[c0]:indptr[c1]])
 
 
 def _clause_lines(lengths: np.ndarray, lits: np.ndarray) -> str:
@@ -402,7 +619,7 @@ def parse_dimacs(source) -> CnfFormula:
     disagrees with the actual one, the actual count wins and a warning is
     recorded. A line starting with `%` ends the formula, as in SATLIB files.
     """
-    blocks = _read_blocks(_decode(source), "p", "'p cnf' header", DimacsError)
+    blocks = _read_blocks(source, "p", "'p cnf' header", DimacsError)
     if not blocks:
         raise DimacsError("missing 'p cnf' header")
     if len(blocks) > 1:
@@ -422,9 +639,16 @@ def parse_dimacs(source) -> CnfFormula:
     return CnfFormula.from_arrays(num_vars, lengths, lits, warnings)
 
 
+def iter_dimacs(f: CnfFormula) -> Iterator[str]:
+    """The DIMACS text of f in pieces: the header line, then the lines of
+    one range of clauses at a time, to write to a file as they come."""
+    yield f"p cnf {f.num_vars} {f.num_clauses}\n"
+    yield from _clause_text(*f.literal_arrays())
+
+
 def write_dimacs(f: CnfFormula) -> str:
     """Serialize to DIMACS text; parse_dimacs(write_dimacs(f)) == f."""
-    return f"p cnf {f.num_vars} {f.num_clauses}\n" + _clause_lines(*f.literal_arrays())
+    return "".join(iter_dimacs(f))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +659,7 @@ def write_dimacs(f: CnfFormula) -> str:
 def parse_trace(source) -> ClauseTrace:
     checkpoints = []
     for line, lengths, lits in _read_blocks(
-            _decode(source), "t", "'t <decisions>' line", TraceError):
+            source, "t", "'t <decisions>' line", TraceError):
         tag, *fields = line.split()
         try:
             if tag != "t":
@@ -448,8 +672,11 @@ def parse_trace(source) -> ClauseTrace:
 
 
 def write_trace(trace: ClauseTrace) -> str:
-    return "".join(f"t {k}\n" + _clause_lines(*_arrays(clauses))
-                   for k, clauses in trace.checkpoints)
+    pieces = []
+    for k, clauses in trace.checkpoints:
+        pieces.append(f"t {k}\n")
+        pieces.extend(_clause_text(*_arrays(clauses)))
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +684,28 @@ def write_trace(trace: ClauseTrace) -> str:
 
 
 def _distinct_rows(rng: np.random.Generator, n: int, count: int, width: int) -> np.ndarray:
-    """count rows of `width` distinct variables in 1..n, uniform, by resampling."""
+    """count rows of `width` distinct variables in 1..n, uniform, by
+    resampling: each pass redraws the rows that repeat a variable, in row
+    order, and checks only those."""
     if width > n:
         raise ValueError(f"cannot draw {width} distinct variables from 1..{n}")
     rows = rng.integers(1, n + 1, size=(count, width), dtype=np.int64)
-    while True:
-        srt = np.sort(rows, axis=1)
-        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        nbad = int(bad.sum())
-        if nbad == 0:
-            return rows
-        rows[bad] = rng.integers(1, n + 1, size=(nbad, width), dtype=np.int64)
+    redo = np.flatnonzero(_repeats(rows))
+    while redo.size:
+        new = rng.integers(1, n + 1, size=(redo.size, width), dtype=np.int64)
+        rows[redo] = new
+        redo = redo[_repeats(new)]
+    return rows
+
+
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows holding some value twice, by comparing each pair of
+    columns: no sorted copy of the rows."""
+    bad = np.zeros(len(rows), dtype=bool)
+    for j in range(1, rows.shape[1]):
+        for i in range(j):
+            bad |= rows[:, i] == rows[:, j]
+    return bad
 
 
 def random_3cnf(n: int, m: int, seed: int) -> CnfFormula:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import _clause_ids
+from .cnf import _clause_ids, _row_ranges
 from .graph import Graph, run_starts
 
 # A level that raises Q by no more than MIN_GAIN ends a restart.
@@ -134,18 +134,6 @@ class _LevelGraph:
                            selfw)
 
 
-def _node_ranges(indptr: np.ndarray):
-    """Consecutive node ranges (u0, u1) of at most CHECK_EDGES directed
-    edges each (a node of higher degree is a range of its own)."""
-    n = indptr.size - 1
-    u0 = 0
-    while u0 < n:
-        u1 = max(u0 + 1, int(indptr.searchsorted(indptr[u0] + CHECK_EDGES,
-                                                 "right")) - 1)
-        yield u0, u1
-        u0 = u1
-
-
 def _rows(g: Graph) -> tuple[list[list[int]], list[list[float]]]:
     """Per node, its neighbour ids and its edge weights as two lists, cut
     from one node range at a time so the temporaries stay small. Ids come
@@ -157,7 +145,7 @@ def _rows(g: Graph) -> tuple[list[list[int]], list[list[float]]]:
     indptr = g.indptr.tolist()
     nbrs: list[list[int]] = []
     ws: list[list[float]] = []
-    for u0, u1 in _node_ranges(g.indptr):
+    for u0, u1 in _row_ranges(g.indptr, CHECK_EDGES):
         lo, hi = indptr[u0], indptr[u1]
         vs = ids[g.indices[lo:hi]].tolist()
         wv = objects[values.searchsorted(g.weights[lo:hi])].tolist()
@@ -187,7 +175,7 @@ def _flagged(lg: _LevelGraph, comm, sigma) -> np.ndarray:
     two_w2 = 2.0 * total_w * total_w
     indptr = g.indptr
     flags = np.zeros(n, dtype=bool)
-    for u0, u1 in _node_ranges(indptr):
+    for u0, u1 in _row_ranges(indptr, CHECK_EDGES):
         lo, hi = indptr[u0], indptr[u1]
         # one group per (node, neighbour community), numbered in key order
         key = _clause_ids(np.diff(indptr[u0:u1 + 1])) * n

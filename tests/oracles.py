@@ -13,7 +13,10 @@ and minimum box covers place nodes into blocks one by one, as the coloring
 search does. dict_local_moving is the earlier local moving loop, kept as it
 was: each visit slices the flat CSR lists and sums its neighbour
 communities into a fresh dict (it shares only the drained-queue check,
-community._flagged, with the library). The last section holds small
+community._flagged, with the library). text_blocks is the earlier DIMACS
+reader, kept as it was: one regex over the whole decoded text, every block
+tokenized before any is checked (it shares only the token conversion,
+cnf._tokens, with the library). The last section holds small
 readers and writers that the program has no use for, kept for the tests
 that read graphs, partitions and matrices through them.
 """
@@ -21,11 +24,12 @@ that read graphs, partitions and matrices through them.
 import itertools
 import json
 import math
+import re
 from collections import deque
 
 import numpy as np
 
-from cnfscope.cnf import CnfFormula, PropagationConflict
+from cnfscope.cnf import CnfFormula, PropagationConflict, _tokens
 from cnfscope.community import Partition, _flagged, modularity
 from cnfscope.features import FeatureMatrix, csv_text, row_to_dict
 from cnfscope.graph import Graph
@@ -471,6 +475,36 @@ def propagate_lists(clauses):
                 if len(c) == 1:
                     queue.append(c[0])
     return tuple(tuple(c) for c, a in zip(clauses, alive) if a), assignment
+
+
+def text_blocks(text: str, tag: str, what: str, error):
+    """The (directive, lengths, literals) blocks of a DIMACS-style text, as
+    cnf._read_blocks reads them, from the text's str.splitlines() lines."""
+    text = "\n" + "\n".join(text.splitlines())
+    pieces = [[]]                # data before the first directive, then per block
+    heads = []
+    pos = 0
+    for mark in re.finditer(rf"\n[^\S\n]*(?:c.*|(%)|({tag}.*))", text):
+        pieces[-1].append(text[pos:mark.start()])
+        pos = mark.end()
+        if mark[1]:
+            break
+        if mark[2]:
+            heads.append(mark[2].strip())
+            pieces.append([])
+    else:
+        pieces[-1].append(text[pos:])
+    if "".join(pieces[0]).split():
+        raise error(f"clause data before {what}")
+    values = [_tokens("".join(p).split(), error) for p in pieces[1:]]
+    out = []
+    for i, (head, toks) in enumerate(zip(heads, values)):
+        if toks.size and toks[-1]:
+            raise error(f"clause not terminated by 0 before {what}"
+                        if i + 1 < len(heads) else "last clause not terminated by 0")
+        ends = np.flatnonzero(toks == 0)
+        out.append((head, np.diff(ends, prepend=-1) - 1, toks[toks != 0]))
+    return out
 
 
 def ranked_twin(clauses):

@@ -55,6 +55,15 @@ class TestGen:
             fb = (tmp_path / "b" / f"rand_n12_m30_s{k}.cnf").read_bytes()
             assert fa == fb
 
+    def test_text_of_write_dimacs(self, tmp_path, capsys):
+        """Each file holds the bytes write_dimacs gives the formula, written
+        one range of clauses at a time."""
+        _run(capsys, "gen", tmp_path, "--n", 3000, "--m", 30000, "--count", 2,
+             "--seed", 4)
+        for k in range(2):
+            want = write_dimacs(random_3cnf(3000, 30000, 4 + k)).encode()
+            assert (tmp_path / f"rand_n3000_m30000_s{k}.cnf").read_bytes() == want
+
     def test_n_too_small(self, tmp_path, capsys):
         code, _, err = _run(capsys, "gen", tmp_path / "x", "--n", 2, "--m", 5)
         assert code == 1
@@ -91,6 +100,39 @@ class TestGen:
         a = (tmp_path / "e1" / "rand_n10_m20_s0.cnf").read_bytes()
         b = (tmp_path / "e2" / "rand_n10_m20_s0.cnf").read_bytes()
         assert a != b
+
+
+class TestParseErrors:
+    """A malformed formula or trace is one error line that names the file
+    once (exit 1); a features batch names it once in its warning."""
+
+    @pytest.mark.parametrize("text, message", (
+        (b"p cnf 3 1\n1 5 0\n", "literal 5 out of range in clause 0 (n=3)"),
+        (b"p cnf 1 1\n1 \xe9 0\n", "'utf-8' codec can't decode byte 0xe9 in "
+                                   "position 12: invalid continuation byte"),
+    ), ids=("range", "utf8"))
+    def test_formula(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.cnf"
+        bad.write_bytes(text)
+        trace = tmp_path / "ok.trace"
+        trace.write_text("t 1\n1 0\n")
+        for argv in (["ndr", bad], ["evolution", bad, "--trace", trace]):
+            assert _run(capsys, *argv) == (1, "", f"error: {bad}: {message}\n")
+        code, _, err = _run(capsys, "features", bad, "--seed", 1)
+        assert (code, err.count("bad.cnf")) == (0, 1)
+        assert err.startswith("warning: bad.cnf: ")
+
+    def test_trace(self, cnf_file, tmp_path, capsys):
+        bad = tmp_path / "bad.trace"
+        bad.write_text("t x\n1 0\n")
+        assert _run(capsys, "evolution", cnf_file, "--trace", bad) == (
+            1, "", f"error: {bad}: malformed checkpoint line: 't x'\n")
+
+    def test_latin1_comment(self, tmp_path, capsys):
+        p = tmp_path / "latin1.cnf"
+        p.write_bytes(b"c caf\xe9\np cnf 3 2\n1 -2 0\n2 3 0\n")
+        code, out, _ = _run(capsys, "ndr", p)
+        assert code == 0 and out.startswith("r,N,N_norm\n")
 
 
 class TestFeatures:

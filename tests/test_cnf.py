@@ -1,9 +1,13 @@
+import hashlib
+import random
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
+from cnfscope import cnf
 from cnfscope.cnf import (
     ClauseTrace,
     CnfFormula,
@@ -13,6 +17,7 @@ from cnfscope.cnf import (
     _distinct_rows,
     _literal_keys,
     _random_clause,
+    _read_blocks,
     augment_with_learnt,
     parse_dimacs,
     parse_trace,
@@ -25,7 +30,7 @@ from cnfscope.cnf import (
 )
 from cnfscope.features import _canonical_clause_order
 from cnfscope.graph import build_cvig, build_vig
-from oracles import propagate_lists, ranked_twin
+from oracles import propagate_lists, ranked_twin, text_blocks
 
 
 class TestParseDimacs:
@@ -614,3 +619,212 @@ class TestReadInput:
         with pytest.raises(FileNotFoundError) as err:
             read_input(path)
         assert str(err.value).count(str(path)) == 1
+
+
+def _text(rng: random.Random) -> str:
+    """A random DIMACS-style text: directive, comment, `%` and clause lines
+    of plain and odd tokens, between every kind of blank and line break;
+    half of the texts are ASCII only."""
+    ascii_only = rng.random() < 0.5
+
+    def pick(items):
+        return rng.choice([x for x in items if x.isascii() or not ascii_only])
+
+    blanks = [" ", " ", " ", "  ", "\t", "\x1f", "\xa0", "\u3000"]
+    breaks = ["\n"] * 6 + ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                         "\x85", "\u2028", "\u2029"]
+    odd = ["+3", "1_0", "\u0663", "-0", "00", "-007", "0x1", "--1", "-", "1-",
+           "9" * 16, "-" + "9" * 18, "9" * 19, "9223372036854775808",
+           "1" * 4301, "x", "c", "p", "t", "%"]
+    n = rng.randint(1, 9)
+    lines = []
+    for _ in range(rng.randint(0, 12)):
+        r = rng.random()
+        if r < 0.12:
+            body = "c" + "".join(pick(["", " ", "x", "\xfc", "\v", "1"])
+                                 for _ in range(rng.randint(0, 5)))
+        elif r < 0.16:
+            body = rng.choice([f"p cnf {n} {rng.randint(0, 6)}", "p cnf x 1",
+                               "pcnf 3 1", "p", f"t {rng.randint(0, 20)}", "t x",
+                               "tx 5"])
+        elif r < 0.18:
+            body = rng.choice(["%", "%x"])
+        else:
+            body = pick(blanks).join(
+                "0" if rng.random() < 0.25 else pick(odd)
+                if rng.random() < 0.05 else str(rng.choice((-1, 1)) * rng.randint(1, n))
+                for _ in range(rng.randint(0, 6)))
+        lines.append(pick(["", "", "", " ", "\t", "\xa0"]) + body)
+    if rng.random() < 0.9:
+        lines.insert(0 if rng.random() < 0.8 else rng.randint(0, min(2, len(lines))),
+                     rng.choice([f"p cnf {n} {rng.randint(0, 6)}", f"t {rng.randint(0, 9)}"]))
+    text = "".join(line + pick(breaks) for line in lines)
+    return text.rstrip() if rng.random() < 0.3 else text
+
+
+def _blocks(read, source, tag):
+    """The blocks as lists, or the error's type and message."""
+    what, error = ("'p cnf' header", DimacsError) if tag == "p" else \
+        ("'t <decisions>' line", TraceError)
+    try:
+        return [(head, lengths.tolist(), lits.tolist())
+                for head, lengths, lits in read(source, tag, what, error)]
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestReader:
+    """The reader gives the blocks, and the errors, that str.splitlines()
+    and int() give on the decoded text, in chunks of any size."""
+
+    EDGE = ("p cnf 3 2\r\n1 -2 0\r\n2 3 0\r\n", "p cnf 3 2\r1 -2 0\r2 3 0\r",
+            "p cnf 3 1\v1 2 0\n", "c x\v1 0\np cnf 1 1\n1 0\n",
+            "p cnf 1 1\n1 0\x85c x\n", "p cnf 2 1\n1\t2\t0\n%\n0\n", "1 2 0\n", "",
+            "%\n1 2 0\n", "p cnf 2 1\n1 2", "p cnf 3 2\n1 2 -0 3 0\n",
+            "t 1\n1 2\nt 2\n1 x 0\n", "p cnf x y\n1 z 0\n", "\ufeffp cnf 1 1\n1 0\n",
+            "  p cnf 2 1  \n 1 2 0 \n", "p cnf 2 1\n1 2 0 c 1 0\n",
+            "t 5\nc learnt\n1 -2 0\n%\n0\nt 3\n", "p cnf 3 1\n1 -2 3 0\n%")
+
+    @pytest.mark.parametrize("chunk", (cnf.CHUNK_BYTES, 1, 7, 64))
+    def test_matches_text_reader(self, monkeypatch, chunk):
+        monkeypatch.setattr(cnf, "CHUNK_BYTES", chunk)
+        rng = random.Random(5)
+        for text in [*self.EDGE, *(_text(rng) for _ in range(1500))]:
+            for tag in "pt":
+                want = _blocks(text_blocks, text, tag)
+                assert _blocks(_read_blocks, text, tag) == want, text
+                assert _blocks(_read_blocks, text.encode(), tag) == want, text
+
+    def test_long_plain_input_in_chunks(self, monkeypatch):
+        """A trace of 16-digit literals, its blocks spanning chunks of 50
+        bytes, reads as in one chunk."""
+        rng = np.random.default_rng(3)
+        lits = rng.integers(-10**16 + 1, 10**16, size=3000)
+        lits[lits == 0] = 1
+        text = "".join(f"t {k}\n" + "".join(f"{a} {b} 0\n" for a, b in
+                                            lits[100 * k:100 * k + 100].reshape(-1, 2))
+                       for k in range(30))
+        want = parse_trace(text)
+        monkeypatch.setattr(cnf, "CHUNK_BYTES", 50)
+        assert parse_trace(text.encode()) == want
+        assert [c for _, cs in want.checkpoints for c in cs] == \
+            [tuple(p) for p in lits.reshape(-1, 2).tolist()]
+
+    @pytest.mark.parametrize("comment", (b"c caf\xe9", b"c \xff\xfe\x80",
+                                         b"c \xe9\x85"))
+    @pytest.mark.parametrize("eol", (b"\n", b"\r\n", b"\r"))
+    def test_comment_bytes_not_decoded(self, comment, eol):
+        """A comment line is skipped as bytes, whatever it holds."""
+        text = comment + eol + b"p cnf 2 1" + eol + comment + eol + b"1 -2 0" + eol
+        assert parse_dimacs(text).clauses == ((1, -2),)
+        trace = comment + eol + b"t 4" + eol + comment + eol + b"1 -2 0" + eol
+        assert parse_trace(trace).checkpoints == ((4, ((1, -2),)),)
+
+    def test_bytes_after_percent_not_decoded(self):
+        assert parse_dimacs(b"p cnf 1 1\n1 0\n%\n\xff\n").clauses == ((1,),)
+
+    @pytest.mark.parametrize("text", (b"p cnf 1 1\n1 0\xe9\n",
+                                      b"p cnf 1 1\nc ok\n1 \xe2\x82 0\n",
+                                      b"p cnf 1 1\xe9\n1 0\n",
+                                      b"p cnf 1 1\n1 0 \xf0\x90\x80"))
+    def test_undecodable_data(self, text):
+        """A byte that is not UTF-8 in clause data or a directive line is
+        the codec's error at its place in the input."""
+        with pytest.raises(UnicodeDecodeError) as want:
+            text.decode("utf-8")
+        with pytest.raises(UnicodeDecodeError) as got:
+            parse_dimacs(text)
+        assert str(got.value) == str(want.value)
+        # past a comment that does not decode, at its place in the input
+        text = b"c caf\xe9\n" + text
+        with pytest.raises(UnicodeDecodeError) as got:
+            parse_dimacs(text)
+        assert got.value.start == want.value.start + 7
+
+    def test_plain_tokens_extremes(self):
+        big = "9" * 18
+        f = parse_dimacs(f"p cnf {big} 2\n-{big} 0\n{big} -000001 -0\n")
+        assert f.clauses == ((-int(big),), (int(big), -1))
+
+
+class TestBitIdentity:
+    """The first 16 hex digits of the sha256 of formulas and texts made by
+    the generator and the writers before their clause checks and clause
+    ranges changed: the bytes must not."""
+
+    @pytest.mark.parametrize("n, m, seed, digest", (
+        (3, 10, 0, "f59e85ab5ad3b68e"), (3, 10, 1, "78e757c72b09d4dc"),
+        (3, 10, 42, "61eaa7cd04ae2827"), (4, 2000, 0, "99e281764485b052"),
+        (4, 2000, 1, "a0ecb0bc59c4461d"), (4, 2000, 42, "0fce3049ed92a387"),
+        (300, 1275, 0, "46a308262b36285f"), (300, 1275, 1, "bf81659591f34270"),
+        (300, 1275, 42, "91c65d61880629d1"), (10000, 100000, 0, "4c9dd6d559f8d635"),
+        (10000, 100000, 1, "4f320e7703d8cb0e"), (10000, 100000, 42, "50b263be52d453ff"),
+    ))
+    def test_random_3cnf(self, n, m, seed, digest):
+        lengths, lits = random_3cnf(n, m, seed).literal_arrays()
+        assert hashlib.sha256(lengths.tobytes() + lits.tobytes()).hexdigest()[:16] == digest
+
+    BIG = 2**63 - 1
+
+    @pytest.mark.parametrize("make, size, digest", (
+        (lambda: write_dimacs(CnfFormula(TestBitIdentity.BIG, [
+            (1, -2), (), (TestBitIdentity.BIG, -TestBitIdentity.BIG), (-2**63,), (),
+            (7, 10**18, -10**17)])), 151, "10cb30fd139a34b8"),
+        (lambda: write_dimacs(CnfFormula(5, [])), 10, "a27e9ed2d8e9f801"),
+        (lambda: write_dimacs(random_3cnf(300, 1275, 1)), 18484, "676a178e6026ce51"),
+        # 300,000 literals: several clause ranges
+        (lambda: write_dimacs(random_3cnf(10000, 100000, 1)), 1817140, "05bee11afaa19ef7"),
+        (lambda: write_trace(ClauseTrace((
+            (1, ((1, -2), (), (TestBitIdentity.BIG, -TestBitIdentity.BIG), (-2**63,))),
+            (5, ()), (2**63 - 1, ((3,),))))), 110, "e6c84dcc7aa886b9"),
+    ), ids=("extremes", "no_clauses", "n300", "n10000", "trace"))
+    def test_writers(self, make, size, digest):
+        text = make()
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()[:16]) == (size, digest)
+
+
+def _peak(fn, *args):
+    """fn(*args) and its tracemalloc peak above what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """The formula layer holds a few times its input or output at most, at
+    n=1e5, m=425,000 (a 9 MB text)."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        f = random_3cnf(100000, 425000, seed=1)
+        return f, write_dimacs(f).encode()
+
+    def test_parse(self, big):
+        """The text is read in chunks into one literal array, and normalised
+        a range of clauses at a time: at most 4 times the text (the reader of
+        whole lines and int() tokens took 12 times)."""
+        f, data = big
+        parse_dimacs(data[:10000].rsplit(b"\n", 1)[0] + b"\n")   # warm caches
+        got, peak = _peak(parse_dimacs, data)
+        assert got == f
+        assert peak <= 4 * len(data)
+
+    def test_write(self, big):
+        """One range of clauses is made at a time: the pieces and the joined
+        text peak within 2.5 times the text (the byte matrix of every clause
+        at once took 10 times)."""
+        f, data = big
+        text, peak = _peak(write_dimacs, f)
+        assert text.encode() == data
+        assert peak <= 2.5 * len(data)
+
+    def test_random_3cnf(self):
+        """The draws are checked column pair by column pair, not in a sorted
+        copy: within 1.6 times the formula's arrays (2.3 times with it)."""
+        random_3cnf(100, 425, seed=1)       # warm caches
+        f, peak = _peak(random_3cnf, 100000, 425000, 2)
+        assert peak <= 1.6 * sum(a.nbytes for a in f.literal_arrays())
