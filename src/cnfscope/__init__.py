@@ -33,27 +33,21 @@ from .features import (
     FeatureVector,
     extract_features,
     matrix_from_csv,
-    matrix_to_csv,
     normalize,
 )
 from .fractal import (
     CoverCurve,
     DimensionFit,
     cover_curve,
-    exact_box_cover_count,
-    exact_cover_count,
     fit_dimension,
     greedy_cover_count,
-    verify_cover,
 )
 from .graph import (
     Graph,
-    bfs_distances,
     build_cig,
     build_cvig,
     build_vig,
     connected_components,
-    eccentricities,
 )
 from .portfolio import (
     ClassificationReport,

@@ -98,8 +98,7 @@ def _emit_table(args, columns, records) -> None:
 
 def _feature_config(args) -> features.FeatureConfig:
     return features.FeatureConfig(seed=_resolve_seed(args.seed),
-                                  fit_lo=args.fit_lo, fit_hi=args.fit_hi,
-                                  ordering=args.ordering)
+                                  fit_lo=args.fit_lo, fit_hi=args.fit_hi)
 
 
 def _job_labels(job) -> tuple[str, str | None]:
@@ -182,7 +181,7 @@ def cmd_ndr(args) -> int:
     _check_readable((args.input,))
     formula = _parsed(cnf.parse_dimacs, args.input)
     g = getattr(graph, f"build_{args.model}")(formula)
-    curve = fractal.cover_curve(g, r_stop=args.r_stop, ordering=args.ordering)
+    curve = fractal.cover_curve(g, r_stop=args.r_stop)
     try:
         fit = fractal.fit_dimension(curve, args.fit_lo, args.fit_hi)
     except ValueError:
@@ -308,25 +307,37 @@ def cmd_portfolio(args) -> int:
 # argument parsing
 
 
+def _unique(kind: str, values: tuple) -> tuple:
+    """values, or a usage error naming those given more than once."""
+    try:
+        portfolio._check_unique(kind, values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return values
+
+
 def _feature_names(text: str) -> tuple[str, ...]:
-    """A comma-separated subset of FEATURE_NAMES; empty means all five."""
+    """A comma-separated subset of FEATURE_NAMES, each named once; empty
+    means all five."""
     names = tuple(text.split(",")) if text else features.FEATURE_NAMES
     unknown = [n for n in names if n not in features.FEATURE_NAMES]
     if unknown:
         raise argparse.ArgumentTypeError(
             f"unknown feature(s) {', '.join(map(repr, unknown))}; choose "
             f"from {', '.join(features.FEATURE_NAMES)}")
-    return names
+    return _unique("feature", names)
 
 
 def _checkpoints(text: str) -> tuple[int, ...]:
-    """Comma-separated decision counts; empty means every checkpoint."""
+    """Comma-separated decision counts, each given once; empty means every
+    checkpoint."""
     try:
-        return tuple(int(c) for c in text.split(",")) if text else ()
+        counts = tuple(int(c) for c in text.split(",")) if text else ()
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated decision counts, got {text!r}"
         ) from None
+    return _unique("checkpoint", counts)
 
 
 def _add_seed(p):
@@ -343,8 +354,6 @@ def _add_curve_options(p):
     evolution."""
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_output(p)
-    p.add_argument("--ordering", choices=fractal.ORDERINGS,
-                   default="desc_degree")
     p.add_argument("--fit-lo", type=int, default=1, dest="fit_lo")
     p.add_argument("--fit-hi", type=int, default=5, dest="fit_hi")
 

@@ -432,32 +432,53 @@ def _read_blocks(source, tag: str, what: str, error
             return out.blocks()
         data = data.encode("ascii")
     buf = np.frombuffer(data, dtype=np.uint8)
-    a = 0
+    a, mid = 0, False
     while a < len(data) and not out.stopped:
-        z = _chunk_end(data, a)
-        if buf[a:z].max() >= 128 or not _read_plain(out, buf[a:z], z):
-            _read_text(out, data[a:z].decode("utf-8", "surrogateescape"), z, data, a)
-        a = z
+        z, in_line = _chunk_end(data, buf, a, mid)
+        if buf[a:z].max() >= 128 or not _read_plain(out, buf[a:z], z, mid):
+            _read_text(out, data[a:z].decode("utf-8", "surrogateescape"), z,
+                       data, a, mid)
+        a, mid = z, in_line
     return out.blocks()
 
 
-def _chunk_end(data: bytes, a: int) -> int:
-    """The end of the chunk starting at byte a: just past the last \\n or
-    \\r in the next CHUNK_BYTES bytes, or past the first one after them."""
+def _chunk_end(data: bytes, buf: np.ndarray, a: int, mid: bool
+               ) -> tuple[int, bool]:
+    """The end of the chunk starting at byte a (within a line when mid),
+    and whether it ends within a line: just past the last \\n or \\r in the
+    next CHUNK_BYTES bytes. Without one there, a line of ASCII clause data
+    (led by a digit or "-", or the line the last chunk cut) is cut just past
+    its last blank there, so no line costs more than a chunk to read; any
+    other line runs to the first \\n or \\r after them."""
     z = a + CHUNK_BYTES
     if z >= len(data):
-        return len(data)
+        return len(data), False
     cut = max(data.rfind(b"\n", a, z), data.rfind(b"\r", a, z))
-    if cut < 0:
-        cut = min([i for i in (data.find(b"\n", z), data.find(b"\r", z)) if i >= 0],
-                  default=len(data) - 1)
-    return cut + 1
+    if cut >= 0:
+        return cut + 1, False
+    window = buf[a:z]
+    if window.max() < 128:
+        cls = _CLASS[window]
+        breaks = np.flatnonzero(cls == 3)
+        start = int(breaks[-1]) + 1 if breaks.size else 0   # of the last line
+        if start or not mid:
+            # a line that starts in the window is cut past its lead only
+            lead = start + np.flatnonzero(cls[start:] < 2)[:1]
+            start = int(lead[0]) if lead.size and (
+                cls[lead[0]] == 0 or window[lead[0]] == ord("-")) else cls.size
+        blanks = np.flatnonzero(cls[start:] == 2)
+        if blanks.size:
+            return a + start + int(blanks[-1]) + 1, True
+    cut = min([i for i in (data.find(b"\n", z), data.find(b"\r", z)) if i >= 0],
+              default=len(data) - 1)
+    return cut + 1, False
 
 
-def _read_plain(out: _Blocks, b: np.ndarray, done: int) -> bool:
-    """Read an ASCII chunk into out with array arithmetic. False, with
-    nothing read, when its clause data holds a token other than an optional
-    "-" and 1 to _PLAIN_DIGITS digits."""
+def _read_plain(out: _Blocks, b: np.ndarray, done: int, mid: bool) -> bool:
+    """Read an ASCII chunk into out with array arithmetic; when mid, its
+    first line goes on a line of clause data. False, with nothing read, when
+    its clause data holds a token other than an optional "-" and 1 to
+    _PLAIN_DIGITS digits."""
     cls = _CLASS[b]
     starts, ends = _token_bounds(cls)
     lead = b[starts]
@@ -466,10 +487,12 @@ def _read_plain(out: _Blocks, b: np.ndarray, done: int) -> bool:
     heads, stop = [], False
     if cand.size:
         # a candidate token leads its line when a line break lies between
-        # it and the token before; such a line is blanked once read
+        # it and the token before, or the chunk starts its line; such a line
+        # is blanked once read
         brk = np.append(np.flatnonzero(cls == 3), b.size)
         line = np.searchsorted(brk, starts[cand])
-        first = (cand == 0) | (np.searchsorted(brk, ends[cand - 1]) < line)
+        first = np.where(cand == 0, (line > 0) | (not mid),
+                         np.searchsorted(brk, ends[cand - 1]) < line)
         for p, end in zip(starts[cand[first]].tolist(), brk[line[first]].tolist()):
             if b[p] == ord("%"):
                 cls[p:] = 2
@@ -515,14 +538,15 @@ def _token_bounds(cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_text(out: _Blocks, text: str, done: int, raw: bytes | None = None,
-               offset: int = 0) -> None:
-    """Read text into out line by line, its tokens by int(). When text was
-    decoded from raw[offset:] with surrogateescape, a byte that did not
-    decode is an error outside comment lines."""
+               offset: int = 0, mid: bool = False) -> None:
+    """Read text into out line by line, its tokens by int(); when mid, its
+    first line goes on a line of clause data. When text was decoded from
+    raw[offset:] with surrogateescape, a byte that did not decode is an
+    error outside comment lines."""
     lines = []                   # (lead, position, line), comments left out
     pos = 0
-    for line in text.splitlines(keepends=True):
-        lead = line.lstrip()[:1]
+    for i, line in enumerate(text.splitlines(keepends=True)):
+        lead = "" if mid and not i else line.lstrip()[:1]
         if lead != "c":
             lines.append((lead if lead in ("%", out.tag) else "", pos, line))
         if lead == "%":

@@ -30,7 +30,6 @@ class FeatureConfig:
     seed: int = 42
     fit_lo: int = 1
     fit_hi: int = 5
-    ordering: str = "desc_degree"
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def _canonical_clause_order(f: CnfFormula) -> CnfFormula:
 def cover_and_fit(g: Graph, cfg: FeatureConfig
                   ) -> tuple[CoverCurve, DimensionFit]:
     """Greedy cover curve of g up to r = fit_hi and its dimension fit."""
-    curve = cover_curve(g, r_stop=cfg.fit_hi, ordering=cfg.ordering)
+    curve = cover_curve(g, r_stop=cfg.fit_hi)
     return curve, fit_dimension(curve, cfg.fit_lo, cfg.fit_hi)
 
 
@@ -219,11 +218,6 @@ def csv_text(header, rows) -> str:
     writer.writerows([x if x is None or isinstance(x, (str, int))
                       else repr(float(x)) for x in row] for row in rows)
     return out.getvalue()
-
-
-def matrix_to_csv(matrix: FeatureMatrix) -> str:
-    return csv_text(COLUMNS, ([d.get(c) for c in COLUMNS]
-                              for d in map(row_to_dict, matrix.rows)))
 
 
 def csv_rows(text: str) -> list[list[str]]:

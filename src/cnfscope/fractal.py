@@ -1,11 +1,11 @@
-"""Box/circle covering of graphs: greedy burning N(r), exact covers on small
-graphs, and the log-log / semilog regressions giving the pseudo-dimension d
-and the exponential decay beta.
+"""Box/circle covering of graphs: greedy burning N(r), and the log-log /
+semilog regressions giving the pseudo-dimension d and the exponential decay
+beta.
 
 A circle of radius r around center c is the set of nodes at hop distance
 strictly below r, so r=1 covers just the center and N(1) equals the node
-count. The greedy pass visits nodes by degree and selects every still-unburned
-node as a center, burning its circle.
+count. The greedy pass visits nodes by decreasing degree and selects every
+still-unburned node as a center, burning its circle.
 """
 
 from __future__ import annotations
@@ -17,29 +17,34 @@ import numpy as np
 from .graph import (Graph, bfs_layers, connected_components, gather_neighbors,
                     run_starts)
 
-ORDERINGS = ("desc_degree", "asc_degree")
+
+def _node_order(g: Graph) -> np.ndarray:
+    """The greedy visit order: degree descending, then node id."""
+    return np.lexsort((np.arange(g.node_count), -g.degrees))
 
 
-def _node_order(g: Graph, ordering: str) -> np.ndarray:
-    ids = np.arange(g.node_count, dtype=np.int64)
-    deg = g.degrees
-    if ordering == "desc_degree":
-        return np.lexsort((ids, -deg))
-    if ordering == "asc_degree":
-        return np.lexsort((ids, deg))
-    raise ValueError(f"unknown ordering {ordering!r} (expected one of {ORDERINGS})")
+def _checked_order(order, n: int) -> np.ndarray:
+    """order as int64 node ids, or a ValueError unless it is a permutation
+    of 0..n-1."""
+    order = np.asarray(order)
+    if (order.shape == (n,) and order.dtype.kind in "iu"
+            and (n == 0 or 0 <= order.min() and order.max() < n)):
+        seen = np.zeros(n, dtype=bool)
+        seen[order] = True
+        if seen.all():
+            return order.astype(np.int64, copy=False)
+    raise ValueError(f"order must be a permutation of the {n} node ids")
 
 
-def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree", *,
-                       order: np.ndarray | None = None
+def greedy_cover_count(g: Graph, r: int, *, order: np.ndarray | None = None
                        ) -> tuple[int, np.ndarray]:
     """Greedy burning estimate of N(r); returns (count, selected centers).
 
-    Nodes are visited by the chosen degree ordering (ascending node id breaks
-    ties); an unburned node is selected as a center and its radius-r circle
-    burned. The selected circles always cover the whole graph. order, when
-    given, is that visit order, _node_order(g, ordering), so a caller that
-    covers one graph at several radii sorts it once.
+    Nodes are visited by decreasing degree (ascending node id breaks ties);
+    an unburned node is selected as a center and its radius-r circle burned.
+    The selected circles always cover the whole graph. order, when given, is
+    the visit order instead, a permutation of the node ids: a caller that
+    covers one graph at several radii passes _node_order(g) to sort it once.
 
     The centers are decided a window at a time, with the same result as one
     node at a time. A window is the next unburned nodes of the order, each
@@ -69,9 +74,8 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree", *,
     """
     if r < 1:
         raise ValueError("radius must be >= 1")
-    if order is None:
-        order = _node_order(g, ordering)
     n = g.node_count
+    order = _node_order(g) if order is None else _checked_order(order, n)
     if r == 1:
         return n, order.copy()
     burned = np.zeros(n, dtype=bool)
@@ -161,136 +165,6 @@ def greedy_cover_count(g: Graph, r: int, ordering: str = "desc_degree", *,
     return chosen.size, order[chosen]
 
 
-def verify_cover(g: Graph, centers, r: int) -> bool:
-    """True when every node lies within hop distance < r of some center."""
-    if r < 1:
-        raise ValueError("radius must be >= 1")
-    centers = np.asarray(centers, dtype=np.int64)
-    outside = (centers < 0) | (centers >= g.node_count)
-    if outside.any():
-        bad = centers.flat[int(outside.argmax())]
-        raise ValueError(f"center {bad} out of range for {g.node_count} nodes")
-    centers = np.unique(centers)
-    if centers.size == 0:
-        return g.node_count == 0
-    covered = np.zeros(g.node_count, dtype=bool)
-    bfs_layers(g, centers, covered, True, r - 1)
-    return bool(covered.all())
-
-
-# ---------------------------------------------------------------------------
-# Exact covers: the fewest circles, or the fewest boxes, that hold every node.
-# Both are set cover over node bitmasks, solved by one exponential search,
-# _min_cover; the general problem is intractable, which is why the greedy
-# estimate exists at all.
-
-
-def _ball_masks(g: Graph, r: int) -> list[int]:
-    """Bitmask per node of the nodes within hop distance < r of it."""
-    seen = np.zeros(g.node_count, dtype=np.int64)
-    masks = []
-    for c in range(g.node_count):
-        mask = 0
-        for layer in bfs_layers(g, [c], seen, c + 1, r - 1):
-            for v in layer.tolist():
-                mask |= 1 << v
-        masks.append(mask)
-    return masks
-
-
-def _min_cover(sets: list[int], n: int) -> int:
-    """Fewest of the node bitmasks in sets whose union holds all n nodes,
-    each node lying in some set. Branch and bound: a set inside another is
-    dropped, only the sets holding the lowest uncovered node branch, and the
-    bound starts at n, one set per node."""
-    full = (1 << n) - 1
-    kept: list[int] = []
-    for b in sorted(set(sets), key=lambda b: -bin(b).count("1")):
-        if not any(b & ~k == 0 for k in kept):
-            kept.append(b)
-    sets_at = [[b for b in kept if b >> i & 1] for i in range(n)]
-    best = n
-
-    def search(covered: int, used: int):
-        nonlocal best
-        if covered == full:
-            best = min(best, used)
-            return
-        if used + 1 >= best:
-            return
-        low = (~covered & full)
-        low = (low & -low).bit_length() - 1
-        for b in sets_at[low]:
-            search(covered | b, used + 1)
-
-    search(0, 0)
-    return best
-
-
-def exact_cover_count(g: Graph, r: int, max_nodes: int = 20) -> int:
-    """Minimum number of radius-r circles covering the graph: _min_cover over
-    every node's circle, guarded to small graphs (the problem is NP-hard)."""
-    n = g.node_count
-    if n > max_nodes:
-        raise ValueError(f"graph too large for exact cover ({n} > {max_nodes} nodes)")
-    if r < 1:
-        raise ValueError("radius must be >= 1")
-    if n == 0:
-        return 0
-    if r == 1:
-        return n
-    return _min_cover(_ball_masks(g, r), n)
-
-
-def _maximal_cliques(adj: list[int], n: int) -> list[int]:
-    """Bron-Kerbosch with pivoting on bitmask adjacency."""
-    out: list[int] = []
-
-    def bk(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pux = p | x
-        pivot, best = -1, -1
-        t = pux
-        while t:
-            u = (t & -t).bit_length() - 1
-            t &= t - 1
-            c = bin(p & adj[u]).count("1")
-            if c > best:
-                best, pivot = c, u
-        cand = p & ~adj[pivot]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            bit = 1 << v
-            bk(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
-    bk(0, (1 << n) - 1, 0)
-    return out
-
-
-def exact_box_cover_count(g: Graph, size: int, max_nodes: int = 16) -> int:
-    """Minimum number of boxes of the given size covering the graph.
-
-    A box is a node set with all pairwise hop distances < size, i.e. a clique
-    of the (size-1)-th power graph. Every box lies in a maximal one, so this
-    is _min_cover over the maximal boxes, guarded to small graphs."""
-    n = g.node_count
-    if n > max_nodes:
-        raise ValueError(f"graph too large for exact box cover ({n} > {max_nodes})")
-    if size < 1:
-        raise ValueError("box size must be >= 1")
-    if n == 0:
-        return 0
-    if size == 1:
-        return n
-    # close[i] = bitmask of j != i with dist(i, j) < size
-    close = [m & ~(1 << i) for i, m in enumerate(_ball_masks(g, size))]
-    return _min_cover(_maximal_cliques(close, n), n)
-
-
 # ---------------------------------------------------------------------------
 # Cover curves and dimension fits
 
@@ -330,21 +204,20 @@ class CoverCurve:
         return self.counts.size
 
 
-def cover_curve(g: Graph, r_stop: int | None = None,
-                ordering: str = "desc_degree") -> CoverCurve:
+def cover_curve(g: Graph, r_stop: int | None = None) -> CoverCurve:
     """Greedy N(r) for r = 1, 2, ... until a single circle suffices, the
     curve bottoms out at the component count, or r_stop is reached."""
     if g.node_count == 0:
         raise ValueError("graph has no nodes")
     if r_stop is not None and r_stop < 1:
         raise ValueError("r_stop must be >= 1")
-    order = _node_order(g, ordering)
+    order = _node_order(g)
     counts: list[int] = []
     r_max = None
     ncomp = None
     r = 1
     while True:
-        count, _ = greedy_cover_count(g, r, ordering, order=order)
+        count, _ = greedy_cover_count(g, r, order=order)
         counts.append(count)
         if count == 1:
             r_max = r

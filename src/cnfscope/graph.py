@@ -328,17 +328,6 @@ def bfs_layers(g: Graph, sources, seen: np.ndarray, token,
     return layers
 
 
-def bfs_distances(g: Graph, source: int, radius_cap: int | None = None) -> np.ndarray:
-    """Hop distances from source (np.inf when unreachable or beyond the cap)."""
-    if source < 0 or source >= g.node_count:
-        raise ValueError(f"source {source} out of range")
-    dist = np.full(g.node_count, np.inf)
-    seen = np.zeros(g.node_count, dtype=bool)
-    for depth, layer in enumerate(bfs_layers(g, [source], seen, True, radius_cap)):
-        dist[layer] = depth
-    return dist
-
-
 def connected_components(g: Graph) -> tuple[int, np.ndarray]:
     """(component_count, component id per node), BFS sweep."""
     # comp doubles as the visit marks: a neighbour of component c is either
@@ -351,15 +340,3 @@ def connected_components(g: Graph) -> tuple[int, np.ndarray]:
         bfs_layers(g, [start], comp, count)
         count += 1
     return count, comp
-
-
-def eccentricities(g: Graph, max_nodes: int = 5000) -> np.ndarray:
-    """Per-node eccentricity within its component (all-pairs BFS; guarded)."""
-    if g.node_count > max_nodes:
-        raise ValueError(f"graph too large for all-pairs BFS ({g.node_count} nodes)")
-    # one seen array for every search: the BFS from u stamps it with u + 1
-    seen = np.zeros(g.node_count, dtype=np.int64)
-    ecc = np.zeros(g.node_count)
-    for u in range(g.node_count):
-        ecc[u] = len(bfs_layers(g, [u], seen, u + 1)) - 1
-    return ecc

@@ -8,17 +8,21 @@ the exact discrete CDF, inverse-distance weights loop over plain lists,
 greedy centers are found in rounds of a maximal independent set as well as
 by visiting nodes one by one, unit propagation edits clause lists through a
 dict of occurrence lists, the canonical clause order is sorted() on
-tuple keys, and a formula's ranked twin renames its variables by a dict. Minimum circle covers try center sets by increasing size,
-and minimum box covers place nodes into blocks one by one, as the coloring
-search does. dict_local_moving is the earlier local moving loop, kept as it
+tuple keys, and a formula's ranked twin renames its variables by a dict.
+Minimum circle covers try center sets by increasing size, and minimum box
+covers place nodes into blocks one by one, as the coloring search does.
+dict_local_moving is the earlier local moving loop, kept as it
 was: each visit slices the flat CSR lists and sums its neighbour
 communities into a fresh dict (it shares only the drained-queue check,
 community._flagged, with the library). text_blocks is the earlier DIMACS
 reader, kept as it was: one regex over the whole decoded text, every block
 tokenized before any is checked (it shares only the token conversion,
-cnf._tokens, with the library). The last section holds small
-readers and writers that the program has no use for, kept for the tests
-that read graphs, partitions and matrices through them.
+cnf._tokens, with the library). The instruments that do run on the
+library's graph.bfs_layers (verify_cover, bfs_distances, eccentricities and
+the exact covers by branch and bound) are measures the tool itself never
+takes; the exact covers are judged by the exhaustive searches. The last
+section holds small readers and writers that the program has no use for,
+kept for the tests that read graphs, partitions and matrices through them.
 """
 
 import itertools
@@ -31,8 +35,8 @@ import numpy as np
 
 from cnfscope.cnf import CnfFormula, PropagationConflict, _tokens
 from cnfscope.community import Partition, _flagged, modularity
-from cnfscope.features import FeatureMatrix, csv_text, row_to_dict
-from cnfscope.graph import Graph
+from cnfscope.features import COLUMNS, FeatureMatrix, csv_text, row_to_dict
+from cnfscope.graph import Graph, bfs_layers
 from cnfscope.portfolio import TIMEOUT, RuntimeMatrix
 
 
@@ -122,6 +126,13 @@ def greedy_centers(g: Graph, r: int, descending: bool = True) -> list[int]:
             centers.append(u)
             burned.update(hop_distances(adj, [u], r - 1))
     return centers
+
+
+def ascending_order(g: Graph) -> np.ndarray:
+    """The visit order by increasing degree, ties by node id: the order in
+    which greedy_centers(g, r, descending=False) visits the nodes, to pass
+    as greedy_cover_count's order."""
+    return np.lexsort((np.arange(g.node_count), np.diff(g.indptr)))
 
 
 def _closed_min(g: Graph, values: np.ndarray, hops: int) -> np.ndarray:
@@ -215,6 +226,160 @@ def min_box_cover(g: Graph, size: int) -> int:
         return place(0)
 
     return next(k for k in range(n + 1) if fits(k))
+
+
+# ---------------------------------------------------------------------------
+# Instruments over graph.bfs_layers: a cover check, hop distances,
+# eccentricities, and exact covers, the fewest circles or the fewest boxes
+# that hold every node. Both exact covers are set cover over node bitmasks,
+# solved by one branch and bound, _min_cover, and are checked against the
+# exhaustive searches above.
+
+
+def verify_cover(g: Graph, centers, r: int) -> bool:
+    """True when every node lies within hop distance < r of some center."""
+    if r < 1:
+        raise ValueError("radius must be >= 1")
+    centers = np.asarray(centers, dtype=np.int64)
+    outside = (centers < 0) | (centers >= g.node_count)
+    if outside.any():
+        bad = centers.flat[int(outside.argmax())]
+        raise ValueError(f"center {bad} out of range for {g.node_count} nodes")
+    centers = np.unique(centers)
+    if centers.size == 0:
+        return g.node_count == 0
+    covered = np.zeros(g.node_count, dtype=bool)
+    bfs_layers(g, centers, covered, True, r - 1)
+    return bool(covered.all())
+
+
+def _ball_masks(g: Graph, r: int) -> list[int]:
+    """Bitmask per node of the nodes within hop distance < r of it."""
+    seen = np.zeros(g.node_count, dtype=np.int64)
+    masks = []
+    for c in range(g.node_count):
+        mask = 0
+        for layer in bfs_layers(g, [c], seen, c + 1, r - 1):
+            for v in layer.tolist():
+                mask |= 1 << v
+        masks.append(mask)
+    return masks
+
+
+def _min_cover(sets: list[int], n: int) -> int:
+    """Fewest of the node bitmasks in sets whose union holds all n nodes,
+    each node lying in some set. Branch and bound: a set inside another is
+    dropped, only the sets holding the lowest uncovered node branch, and the
+    bound starts at n, one set per node."""
+    full = (1 << n) - 1
+    kept: list[int] = []
+    for b in sorted(set(sets), key=lambda b: -bin(b).count("1")):
+        if not any(b & ~k == 0 for k in kept):
+            kept.append(b)
+    sets_at = [[b for b in kept if b >> i & 1] for i in range(n)]
+    best = n
+
+    def search(covered: int, used: int):
+        nonlocal best
+        if covered == full:
+            best = min(best, used)
+            return
+        if used + 1 >= best:
+            return
+        low = (~covered & full)
+        low = (low & -low).bit_length() - 1
+        for b in sets_at[low]:
+            search(covered | b, used + 1)
+
+    search(0, 0)
+    return best
+
+
+def exact_cover_count(g: Graph, r: int, max_nodes: int = 20) -> int:
+    """Minimum number of radius-r circles covering the graph: _min_cover over
+    every node's circle, guarded to small graphs (the problem is NP-hard)."""
+    n = g.node_count
+    if n > max_nodes:
+        raise ValueError(f"graph too large for exact cover ({n} > {max_nodes} nodes)")
+    if r < 1:
+        raise ValueError("radius must be >= 1")
+    if n == 0:
+        return 0
+    if r == 1:
+        return n
+    return _min_cover(_ball_masks(g, r), n)
+
+
+def _maximal_cliques(adj: list[int], n: int) -> list[int]:
+    """Bron-Kerbosch with pivoting on bitmask adjacency."""
+    out: list[int] = []
+
+    def bk(r: int, p: int, x: int):
+        if p == 0 and x == 0:
+            out.append(r)
+            return
+        pux = p | x
+        pivot, best = -1, -1
+        t = pux
+        while t:
+            u = (t & -t).bit_length() - 1
+            t &= t - 1
+            c = bin(p & adj[u]).count("1")
+            if c > best:
+                best, pivot = c, u
+        cand = p & ~adj[pivot]
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            bit = 1 << v
+            bk(r | bit, p & adj[v], x & adj[v])
+            p &= ~bit
+            x |= bit
+    bk(0, (1 << n) - 1, 0)
+    return out
+
+
+def exact_box_cover_count(g: Graph, size: int, max_nodes: int = 16) -> int:
+    """Minimum number of boxes of the given size covering the graph.
+
+    A box is a node set with all pairwise hop distances < size, i.e. a clique
+    of the (size-1)-th power graph. Every box lies in a maximal one, so this
+    is _min_cover over the maximal boxes, guarded to small graphs."""
+    n = g.node_count
+    if n > max_nodes:
+        raise ValueError(f"graph too large for exact box cover ({n} > {max_nodes})")
+    if size < 1:
+        raise ValueError("box size must be >= 1")
+    if n == 0:
+        return 0
+    if size == 1:
+        return n
+    # close[i] = bitmask of j != i with dist(i, j) < size
+    close = [m & ~(1 << i) for i, m in enumerate(_ball_masks(g, size))]
+    return _min_cover(_maximal_cliques(close, n), n)
+
+
+def bfs_distances(g: Graph, source: int, radius_cap: int | None = None) -> np.ndarray:
+    """Hop distances from source (np.inf when unreachable or beyond the cap)."""
+    if source < 0 or source >= g.node_count:
+        raise ValueError(f"source {source} out of range")
+    dist = np.full(g.node_count, np.inf)
+    seen = np.zeros(g.node_count, dtype=bool)
+    for depth, layer in enumerate(bfs_layers(g, [source], seen, True, radius_cap)):
+        dist[layer] = depth
+    return dist
+
+
+def eccentricities(g: Graph, max_nodes: int = 5000) -> np.ndarray:
+    """Per-node eccentricity within its component (all-pairs BFS; guarded)."""
+    if g.node_count > max_nodes:
+        raise ValueError(f"graph too large for all-pairs BFS ({g.node_count} nodes)")
+    # one seen array for every search: the BFS from u stamps it with u + 1
+    seen = np.zeros(g.node_count, dtype=np.int64)
+    ecc = np.zeros(g.node_count)
+    for u in range(g.node_count):
+        ecc[u] = len(bfs_layers(g, [u], seen, u + 1)) - 1
+    return ecc
 
 
 # ---------------------------------------------------------------------------
@@ -553,3 +718,8 @@ def runtime_csv(m: RuntimeMatrix) -> str:
     return csv_text(["instance"] + m.solvers,
                     ([inst] + [TIMEOUT if math.isinf(t) else t for t in row]
                      for inst, row in zip(m.instances, m.times)))
+
+
+def matrix_to_csv(matrix: FeatureMatrix) -> str:
+    return csv_text(COLUMNS, ([d.get(c) for c in COLUMNS]
+                              for d in map(row_to_dict, matrix.rows)))

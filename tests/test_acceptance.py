@@ -20,15 +20,17 @@ from cnfscope.cnf import ClauseTrace, augment_with_learnt, random_3cnf, \
 from cnfscope.community import fold_communities
 from cnfscope.features import FeatureMatrix, FeatureRow, FeatureVector, \
     matrix_from_csv
-from cnfscope.fractal import cover_curve, exact_box_cover_count, \
-    exact_cover_count, fit_dimension, greedy_cover_count, verify_cover
-from cnfscope.graph import build_cvig, build_vig, eccentricities
+from cnfscope.fractal import cover_curve, fit_dimension, greedy_cover_count
+from cnfscope.graph import build_cvig, build_vig
 from cnfscope.portfolio import RuntimeMatrix, loo_classify, loo_portfolio_sim, \
     predict_runtime
 from cnfscope.scalefree import OccurrenceHistogram, fit_alpha
 from oracles import (
     chromatic_number,
     communities,
+    eccentricities,
+    exact_box_cover_count,
+    exact_cover_count,
     graph_from_edges,
     histogram_from_samples,
     modularity_optimum,
@@ -37,6 +39,7 @@ from oracles import (
     random_formula,
     random_graph,
     sample_discrete_powerlaw,
+    verify_cover,
 )
 
 

@@ -19,19 +19,20 @@ from cnfscope import fractal
 from cnfscope import graph as graph_module
 from cnfscope.cnf import random_3cnf
 from cnfscope.features import _canonical_clause_order
-from cnfscope.fractal import cover_curve, greedy_cover_count, verify_cover
+from cnfscope.fractal import cover_curve, greedy_cover_count
 from cnfscope.graph import (
     Graph,
-    bfs_distances,
     bfs_layers,
     build_cvig,
     build_vig,
     connected_components,
-    eccentricities,
     gather_neighbors,
 )
 from oracles import (
     adjacency_sets,
+    ascending_order,
+    bfs_distances,
+    eccentricities,
     graph_from_edges,
     greedy_centers,
     hop_distances,
@@ -40,6 +41,7 @@ from oracles import (
     random_formula,
     random_graph,
     reference_csr,
+    verify_cover,
 )
 
 
@@ -121,12 +123,20 @@ def test_eccentricities_guard():
         eccentricities(g, max_nodes=5)
 
 
+def _cover(g: Graph, r: int, ordering: str):
+    """greedy_cover_count in its own order, by decreasing degree, or given
+    the order by increasing degree."""
+    if ordering == "desc_degree":
+        return greedy_cover_count(g, r)
+    return greedy_cover_count(g, r, order=ascending_order(g))
+
+
 @pytest.mark.parametrize("g", GRAPHS)
 @pytest.mark.parametrize("r", (2, 3, 4, 5, 6))
 @pytest.mark.parametrize("ordering", ("desc_degree", "asc_degree"))
 def test_greedy_balls(g, r, ordering):
     adj = adjacency_sets(g)
-    count, centers = greedy_cover_count(g, r, ordering)
+    count, centers = _cover(g, r, ordering)
     want = greedy_centers(g, r, descending=ordering == "desc_degree")
     assert centers.tolist() == want
     assert count == len(want)
@@ -204,19 +214,23 @@ def _oracle_curve(g, descending):
 
 @pytest.mark.parametrize("g", _window_graphs())
 @pytest.mark.parametrize("ordering", ("desc_degree", "asc_degree"))
-def test_greedy_windows(g, ordering):
+def test_greedy_windows(g, ordering, monkeypatch):
     """The centers decided a window at a time are the ones decided a node
-    at a time, in the same order, at every radius."""
+    at a time, in the same order, at every radius; the curve in the order
+    by increasing degree comes from cover_curve with that order in place of
+    its own."""
     descending = ordering == "desc_degree"
     for r in range(1, 10):
-        count, centers = greedy_cover_count(g, r, ordering)
+        count, centers = _cover(g, r, ordering)
         want = greedy_centers(g, r, descending)
         assert centers.dtype == np.int64
         assert centers.tolist() == want
         assert count == len(want)
         assert lex_first_mis(g, r - 1, descending) == want
+    if not descending:
+        monkeypatch.setattr(fractal, "_node_order", ascending_order)
     if g.node_count:
-        curve = cover_curve(g, ordering=ordering)
+        curve = cover_curve(g)
         assert curve.counts.tolist() == _oracle_curve(g, descending)
 
 
@@ -247,7 +261,7 @@ def test_greedy_balls_large(large_graphs, model, ratio, r, ordering):
     """The greedy centers are the lexicographically-first maximal
     independent set of G^(r-1) under the degree order."""
     g = large_graphs[model, ratio]
-    count, centers = greedy_cover_count(g, r, ordering)
+    count, centers = _cover(g, r, ordering)
     want = lex_first_mis(g, r - 1, ordering == "desc_degree")
     assert centers.tolist() == want
     assert count == len(want)

@@ -522,6 +522,9 @@ class TestOptions:
         ("features", ("--monotone-clamp",)),
         ("ndr", ("--monotone-clamp",)),
         ("evolution", ("--monotone-clamp",)),
+        ("features", ("--ordering", "asc_degree")),
+        ("ndr", ("--ordering", "asc_degree")),
+        ("evolution", ("--ordering", "desc_degree")),
         ("ndr", ("--seed", "1")),
         ("gen", ("--format", "json")),
         ("gen", ("-o", "x.txt")),
@@ -680,6 +683,22 @@ class TestEvolution:
         assert "argument --checkpoints" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("asked, repeated", (
+        ("20,20", "[20]"), ("20,10,20", "[20]"), ("10,20,10,20,10", "[10, 20]")))
+    def test_repeated_checkpoints_usage_error(self, tmp_path, capsys, asked,
+                                              repeated):
+        # a checkpoint asked twice used to be computed and printed twice
+        p = tmp_path / "f.cnf"
+        p.write_text(write_dimacs(random_3cnf(10, 30, seed=1)))
+        tr = tmp_path / "t.trace"
+        tr.write_text("t 10\nt 20\n")
+        with pytest.raises(SystemExit) as exc:
+            _run(capsys, "evolution", p, "--trace", tr, "--checkpoints", asked)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument --checkpoints: duplicate checkpoint names: {repeated}" in out.err
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         p = tmp_path / "f.cnf"
         p.write_text(write_dimacs(random_3cnf(10, 30, seed=1)))
@@ -724,6 +743,21 @@ class TestClassifyPortfolio:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "choose from alpha, q, d, d_b, ratio" in err
+
+    @pytest.mark.parametrize("names, repeated", (
+        ("alpha,q,q", "['q']"), ("q,q", "['q']"),
+        ("d,alpha,d,alpha,d", "['d', 'alpha']")))
+    def test_classify_repeated_feature(self, features_csv, capsys, names,
+                                       repeated):
+        # a feature named twice used to count twice in every knn distance
+        for mode in ("tree-loo", "knn-loo"):
+            with pytest.raises(SystemExit) as exc:
+                _run(capsys, "classify", features_csv, "--mode", mode,
+                     "--features-used", names)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --features-used: duplicate feature names: {repeated}" in err
+            assert "Traceback" not in err
 
     def test_classify_feature_subset(self, features_csv, capsys):
         code, out, _ = _run(capsys, "classify", features_csv,

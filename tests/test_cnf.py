@@ -710,6 +710,26 @@ class TestReader:
         assert [c for _, cs in want.checkpoints for c in cs] == \
             [tuple(p) for p in lits.reshape(-1, 2).tolist()]
 
+    @pytest.mark.parametrize("chunk", (7, 64))
+    def test_one_line_in_chunks(self, monkeypatch, chunk):
+        """Clauses all on one line read as with one clause a line: the line
+        is cut just past a blank, in chunks read as arrays and (around the
+        +3 tokens) by int(), while a comment line longer than a chunk runs
+        to its end, whatever it holds."""
+        f = random_3cnf(30, 120, seed=4)
+        head, body = write_dimacs(f).split("\n", 1)
+        body = body.replace("\n", " ").replace(" 3 ", " +3 ")
+        comment = "c " + " ".join(map(str, range(1, 90))) + " -1 x 0"
+        ends = []
+        chunk_end = cnf._chunk_end
+        monkeypatch.setattr(cnf, "_chunk_end",
+                            lambda *a: ends.append(chunk_end(*a)) or ends[-1])
+        monkeypatch.setattr(cnf, "CHUNK_BYTES", chunk)
+        for text in (f"{comment}\n{head}\n{body}", f"{head}\n{comment}\n{body}\n"):
+            ends.clear()
+            assert parse_dimacs(text.encode()) == f
+            assert sum(mid for _, mid in ends) > len(body) // (2 * chunk)
+
     @pytest.mark.parametrize("comment", (b"c caf\xe9", b"c \xff\xfe\x80",
                                          b"c \xe9\x85"))
     @pytest.mark.parametrize("eol", (b"\n", b"\r\n", b"\r"))
@@ -809,6 +829,18 @@ class TestPeakMemory:
         whole lines and int() tokens took 12 times)."""
         f, data = big
         parse_dimacs(data[:10000].rsplit(b"\n", 1)[0] + b"\n")   # warm caches
+        got, peak = _peak(parse_dimacs, data)
+        assert got == f
+        assert peak <= 4 * len(data)
+
+    def test_parse_one_line(self, big):
+        """Every clause on one line: the line is cut at blanks into chunks,
+        so it is read within the same 4 times the text (as one chunk it took
+        14 times)."""
+        f, data = big
+        head, body = data.split(b"\n", 1)
+        data = head + b"\n" + body.replace(b"\n", b" ")
+        parse_dimacs(data[:10000].rsplit(b" ", 1)[0] + b" 0\n")   # warm caches
         got, peak = _peak(parse_dimacs, data)
         assert got == f
         assert peak <= 4 * len(data)

@@ -15,10 +15,9 @@ from cnfscope.features import (
     FeatureVector,
     extract_features,
     matrix_from_csv,
-    matrix_to_csv,
     normalize,
 )
-from oracles import canonical_clauses, matrix_to_json
+from oracles import canonical_clauses, matrix_to_csv, matrix_to_json
 
 
 def _vec(**kw):

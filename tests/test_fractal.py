@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 
 from cnfscope import fractal
-from cnfscope.cnf import CnfFormula
+from cnfscope.cnf import CnfFormula, random_3cnf
 from cnfscope.fractal import (
     CoverCurve,
     cover_curve,
-    exact_box_cover_count,
-    exact_cover_count,
     fit_dimension,
     greedy_cover_count,
-    verify_cover,
 )
 from cnfscope.graph import build_cvig, build_vig, connected_components
 from oracles import (
+    ascending_order,
     chromatic_number,
+    eccentricities,
+    exact_box_cover_count,
+    exact_cover_count,
     graph_from_edges,
     min_box_cover,
     min_circle_cover,
@@ -22,6 +23,7 @@ from oracles import (
     random_connected_graph,
     random_formula,
     random_graph,
+    verify_cover,
 )
 
 
@@ -82,13 +84,35 @@ class TestGreedyCover:
                            match=rf"^center {bad} out of range for 4 nodes$"):
             verify_cover(_path(4), centers, 4)
 
-    def test_bad_ordering(self):
-        with pytest.raises(ValueError):
-            greedy_cover_count(_path(3), 2, ordering="by_id")
+    @pytest.mark.parametrize("order", (
+        np.zeros(50, dtype=np.int64), np.arange(10), np.arange(51),
+        np.arange(-1, 49), np.arange(1, 51), np.arange(50.0),
+        np.arange(50).reshape(5, 10)),
+        ids=("zeros", "short", "long", "negative", "past_n", "float", "2d"))
+    def test_order_not_a_permutation(self, order):
+        # zeros used to give N(2) = 1 where the cover needs 7, and the short
+        # order 6 centers with 40 nodes never visited
+        g = build_vig(random_3cnf(50, 150, seed=1))
+        assert greedy_cover_count(g, 2)[0] == 7
+        for r in (1, 2, 3):
+            with pytest.raises(ValueError, match="^order must be a "
+                               "permutation of the 50 node ids$"):
+                greedy_cover_count(g, r, order=order)
+
+    def test_order_any_permutation(self):
+        # a permutation of any integer dtype is a visit order
+        g = build_vig(random_3cnf(50, 150, seed=1))
+        order = np.random.default_rng(4).permutation(50)
+        want = greedy_cover_count(g, 3, order=order)
+        for dtype in (np.int32, np.uint16):
+            got = greedy_cover_count(g, 3, order=order.astype(dtype))
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[1].dtype == np.int64
 
     def test_asc_degree_ordering_runs(self):
         g = graph_from_edges(5, [(0, i) for i in range(1, 5)])
-        count, centers = greedy_cover_count(g, 2, ordering="asc_degree")
+        count, centers = greedy_cover_count(g, 2, order=ascending_order(g))
         # leaves go first, so the hub never becomes a center
         assert count == 4
         assert verify_cover(g, centers, 2)
@@ -119,8 +143,6 @@ class TestExactCover:
         rng = np.random.default_rng(3)
         for _ in range(10):
             g = random_connected_graph(rng, int(rng.integers(2, 10)))
-            diam = 0
-            from cnfscope.graph import eccentricities
             diam = int(eccentricities(g).max())
             assert exact_cover_count(g, diam + 1) == 1
 
@@ -206,7 +228,6 @@ class TestSandwich:
             cvig = build_cvig(f)
             if cvig.node_count > 12:
                 continue
-            from cnfscope.graph import eccentricities
             rmax = int(eccentricities(vig).max()) + 1
             for r in range(1, rmax + 1):
                 n_r = exact_cover_count(vig, r)
@@ -256,28 +277,29 @@ class TestCoverCurve:
         assert curve.normalized[0] == 1.0
         assert curve.counts[0] == 7
 
-    @pytest.mark.parametrize("ordering", ("desc_degree", "asc_degree"))
-    def test_graph_without_nodes(self, ordering):
+    def test_graph_without_nodes(self):
         # it used to fail on its own empty curve: "cover counts must be >= 1"
         with pytest.raises(ValueError, match="^graph has no nodes$"):
-            cover_curve(graph_from_edges(0, []), ordering=ordering)
+            cover_curve(graph_from_edges(0, []))
 
     @pytest.mark.parametrize("ordering", ("desc_degree", "asc_degree"))
     def test_one_order_per_curve(self, ordering, monkeypatch):
-        # the degree order is sorted once per curve and handed to every
-        # radius; counts and centers equal per-radius calls that sort it
+        # the visit order is sorted once per curve and handed to every
+        # radius; counts and centers equal per-radius calls that sort it,
+        # in the order by decreasing degree and in one that replaces it
         g = build_cvig(random_formula(np.random.default_rng(3), 40, 120, 3))
+        node_order = (ascending_order if ordering == "asc_degree"
+                      else fractal._node_order)
         sorts = []
-        node_order = fractal._node_order
         monkeypatch.setattr(fractal, "_node_order",
-                            lambda *a: sorts.append(a) or node_order(*a))
-        curve = cover_curve(g, ordering=ordering)
+                            lambda g: sorts.append(g) or node_order(g))
+        curve = cover_curve(g)
         assert len(sorts) == 1
         assert len(curve) > 2
-        order = node_order(g, ordering)
+        order = node_order(g)
         for r, count in enumerate(curve.counts.tolist(), start=1):
-            sorted_here = greedy_cover_count(g, r, ordering)
-            given = greedy_cover_count(g, r, ordering, order=order)
+            sorted_here = greedy_cover_count(g, r)
+            given = greedy_cover_count(g, r, order=order)
             assert given[0] == sorted_here[0] == count
             np.testing.assert_array_equal(given[1], sorted_here[1])
 

@@ -7,18 +7,16 @@ import pytest
 from cnfscope.cnf import CnfFormula, random_3cnf
 from cnfscope.graph import (
     Graph,
-    bfs_distances,
     build_cig,
     build_cvig,
     build_vig,
     connected_components,
-    eccentricities,
     gather_neighbors,
     row_ranges,
     run_starts,
 )
-from oracles import (graph_from_edges, neighbors, random_formula,
-                     ranked_twin, reference_csr)
+from oracles import (bfs_distances, eccentricities, graph_from_edges,
+                     neighbors, random_formula, ranked_twin, reference_csr)
 
 
 def _clause_pair_csr(clauses):
