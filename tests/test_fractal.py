@@ -277,10 +277,18 @@ class TestCoverCurve:
         assert curve.normalized[0] == 1.0
         assert curve.counts[0] == 7
 
-    def test_graph_without_nodes(self):
-        # it used to fail on its own empty curve: "cover counts must be >= 1"
+    @pytest.mark.parametrize("ordering", ("desc_degree", "asc_degree"))
+    def test_graph_without_nodes(self, ordering, monkeypatch):
+        # it used to fail on its own empty curve: "cover counts must be >= 1";
+        # it raises before any visit order is made, whichever order is used
+        node_order = (ascending_order if ordering == "asc_degree"
+                      else fractal._node_order)
+        sorts = []
+        monkeypatch.setattr(fractal, "_node_order",
+                            lambda g: sorts.append(g) or node_order(g))
         with pytest.raises(ValueError, match="^graph has no nodes$"):
             cover_curve(graph_from_edges(0, []))
+        assert sorts == []
 
     @pytest.mark.parametrize("ordering", ("desc_degree", "asc_degree"))
     def test_one_order_per_curve(self, ordering, monkeypatch):
