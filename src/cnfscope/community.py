@@ -4,7 +4,9 @@ weighted VIG, with community aggregation between levels)."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -105,10 +107,13 @@ class _LevelGraph:
 
     The rows are built once per level graph, so every restart of a small
     graph, and the refinement pass that ends each one, reuses its base
-    level's. rows = (nbrs, ws): per node, a list of its neighbour ids and
-    one of its edge weights, in CSR order. The lists share their objects,
-    one int per node id and one float per distinct weight, so they cost a
-    pointer per directed edge and a list header per node. A weighted VIG has few distinct weights (the VIG of a random
+    level's. rows = (nbrs, ws, gets): per node, a tuple of its neighbour
+    ids and a list of its edge weights, in CSR order, and a getter that
+    reads the neighbours' communities in that order (see _rows). The rows
+    share their objects, one int per node id and one float per distinct
+    weight, so they cost a pointer per directed edge in each of the two
+    rows, and a row header and a getter per node; the getters share the id
+    tuples. A weighted VIG has few distinct weights (the VIG of a random
     3-CNF at n=1e5 has two)."""
 
     def __init__(self, g: Graph, selfw: np.ndarray):
@@ -134,25 +139,41 @@ class _LevelGraph:
                            selfw)
 
 
-def _rows(g: Graph) -> tuple[list[list[int]], list[list[float]]]:
-    """Per node, its neighbour ids and its edge weights as two lists, cut
-    from one node range at a time so the temporaries stay small. Ids come
-    from one object array of the node ids and weights from one of the
-    distinct weights, so the lists point at shared objects."""
+def _rows(g: Graph) -> tuple[list[tuple[int, ...]], list[list[float]],
+                             list[Callable]]:
+    """Per node, its neighbour ids as a tuple, its edge weights as a list
+    and a getter of its neighbours' communities, cut from one node range at
+    a time so the temporaries stay small. Ids come from one object array of
+    the node ids and weights from one of the distinct weights, so the rows
+    point at shared objects, and each id row is a slice of one tuple per
+    range. A getter called with the community list returns the row's
+    communities as a tuple in CSR order: itemgetter(*row) keeps the row
+    tuple it is called with, so it copies nothing. A node of degree 1 gets
+    itemgetter(v, v), whose pair the weight zip cuts to one entry and whose
+    second entry the gain loop finds already reset; one of degree 0 gets a
+    function that returns ()."""
     ids = np.arange(g.node_count).astype(object)
     values = np.unique(g.weights)
     objects = values.astype(object)
     indptr = g.indptr.tolist()
-    nbrs: list[list[int]] = []
+    nbrs: list[tuple[int, ...]] = []
     ws: list[list[float]] = []
+    gets: list[Callable] = []
     for u0, u1 in _row_ranges(g.indptr, CHECK_EDGES):
         lo, hi = indptr[u0], indptr[u1]
-        vs = ids[g.indices[lo:hi]].tolist()
+        vs = tuple(ids[g.indices[lo:hi]].tolist())
         wv = objects[values.searchsorted(g.weights[lo:hi])].tolist()
         for a, b in zip(indptr[u0:u1], indptr[u0 + 1:u1 + 1]):
-            nbrs.append(vs[a - lo:b - lo])
+            row = vs[a - lo:b - lo]
+            nbrs.append(row)
             ws.append(wv[a - lo:b - lo])
-    return nbrs, ws
+            gets.append(itemgetter(*row) if b - a > 1 else
+                        itemgetter(row[0], row[0]) if row else _no_communities)
+    return nbrs, ws, gets
+
+
+def _no_communities(comm: list[int]) -> tuple[()]:
+    return ()
 
 
 def _flagged(lg: _LevelGraph, comm, sigma) -> np.ndarray:
@@ -231,15 +252,17 @@ def _local_moving(lg: _LevelGraph, rng: np.random.Generator, start=None
 
     Plain-list state: the loop is node-at-a-time by nature and python list
     indexing beats numpy scalar access by a wide margin here. A visit reads
-    its node's row (lg.rows) and sums the weights into each neighbour
-    community in one flat accumulator indexed by community, acc, left to
-    right in CSR neighbour order, as _flagged does. The gain loop walks the
-    neighbours' communities and takes each nonzero entry once, resetting it
-    to 0.0; the own community's entry is read for the stay gain and reset
-    first. Edge weights are positive, so a summed entry is never 0.0, and
-    acc is all zeros again after every visit. Highest gain, then lowest
-    community id, wins, whatever the order of the walk; a node with no
-    neighbour outside its community keeps best_gain at -inf and stays.
+    its neighbours' communities with its node's getter (lg.rows), one
+    itemgetter call on the community list, and sums the weights into each
+    neighbour community in one flat accumulator indexed by community, acc,
+    left to right in CSR neighbour order, as _flagged does. The gain loop
+    walks the neighbours' communities and takes each nonzero entry once,
+    resetting it to 0.0; the own community's entry is read for the stay
+    gain and reset first. Edge weights are positive, so a summed entry is
+    never 0.0, and acc is all zeros again after every visit. Highest gain,
+    then lowest community id, wins, whatever the order of the walk; a node
+    with no neighbour outside its community keeps best_gain at -inf and
+    stays.
     """
     n = lg.g.node_count
     strength = lg.strength.tolist()
@@ -251,10 +274,9 @@ def _local_moving(lg: _LevelGraph, rng: np.random.Generator, start=None
         comm = np.asarray(start, dtype=np.int64).tolist()
         sigma = np.bincount(comm, weights=lg.strength, minlength=n).tolist()
         todo = []
-    community_of = comm.__getitem__
     total_w = lg.total
     two_w2 = 2.0 * total_w * total_w
-    nbrs, ws = lg.rows
+    nbrs, ws, gets = lg.rows
     acc = [0.0] * n
     no_gain = -np.inf
     total_gain = 0.0
@@ -281,7 +303,7 @@ def _local_moving(lg: _LevelGraph, rng: np.random.Generator, start=None
             a = comm[u]
             s_u = strength[u]
             row = nbrs[u]
-            cs = list(map(community_of, row))
+            cs = gets[u](comm)
             for c, w in zip(cs, ws[u]):
                 acc[c] += w
             sigma[a] -= s_u

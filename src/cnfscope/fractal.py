@@ -187,8 +187,9 @@ class CoverCurve:
             raise ValueError("empty cover curve")
         if (counts < 1).any():
             raise ValueError("cover counts must be >= 1")
-        if self.r_max is not None:
-            if counts[self.r_max - 1] != 1 or (counts[:self.r_max - 1] == 1).any():
+        if (r := self.r_max) is not None:
+            if (not 1 <= r <= counts.size or counts[r - 1] != 1
+                    or (counts[:r - 1] == 1).any()):
                 raise ValueError("r_max inconsistent with counts")
 
     @property

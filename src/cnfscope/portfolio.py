@@ -296,7 +296,9 @@ def _grow(X: np.ndarray, y: list, min_leaf: int) -> TreeNode:
 
 def _sorted_xy(matrix: FeatureMatrix, labels, features):
     """Feature array and labels of the rows stably sorted by instance id;
-    labels[k] labels row k, and without labels each row's family does."""
+    labels[k] labels row k, and without labels each row's family does.
+    A feature named twice is a ValueError."""
+    _check_unique("feature", features)
     if labels is None:
         labels = [r.family for r in matrix.rows]
         if None in labels:

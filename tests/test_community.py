@@ -503,17 +503,47 @@ class TestLevelGraphRows:
     def test_rows_are_csr_rows(self):
         lg = _aggregated_level_graph(0)
         g = lg.g
-        nbrs, ws = lg.rows
-        assert len(nbrs) == len(ws) == g.node_count
+        nbrs, ws, gets = lg.rows
+        assert len(nbrs) == len(ws) == len(gets) == g.node_count
         for u in range(g.node_count):
             lo, hi = g.indptr[u], g.indptr[u + 1]
-            assert nbrs[u] == g.indices[lo:hi].tolist()
+            assert list(nbrs[u]) == g.indices[lo:hi].tolist()
             assert ws[u] == g.weights[lo:hi].tolist()
+
+    @staticmethod
+    def _mixed_degrees():
+        # nodes 0-2 form a triangle and node 2 also links node 3, which
+        # has degree 1 as nodes 5 and 6 do; node 4 is isolated (with a
+        # self-loop)
+        g = graph_from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3), (5, 6)],
+                             [2.0, 1.0, 1.5, 0.5, 1.0])
+        lg = _LevelGraph(g, np.array([0.0, 0.25, 0.0, 0.0, 1.0, 0.0, 0.5]))
+        assert sorted(set(g.degrees.tolist())) == [0, 1, 2, 3]
+        return lg
+
+    def test_getters_read_communities_in_csr_order(self):
+        lg = self._mixed_degrees()
+        g = lg.g
+        gets = lg.rows[2]
+        comm = [10 * u + 7 for u in range(g.node_count)]
+        for u in range(g.node_count):
+            row = g.indices[g.indptr[u]:g.indptr[u + 1]].tolist()
+            want = [comm[v] for v in row]
+            if len(row) == 1:
+                want *= 2
+            assert gets[u](comm) == tuple(want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_local_moving_on_mixed_degrees_matches_dict_oracle(self, seed):
+        lg = self._mixed_degrees()
+        TestDictOracle._assert_same(lg, seed)
+        TestDictOracle._assert_same(lg, seed, np.array([0, 0, 1, 1, 2, 3, 3]))
 
     def test_rows_memory(self):
         # the rows point at one int per node id and one float per distinct
-        # weight: a pointer per directed edge in each of the two lists, a
-        # list header per node and row. One int and one float object per
+        # weight: a pointer per directed edge in each of the two rows, a
+        # row header per node and row, and a getter per node that shares
+        # the id row rather than copying it. One int and one float object per
         # edge would cost at least 68 bytes per edge.
         g = build_vig(random_3cnf(2000, 8500, seed=1), weighted=True)
         n, edges = g.node_count, g.indices.size

@@ -317,6 +317,12 @@ class TestCoverCurve:
         with pytest.raises(ValueError):
             CoverCurve(np.array([4.0, 2.0]), r_max=2)
 
+    @pytest.mark.parametrize("r_max", [0, -1, 3])
+    def test_r_max_outside_the_curve(self, r_max):
+        # r_max=0 read counts[-1] and r_max=3 raised IndexError
+        with pytest.raises(ValueError, match="^r_max inconsistent with counts$"):
+            CoverCurve(np.array([3.0, 1.0]), r_max=r_max)
+
 
 class TestFitDimension:
     def test_exact_power_law(self):

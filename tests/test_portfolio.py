@@ -568,3 +568,13 @@ class TestKnnClassify:
             rows.append(FeatureRow(f"b{k}", "two", _vec(alpha=9.0 + 0.01 * k)))
         rep = knn_loo_classify(FeatureMatrix(rows))
         assert rep.accuracy == 1.0
+
+
+@pytest.mark.parametrize("fit", [train_tree, loo_classify, knn_loo_classify])
+def test_feature_named_twice(fit):
+    # a repeated column would count twice in every knn distance
+    rows = [FeatureRow(f"{fam}{k}", fam, _vec(alpha=a + k, q=0.1 * k))
+            for fam, a in (("x", 0.0), ("y", 5.0)) for k in range(3)]
+    with pytest.raises(ValueError,
+                       match=r"^duplicate feature names: \['q'\]$"):
+        fit(FeatureMatrix(rows), features=("alpha", "q", "q"))
