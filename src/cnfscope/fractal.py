@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, bfs_layers, connected_components, gather_neighbors,
-                    run_starts)
+from .graph import Graph, bfs_layers, connected_components, gather_neighbors
 
 
 def _node_order(g: Graph) -> np.ndarray:
     """The greedy visit order: degree descending, then node id."""
-    return np.lexsort((np.arange(g.node_count), -g.degrees))
+    return np.argsort(-g.degrees, kind="stable")
 
 
 def _checked_order(order, n: int) -> np.ndarray:
@@ -50,19 +49,23 @@ def greedy_cover_count(g: Graph, r: int, *, order: np.ndarray | None = None
     node at a time. A window is the next unburned nodes of the order, each
     labelled by its position in the order. The labels grow r - 2 hops
     together, each node keeping the smallest label that reaches it, so a
-    node's label is the earliest source within those hops. A source clashes
-    when a neighbour holds an earlier label: an earlier source lies within
-    r - 1 hops of it. A source that does not clash is a center wherever it
-    sits in the window, since no earlier center can reach it (Blelloch,
-    Fineman & Shun, SPAA 2012, decide a node of a greedy independent set
-    the same way). The sources before the first clash burn every node their
-    labels reached. Past the first clash a node of an accepted circle may
-    hold the label of an earlier source that clashed (at r >= 4), so those
-    circles are searched afresh with bfs_layers, from the rings gathered for
-    the clash test. The scan resumes after the first clashing source, which
-    is burned by then; the sources after it that clashed are decided in a
-    later window, and the next window holds twice as many sources as this
-    one accepted.
+    node's label is the earliest source within those hops. A hop keeps the
+    least label of each node with np.minimum.at, and its layer holds the
+    nodes whose label it lowered, distinct but, unlike a layer of
+    bfs_layers, not sorted: nothing reads a layer's order, since the clash
+    test reads near and the burns, inner, reached and the last hop are set
+    operations. A source clashes when a neighbour holds an earlier label: an
+    earlier source lies within r - 1 hops of it. A source that does not
+    clash is a center wherever it sits in the window, since no earlier
+    center can reach it (Blelloch, Fineman & Shun, SPAA 2012, decide a node
+    of a greedy independent set the same way). The sources before the first
+    clash burn every node their labels reached. Past the first clash a node
+    of an accepted circle may hold the label of an earlier source that
+    clashed (at r >= 4), so those circles are searched afresh with
+    bfs_layers, from the rings gathered for the clash test. The scan resumes
+    after the first clashing source, which is burned by then; the sources
+    after it that clashed are decided in a later window, and the next window
+    holds twice as many sources as this one accepted.
 
     The last hop, the neighbours at r - 1 hops, is gathered only once the
     centers are known, and only from the deepest layer of accepted circles
@@ -83,6 +86,9 @@ def greedy_cover_count(g: Graph, r: int, *, order: np.ndarray | None = None
     # label[x] is the order position of the earliest source of the current
     # window within the hops grown so far; n when none reached x
     label = np.full(n, n, dtype=np.int64)
+    # stamp[x] is a position of x in the pairs of the current hop; r = 2
+    # has no hops
+    stamp = np.empty(n if r > 2 else 0, dtype=np.int64)
     chosen = []
     p, want, span = 0, 1, 1
     while p < n:
@@ -103,18 +109,20 @@ def greedy_cover_count(g: Graph, r: int, *, order: np.ndarray | None = None
         layer, layer_label, reached = src, pos, [src]
         for hop in range(r - 2):
             nb, counts = gather_neighbors(g, layer) if hop else (near, near_counts)
-            # the pairs (neighbour, label) that lower the neighbour's label
+            # the pairs (neighbour, label) that lower the neighbour's label,
+            # taken by index: a boolean index of so scattered a mask is
+            # slower
             lab = layer_label.repeat(counts)
-            better = label[nb] > lab
+            better = (label[nb] > lab).nonzero()[0]
             nb, lab = nb[better], lab[better]
-            # several layer nodes may reach one node: keep its least
-            key = nb * (n + 1)
-            key += lab
-            key.sort()
-            nb, lab = np.divmod(key, n + 1)
-            first = run_starts(nb)
-            layer, layer_label = nb[first], lab[first]
-            label[layer] = layer_label
+            # several layer nodes may reach one node: keep its least label,
+            # and of its positions in nb the one whose stamp write lasted;
+            # whichever write that is, exactly one position matches it
+            np.minimum.at(label, nb, lab)
+            at = np.arange(nb.size)
+            stamp[nb] = at
+            layer = nb[stamp[nb] == at]
+            layer_label = label[layer]
             reached.append(layer)
             if layer.size == 0:
                 break
@@ -137,7 +145,7 @@ def greedy_cover_count(g: Graph, r: int, *, order: np.ndarray | None = None
             reached = np.concatenate(reached)
             burn = reached[label[reached] < cut]
             burned[burn] = True
-            # the last hop: stamped, never labelled, sorted or deduped
+            # the last hop: burned, never labelled or deduped
             last = layer[(layer_label < cut) & ~inner[layer]]
             burned[gather_neighbors(g, last)[0]] = True
             inner[burn] = True

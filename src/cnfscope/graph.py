@@ -329,14 +329,19 @@ def bfs_layers(g: Graph, sources, seen: np.ndarray, token,
 
 
 def connected_components(g: Graph) -> tuple[int, np.ndarray]:
-    """(component_count, component id per node), BFS sweep."""
-    # comp doubles as the visit marks: a neighbour of component c is either
-    # unlabelled (-1) or already labelled c
+    """(component_count, component id per node); components are numbered in
+    the order of their smallest nodes. One BFS per component with an edge;
+    the isolated nodes are labelled in one step."""
+    # comp[x] is first the smallest node of x's component, and doubles as
+    # the visit marks: a neighbour of that node's component is either
+    # unlabelled (-1) or already labelled with it
     comp = np.full(g.node_count, -1, dtype=np.int64)
-    count = 0
-    for start in range(g.node_count):
-        if comp[start] != -1:
-            continue
-        bfs_layers(g, [start], comp, count)
-        count += 1
-    return count, comp
+    linked = g.degrees > 0
+    for start in linked.nonzero()[0].tolist():
+        if comp[start] == -1:
+            bfs_layers(g, [start], comp, start)
+    isolated = (~linked).nonzero()[0]
+    comp[isolated] = isolated
+    heads = comp == np.arange(g.node_count)
+    ids = heads.cumsum() - 1
+    return int(heads.sum()), ids[comp]

@@ -113,12 +113,21 @@ def hop_distances(adj: list[set[int]], sources, cap=None) -> dict[int, int]:
     return dist
 
 
-def greedy_centers(g: Graph, r: int, descending: bool = True) -> list[int]:
-    """Greedy burning by degree order (ties by node id): every node no
-    earlier circle reached becomes a center burning all nodes < r hops away."""
-    adj = adjacency_sets(g)
+def degree_order(g: Graph, descending: bool = True) -> list[int]:
+    """The nodes by degree (ties by node id), decreasing or increasing."""
+    deg = np.diff(g.indptr).tolist()
     sign = -1 if descending else 1
-    order = sorted(range(g.node_count), key=lambda u: (sign * len(adj[u]), u))
+    return sorted(range(g.node_count), key=lambda u: (sign * deg[u], u))
+
+
+def greedy_centers(g: Graph, r: int, descending: bool = True,
+                   order=None) -> list[int]:
+    """Greedy burning by degree order (ties by node id), or in the visit
+    order given: every node no earlier circle reached becomes a center
+    burning all nodes < r hops away."""
+    adj = adjacency_sets(g)
+    if order is None:
+        order = degree_order(g, descending)
     burned: set[int] = set()
     centers = []
     for u in order:
@@ -146,16 +155,17 @@ def _closed_min(g: Graph, values: np.ndarray, hops: int) -> np.ndarray:
     return values
 
 
-def lex_first_mis(g: Graph, hops: int, descending: bool = True) -> list[int]:
+def lex_first_mis(g: Graph, hops: int, descending: bool = True,
+                  order=None) -> list[int]:
     """The lexicographically-first maximal independent set of G^hops under
-    the degree order (ties by node id), listed in that order. Computed in
-    rounds (Blelloch, Fineman & Shun, SPAA 2012): an undecided node joins
-    when its rank is the least over the undecided nodes within `hops` hops,
-    and every node within `hops` hops of a joiner is decided."""
+    the degree order (ties by node id), or under the order given, listed in
+    that order. Computed in rounds (Blelloch, Fineman & Shun, SPAA 2012): an
+    undecided node joins when its rank is the least over the undecided
+    nodes within `hops` hops, and every node within `hops` hops of a joiner
+    is decided."""
     n = g.node_count
-    deg = np.diff(g.indptr).tolist()
-    sign = -1 if descending else 1
-    order = sorted(range(n), key=lambda u: (sign * deg[u], u))
+    if order is None:
+        order = degree_order(g, descending)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     undecided = np.ones(n, dtype=bool)

@@ -7,7 +7,10 @@ round-based maximal independent set, there, on VIGs and CVIGs of random
 oracle on the graphs that stress the window engine: complete graphs, stars,
 long paths, isolated nodes and disconnected unions, and on a graph where
 a window accepts a source whose circle holds an earlier clashing source's
-label. Also the CSR arrays the searches walk: each row must be sorted and
+label, and against both oracles in random visit orders on graphs where one
+hop of the labels reaches a node from several sources. Component ids are
+checked against a sweep's numbering, also on graphs of mostly isolated
+nodes. Also the CSR arrays the searches walk: each row must be sorted and
 distinct, a Graph invariant that makes degree-tie iteration canonical.
 Eccentricities are checked on the same graphs, against the farthest node
 the deque search reaches."""
@@ -17,7 +20,7 @@ import pytest
 
 from cnfscope import fractal
 from cnfscope import graph as graph_module
-from cnfscope.cnf import random_3cnf
+from cnfscope.cnf import CnfFormula, random_3cnf
 from cnfscope.features import _canonical_clause_order
 from cnfscope.fractal import cover_curve, greedy_cover_count
 from cnfscope.graph import (
@@ -94,15 +97,52 @@ def test_bfs_layers_multi_source(g):
         assert sorted(np.nonzero(seen == 7)[0].tolist()) == sorted(dist)
 
 
-@pytest.mark.parametrize("g", GRAPHS)
-def test_connected_components(g):
+def _reference_components(g):
+    """(count, ids) by a plain sweep over the nodes in id order, so each
+    component is numbered in the order of its smallest node."""
     adj = adjacency_sets(g)
+    comp, count = [-1] * g.node_count, 0
+    for u in range(g.node_count):
+        if comp[u] == -1:
+            for v in hop_distances(adj, [u]):
+                comp[v] = count
+            count += 1
+    return count, comp
+
+
+def _mostly_isolated_graphs():
+    """Graphs whose nodes are mostly isolated: no edge at all, one edge, and
+    a few random edges among many nodes, with isolated nodes before, after
+    and between the components that have an edge."""
+    rng = np.random.default_rng(31)
+    graphs = [graph_from_edges(0, []), graph_from_edges(7, []),
+              graph_from_edges(6, [(2, 4)])]
+    for n, edges in ((40, 4), (300, 30), (3000, 120)):
+        u = rng.integers(0, n, size=edges)
+        v = (u + rng.integers(1, 6, size=edges)) % n
+        graphs.append(graph_from_edges(n, list(zip(u.tolist(), v.tolist()))))
+    return graphs
+
+
+@pytest.mark.parametrize("g", GRAPHS + _mostly_isolated_graphs())
+def test_connected_components(g, monkeypatch):
+    """Components are numbered by their smallest node, as a sweep numbers
+    them, and the isolated nodes are labelled without a search: one
+    bfs_layers call per component that has an edge."""
+    calls = []
+
+    def counting(graph, sources, seen, token, max_depth=None):
+        calls.append(token)
+        return bfs_layers(graph, sources, seen, token, max_depth)
+
+    monkeypatch.setattr(graph_module, "bfs_layers", counting)
     count, comp = connected_components(g)
-    blocks = {frozenset(hop_distances(adj, [u])) for u in range(g.node_count)}
-    assert count == len(blocks)
-    assert sorted(np.unique(comp).tolist()) == list(range(count))
-    for block in blocks:
-        assert len({int(comp[v]) for v in block}) == 1
+    want_count, want = _reference_components(g)
+    assert count == want_count
+    assert comp.dtype == np.int64
+    assert comp.tolist() == want
+    linked = g.degrees > 0
+    assert len(calls) == len(set(comp[linked].tolist()))
 
 
 @pytest.mark.parametrize("g", GRAPHS)
@@ -142,6 +182,62 @@ def test_greedy_balls(g, r, ordering):
     assert count == len(want)
     assert len(hop_distances(adj, want, r - 1)) == g.node_count
     assert lex_first_mis(g, r - 1, ordering == "desc_degree") == want
+
+
+def _complete_bipartite(a, b) -> Graph:
+    return graph_from_edges(a + b, [(i, a + j) for i in range(a)
+                                    for j in range(b)])
+
+
+def _grid(rows, cols) -> Graph:
+    edges = [(i * cols + j, i * cols + j + 1)
+             for i in range(rows) for j in range(cols - 1)]
+    edges += [(i * cols + j, (i + 1) * cols + j)
+              for i in range(rows - 1) for j in range(cols)]
+    return graph_from_edges(rows * cols, edges)
+
+
+def _hub_formula_cvig(rng, num_vars, num_clauses) -> Graph:
+    """The CVIG of a formula whose clauses all hold variable 1: its node
+    neighbours every clause node."""
+    clauses = [[1] + [int(v) * int(rng.choice((-1, 1))) for v in
+                      rng.choice(np.arange(2, num_vars + 1),
+                                 size=int(rng.integers(0, 4)), replace=False)]
+               for _ in range(num_clauses)]
+    return build_cvig(CnfFormula.from_clauses(num_vars, clauses))
+
+
+def _contention_graphs():
+    """Graphs where one hop of the labels reaches a node from several layer
+    nodes: complete bipartite graphs, whose nodes on one side each
+    neighbour every source on the other (unequal labels); grids, where a
+    node two hops from a source is reached along two paths (equal labels);
+    and CVIGs of formulas whose clauses all share one variable."""
+    rng = np.random.default_rng(47)
+    graphs = [_complete_bipartite(a, b)
+              for a, b in ((1, 6), (2, 2), (3, 5), (6, 4), (9, 9))]
+    graphs += [_grid(rows, cols) for rows, cols in ((1, 7), (4, 4), (5, 9),
+                                                    (8, 8))]
+    graphs += [_hub_formula_cvig(rng, v, c)
+               for v, c in ((4, 6), (10, 25), (30, 60))]
+    return graphs
+
+
+@pytest.mark.parametrize("g", _contention_graphs())
+@pytest.mark.parametrize("r", (2, 3, 4, 5, 6))
+def test_greedy_label_contention(g, r):
+    """A node that several labels reach in one hop keeps the least of them:
+    the centers, in the default order and in random visit orders, are the
+    one-node-at-a-time oracle's and the lexicographically-first maximal
+    independent set's."""
+    rng = np.random.default_rng(g.node_count * 10 + r)
+    for order in [None] + [rng.permutation(g.node_count) for _ in range(4)]:
+        count, centers = greedy_cover_count(g, r, order=order)
+        visit = None if order is None else order.tolist()
+        want = greedy_centers(g, r, order=visit)
+        assert centers.tolist() == want
+        assert count == len(want)
+        assert lex_first_mis(g, r - 1, order=visit) == want
 
 
 def _union(parts) -> Graph:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from cnfscope.graph import build_cvig, build_vig, connected_components
 from oracles import (
     ascending_order,
     chromatic_number,
+    degree_order,
     eccentricities,
     exact_box_cover_count,
     exact_cover_count,
@@ -42,6 +45,22 @@ def _complement(g):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if (i, j) not in present]
     return graph_from_edges(n, edges)
+
+
+class TestNodeOrder:
+    def test_degree_ties_by_node_id(self):
+        """Degree descending, ties by ascending node id, on graphs where
+        most degrees tie: every clause node of a 3-CNF's CVIG has degree 3,
+        and a sparse random graph holds many nodes of degree 0 to 2."""
+        rng = np.random.default_rng(12)
+        graphs = [graph_from_edges(0, []), graph_from_edges(9, []),
+                  _complete(6), _path(12), random_graph(rng, 60, 0.03),
+                  build_cvig(random_3cnf(2000, 8500, seed=2)),
+                  build_vig(random_3cnf(3000, 3000, seed=2))]
+        for g in graphs:
+            order = fractal._node_order(g)
+            assert order.dtype == np.int64
+            assert order.tolist() == degree_order(g)
 
 
 class TestGreedyCover:
@@ -310,6 +329,22 @@ class TestCoverCurve:
             given = greedy_cover_count(g, r, order=order)
             assert given[0] == sorted_here[0] == count
             np.testing.assert_array_equal(given[1], sorted_here[1])
+
+    def test_curve_peak_memory(self):
+        """The labelling hops stamp one position per node in an int64
+        array, made only at r >= 3, whose covers peak below r = 2's. The
+        r <= 5 curve of the Table-1 CVIG at m/n = 10 peaks within 1.0362
+        times the bytes of the graph (its peak at r = 2) plus one int64 per
+        node."""
+        g = build_cvig(random_3cnf(10000, 100000, seed=1))
+        tracemalloc.start()
+        try:
+            cover_curve(g, r_stop=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        graph_bytes = g.indptr.nbytes + g.indices.nbytes
+        assert peak <= 1.0362 * graph_bytes + 8 * g.node_count
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
