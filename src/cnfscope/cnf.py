@@ -447,7 +447,7 @@ def _chunk_end(data: bytes, buf: np.ndarray, a: int, mid: bool
     """The end of the chunk starting at byte a (within a line when mid),
     and whether it ends within a line: just past the last \\n or \\r in the
     next CHUNK_BYTES bytes. Without one there, a line of ASCII clause data
-    (led by a digit or "-", or the line the last chunk cut) is cut just past
+    (led by a digit, "-" or "+", or the line the last chunk cut) is cut past
     its last blank there, so no line costs more than a chunk to read; any
     other line runs to the first \\n or \\r after them."""
     z = a + CHUNK_BYTES
@@ -465,7 +465,7 @@ def _chunk_end(data: bytes, buf: np.ndarray, a: int, mid: bool
             # a line that starts in the window is cut past its lead only
             lead = start + np.flatnonzero(cls[start:] < 2)[:1]
             start = int(lead[0]) if lead.size and (
-                cls[lead[0]] == 0 or window[lead[0]] == ord("-")) else cls.size
+                cls[lead[0]] == 0 or window[lead[0]] in b"-+") else cls.size
         blanks = np.flatnonzero(cls[start:] == 2)
         if blanks.size:
             return a + start + int(blanks[-1]) + 1, True

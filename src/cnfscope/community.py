@@ -108,7 +108,7 @@ class _LevelGraph:
     The rows are built once per level graph, so every restart of a small
     graph, and the refinement pass that ends each one, reuses its base
     level's. rows = (nbrs, ws, gets): per node, a tuple of its neighbour
-    ids and a list of its edge weights, in CSR order, and a getter that
+    ids and a tuple of its edge weights, in CSR order, and a getter that
     reads the neighbours' communities in that order (see _rows). The rows
     share their objects, one int per node id and one float per distinct
     weight, so they cost a pointer per directed edge in each of the two
@@ -139,13 +139,13 @@ class _LevelGraph:
                            selfw)
 
 
-def _rows(g: Graph) -> tuple[list[tuple[int, ...]], list[list[float]],
+def _rows(g: Graph) -> tuple[list[tuple[int, ...]], list[tuple[float, ...]],
                              list[Callable]]:
-    """Per node, its neighbour ids as a tuple, its edge weights as a list
-    and a getter of its neighbours' communities, cut from one node range at
-    a time so the temporaries stay small. Ids come from one object array of
+    """Per node, its neighbour ids and its edge weights as tuples and a
+    getter of its neighbours' communities, cut from one node range at a
+    time so the temporaries stay small. Ids come from one object array of
     the node ids and weights from one of the distinct weights, so the rows
-    point at shared objects, and each id row is a slice of one tuple per
+    point at shared objects, and each row is a slice of one tuple per
     range. A getter called with the community list returns the row's
     communities as a tuple in CSR order: itemgetter(*row) keeps the row
     tuple it is called with, so it copies nothing. A node of degree 1 gets
@@ -157,12 +157,12 @@ def _rows(g: Graph) -> tuple[list[tuple[int, ...]], list[list[float]],
     objects = values.astype(object)
     indptr = g.indptr.tolist()
     nbrs: list[tuple[int, ...]] = []
-    ws: list[list[float]] = []
+    ws: list[tuple[float, ...]] = []
     gets: list[Callable] = []
     for u0, u1 in _row_ranges(g.indptr, CHECK_EDGES):
         lo, hi = indptr[u0], indptr[u1]
         vs = tuple(ids[g.indices[lo:hi]].tolist())
-        wv = objects[values.searchsorted(g.weights[lo:hi])].tolist()
+        wv = tuple(objects[values.searchsorted(g.weights[lo:hi])].tolist())
         for a, b in zip(indptr[u0:u1], indptr[u0 + 1:u1 + 1]):
             row = vs[a - lo:b - lo]
             nbrs.append(row)

@@ -27,30 +27,22 @@ class Graph:
         self.variable_count = int(variable_count)
 
     @classmethod
-    def from_edges(cls, node_count: int, u, v, w=None,
-                   variable_count=None) -> "Graph":
+    def from_edges(cls, node_count: int, u, v, w=None) -> "Graph":
         """Build from parallel edge arrays.
 
-        Coinciding edges collapse into one, whose weight is the sum of theirs;
-        without weights (w None) every retained edge weighs 1. Self-loops and
-        node ids outside 0..node_count-1 are rejected, and so are u, v and w
-        that are not 1-D arrays of one length. The parallel weights
-        of an edge are sorted ascending and summed by np.add.reduceat, which
-        does not add left to right: with three or more of them the sum can
-        differ from a left-to-right one in the last bit.
+        Coinciding edges collapse into one, whose weight is the sum of theirs
+        (see _csr); without weights (w None) every retained edge weighs 1.
+        Self-loops and node ids outside 0..node_count-1 are rejected, and so
+        are u, v and w that are not 1-D arrays of one length.
 
-        Edges travel as int64 keys lo * node_count + hi. Without weights
-        equal keys are identical edges, so the keys themselves are sorted
-        (numpy's plain sort, several times faster than any argsort) and no
-        permutation is built. Both directions share one buffer of keys
-        src * node_count + dst, sorted, cut into rows and reduced to dst.
-        """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
+        The edges are collapsed first as int64 keys lo * node_count + hi,
+        sorted plainly without weights (several times faster than any
+        argsort) and lexsorted by key and weight with them; both directions
+        of the edges left then go to _csr."""
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
         arrays = {"u": u, "v": v}
         if w is not None:
-            w = np.asarray(w, dtype=np.float64)
-            arrays["w"] = w
+            arrays["w"] = w = np.asarray(w, dtype=np.float64)
         if any(a.ndim != 1 or a.shape != u.shape for a in arrays.values()):
             shapes = ", ".join(f"{k} {a.shape}" for k, a in arrays.items())
             raise ValueError(f"edge arrays must be 1-D of one length, got {shapes}")
@@ -86,17 +78,12 @@ class Graph:
         del key
         if w is None:
             buf.sort()
-            weights = np.broadcast_to(np.float64(1.0), (2 * e,))
         else:
             # the keys are distinct, so any sort gives the same order
             order = np.argsort(buf)
             buf = buf[order]
-            weights = np.concatenate((w, w))[order]
-        indptr = np.searchsorted(buf, np.arange(node_count + 1) * n)
-        buf %= n
-        if variable_count is None:
-            variable_count = node_count
-        return cls(node_count, indptr, buf, weights, variable_count)
+            w = np.concatenate((w, w))[order]
+        return cls(node_count, *_csr(node_count, buf, w), node_count)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -121,22 +108,48 @@ class Graph:
 # Builders
 
 
+def _csr(n: int, key: np.ndarray, w=None) -> tuple[np.ndarray, ...]:
+    """(indptr, indices, weights) of n nodes from the sorted int64 keys
+    src * n + dst of both directions of every edge, with weights w (None:
+    unit) ascending within each run of equal keys.
+
+    A run becomes one entry weighing np.add.reduceat's sum of its run, which
+    does not add left to right: with three or more parallel weights it can
+    differ from a left-to-right sum in the last bit, but the ascending order
+    makes it canonical, the same for both directions of an edge. Without
+    repeats the arrays are kept as they are; the keys become the columns in
+    place, and unit weights are a read-only zero-stride view of one 1.0."""
+    first = run_starts(key)
+    if not first.all():
+        if w is not None:
+            w = np.add.reduceat(w, np.flatnonzero(first))
+        key = key[first]
+    del first
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    # each key less its row's base row * n is its column. floor_divide by a
+    # scalar multiplies where % divides, so one small buffer of row bases
+    # at a time takes half the time of key %= n, with no key-sized scratch
+    base = np.empty(min(key.size, 1 << 13), dtype=np.int64)
+    for a in range(0, key.size, base.size or 1):
+        part, b = key[a:a + base.size], base[:key.size - a]
+        part -= np.multiply(np.floor_divide(part, n, out=b), n, out=b)
+    if w is None:
+        w = np.broadcast_to(np.float64(1.0), key.shape)
+    return indptr, key, w
+
+
 def build_vig(f: CnfFormula, weighted: bool = False) -> Graph:
     """Variable incidence graph: one node per variable, edges between
     variables sharing a clause. Weighted mode spreads weight 1 over the
     C(k,2) pairs of each clause with k distinct variables.
 
     Each variable is paired with the later variables of its clause, all
-    clauses at once, so a clause costs linear work in its pairs.
-
-    The CSR is assembled without Graph.from_edges, array for array the one
-    it builds from these pairs: both directions of every pair go into one buffer of int64 keys
-    u * n + v, sorted once by numpy's plain sort, with repeats dropped and
-    the rows cut by searchsorted. A weighted pair weighs 1 / C(k, 2) by its
-    clause size k alone, so the rank of k among the distinct sizes, largest
-    first, is the lowest digit of its key: the one sort lays each edge's
-    parallel weights out ascending, the order from_edges sums them in, and
-    both directions get the same sum to the bit."""
+    clauses at once, so a clause costs linear work in its pairs. Both
+    directions of every pair go into one buffer of int64 keys u * n + v,
+    sorted once, for _csr. A weighted pair weighs 1 / C(k, 2) by its clause
+    size k alone, so the rank of k among the distinct sizes, largest first,
+    is the lowest digit of its key: the one sort lays each edge's weights
+    out ascending. The arrays are those Graph.from_edges builds."""
     n = f.num_vars
     indptr, vars_ = f.clause_vars
     sizes = np.diff(indptr)
@@ -145,7 +158,8 @@ def build_vig(f: CnfFormula, weighted: bool = False) -> Graph:
         pairs = sizes * (sizes - 1) // 2
         # the pair counts of the distinct sizes, ascending: rank 0 goes to
         # the last, the largest clause and the smallest weight
-        table = np.unique(pairs[pairs > 0])
+        table = np.sort(pairs[pairs > 0])
+        table = table[run_starts(table)]
         digits = max(table.size, 1)
     if n * n * digits > _INT64.max:   # the keys would overflow
         raise MemoryError(f"a VIG of {n} variables is too large")
@@ -154,9 +168,8 @@ def build_vig(f: CnfFormula, weighted: bool = False) -> Graph:
     later = ends - np.arange(1, vars_.size + 1)
     idx = row_ranges(ends, later)
     del ends
-    count = idx.size
-    key = np.empty(2 * count, dtype=np.int64)
-    lo, hi = key[:count], key[count:]
+    key = np.empty(2 * idx.size, dtype=np.int64)
+    lo, hi = np.split(key, 2)
     # hi holds v until it becomes v * n + u; mode "clip" writes to hi
     # directly, and the indices are in range anyway
     vars_.take(idx, out=hi, mode="clip")
@@ -176,39 +189,20 @@ def build_vig(f: CnfFormula, weighted: bool = False) -> Graph:
         del rank
     del lo, hi
     key.sort()
+    w = None
     if weighted:
-        rank = np.empty_like(key)
-        np.divmod(key, digits, out=(key, rank))
-        w = (1.0 / table)[::-1][rank]
-        del rank
-    first = run_starts(key)
-    if weighted:
-        weights = np.add.reduceat(w, np.flatnonzero(first))
-        del w
-    if not first.all():
-        key = key[first]
-    del first
-    indptr = np.searchsorted(key, np.arange(n + 1) * n)
-    # each key less its row's base row * n is its column
-    base = _clause_ids(np.diff(indptr))
-    base *= n
-    key -= base
-    del base
-    if not weighted:
-        weights = np.broadcast_to(np.float64(1.0), key.shape)
-    return Graph(n, indptr, key, weights, n)
+        w = (1.0 / table)[::-1][key % digits]
+        key //= digits
+    return Graph(n, *_csr(n, key, w), n)
 
 
 def build_cvig(f: CnfFormula, weighted: bool = False) -> Graph:
     """Clause-variable incidence graph: bipartite, variable nodes 0..n-1
-    followed by clause nodes n..n+m-1, one unweighted edge per occurrence.
+    followed by clause nodes n..n+m-1, one unweighted edge per occurrence;
+    `weighted` True is a ValueError (False keeps build_vig's call shape).
 
-    `weighted` only keeps the call shape of build_vig, build_cvig(f, False);
-    True is a ValueError.
-
-    The edges are distinct already, so the CSR is assembled without
-    Graph.from_edges: each clause row is the clause's clause_vars row, and
-    the variable rows come from one plain sort of the keys
+    The edges are distinct already, so each clause row is its clause_vars
+    row, and the variable rows come from one plain sort of the keys
     variable * m + clause."""
     if weighted:
         raise ValueError("the CVIG is built unweighted")
@@ -239,40 +233,49 @@ def build_cvig(f: CnfFormula, weighted: bool = False) -> Graph:
 
 def build_cig(f: CnfFormula) -> Graph:
     """Clause incidence graph: one node per clause, an edge when two clauses
-    contain complementary occurrences of some variable. Unweighted."""
-    m = max(f.num_clauses, 1)
+    contain complementary occurrences of some variable. Unweighted.
+
+    Both directions of every clause pair go into one buffer of int64 keys
+    u * m + v, sorted once, for _csr, as in build_vig."""
+    m = f.num_clauses
     key, span, _ = _literal_keys(*f.literal_arrays())
-    # one sorted key group * m + clause per distinct (variable, polarity,
-    # clause) occurrence; group 2v holds the clauses where variable v occurs
+    # one key group * m + clause per (variable, polarity, clause)
+    # occurrence; group 2v holds the clauses where variable v occurs
     # positively, 2v + 1 those where it occurs negatively. group < 2 * span,
     # so the key fits int64 whenever the literal key does
     clause, key = np.divmod(key, 2 * span)
     key *= m
     key += clause
-    group, clause = np.divmod(np.unique(key), m)
-    # each array is dropped once spent, so the edge arrays reach
-    # Graph.from_edges without the occurrence arrays beside them
+    # a plain sort and a run mask: numpy's unique hashes int64, far slower
+    key.sort()
+    group, clause = np.divmod(key[run_starts(key)], m)
     del key
     # pair each positive occurrence with every negative one of its variable
     pos = group % 2 == 0
     negative = group[pos] + 1
-    lo = np.searchsorted(group, negative, "left")
-    counts = np.searchsorted(group, negative, "right")
-    counts -= lo
+    # occurrence k pairs with clause[ends_k - counts_k:ends_k]
+    ends = np.searchsorted(group, negative, "right")
+    counts = ends - np.searchsorted(group, negative, "left")
     del group, negative
-    u = np.repeat(clause[pos], counts)
-    del pos
-    # occurrence k pairs with clause[lo_k:lo_k + counts_k]
-    lo += counts
-    idx = row_ranges(lo, counts)
-    del lo, counts
-    v = clause[idx]
-    del idx, clause
-    keep = u != v
-    u = u[keep]
-    v = v[keep]
-    del keep
-    return Graph.from_edges(f.num_clauses, u, v, variable_count=0)
+    idx = row_ranges(ends, counts)
+    del ends
+    key = np.empty(2 * idx.size, dtype=np.int64)
+    lo, hi = np.split(key, 2)
+    clause.take(idx, out=hi, mode="clip")
+    del idx
+    u = clause[pos].repeat(counts)
+    del clause, pos, counts
+    np.multiply(u, m, out=lo)
+    lo += hi
+    hi *= m
+    hi += u
+    del u
+    # a clause with both literals of a variable pairs with itself: u == v
+    if (lo == hi).any():
+        key = key[np.tile(lo != hi, 2)]
+    del lo, hi
+    key.sort()
+    return Graph(m, *_csr(m, key), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +313,7 @@ def bfs_layers(g: Graph, sources, seen: np.ndarray, token,
     k holds the nodes first reached after k hops, sorted and distinct, up to
     max_depth hops (no cap on None).
 
-    A new layer is deduped by an in-place sort and a run mask (np.unique is
+    A new layer is deduped by an in-place sort and a run mask (unique is
     several times slower on large layers).
     """
     frontier = np.asarray(sources, dtype=np.int64)

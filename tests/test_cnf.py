@@ -845,6 +845,19 @@ class TestPeakMemory:
         assert got == f
         assert peak <= 4 * len(data)
 
+    def test_parse_one_line_plus_lead(self, big):
+        """A line led by "+", which int() reads, is clause data too: written
+        "+47319", the first literal leaves the one line cut at blanks, within
+        4 times the text (read as one chunk it took 15 times)."""
+        f, data = big
+        head, body = data.split(b"\n", 1)
+        assert body.startswith(b"47319 ")
+        data = head + b"\n+" + body.replace(b"\n", b" ")
+        parse_dimacs(data[:10000].rsplit(b" ", 1)[0] + b" 0\n")   # warm caches
+        got, peak = _peak(parse_dimacs, data)
+        assert got == f
+        assert peak <= 4 * len(data)
+
     def test_write(self, big):
         """One range of clauses is made at a time: the pieces and the joined
         text peak within 2.5 times the text (the byte matrix of every clause

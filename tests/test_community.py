@@ -508,7 +508,7 @@ class TestLevelGraphRows:
         for u in range(g.node_count):
             lo, hi = g.indptr[u], g.indptr[u + 1]
             assert list(nbrs[u]) == g.indices[lo:hi].tolist()
-            assert ws[u] == g.weights[lo:hi].tolist()
+            assert ws[u] == tuple(g.weights[lo:hi].tolist())
 
     @staticmethod
     def _mixed_degrees():

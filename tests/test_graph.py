@@ -7,6 +7,7 @@ import pytest
 from cnfscope.cnf import CnfFormula, random_3cnf
 from cnfscope.graph import (
     Graph,
+    _csr,
     build_cig,
     build_cvig,
     build_vig,
@@ -273,16 +274,16 @@ class TestBuildCvig:
     def test_equals_from_edges(self, formulas):
         """The CSR build_cvig assembles from the clause rows is the one
         Graph.from_edges builds from the occurrence edges, array for array:
-        values, dtypes, shapes and the zero-stride weights."""
+        values, dtypes, shapes and the zero-stride weights. Its variable
+        nodes are the first n."""
         for f in formulas():
             n, m = f.num_vars, f.num_clauses
             indptr, vars_ = f.clause_vars
             want = Graph.from_edges(n + m, vars_,
-                                    n + np.repeat(np.arange(m), np.diff(indptr)),
-                                    variable_count=n)
+                                    n + np.repeat(np.arange(m), np.diff(indptr)))
             got = build_cvig(f, False)
-            assert ((got.node_count, got.variable_count)
-                    == (want.node_count, want.variable_count) == (n + m, n))
+            assert got.node_count == want.node_count == n + m
+            assert got.variable_count == n
             for name in ("indptr", "indices", "weights"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
@@ -354,6 +355,57 @@ class TestBuildCvig:
         assert (g.node_count, g.variable_count) == (3, 2)
 
 
+class TestCsr:
+    """_csr, the one step from sorted keys to CSR arrays that every builder
+    ends in, against the edge-by-edge reference CSR."""
+
+    @staticmethod
+    def _edges(case, rng):
+        """(n, u, v, w) of undirected edges: none on 0 or 1 nodes, distinct
+        pairs, or distinct pairs repeated 2 to 5 times with their own
+        weights."""
+        if case in ("n=0", "n=1"):
+            return int(case[2]), [], [], []
+        n = int(rng.integers(2, 30))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        pick = rng.permutation(len(pairs))[:int(rng.integers(1, 60))]
+        times = rng.integers(2, 6, pick.size) if case == "parallel" else 1
+        u, v = np.array([pairs[k] for k in pick]).repeat(times, axis=0).T
+        # each edge in either direction
+        flip = rng.random(u.size) < 0.5
+        u, v = np.where(flip, v, u), np.where(flip, u, v)
+        return n, u.tolist(), v.tolist(), rng.uniform(0.1, 2.0, u.size).tolist()
+
+    @pytest.mark.parametrize("case", ("n=0", "n=1", "singletons", "parallel"))
+    @pytest.mark.parametrize("weight_mode", ("unit", "sum"))
+    def test_reference(self, case, weight_mode):
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            n, u, v, w = self._edges(case, rng)
+            key = np.array(u + v, dtype=np.int64) * n + np.array(v + u, dtype=np.int64)
+            wts = np.array(w + w, dtype=np.float64)
+            order = np.lexsort((wts, key))
+            key, wts = key[order], wts[order]
+            given = (key, wts if weight_mode == "sum" else None)
+            indptr, indices, weights = _csr(n, *given)
+            want = reference_csr(n, u, v, w, weight_mode)
+            for got, ref in zip((indptr, indices, weights), want):
+                assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+            assert np.array_equal(indptr, want[0])
+            assert np.array_equal(indices, want[1])
+            np.testing.assert_allclose(weights, want[2], rtol=1e-14, atol=0)
+            if weight_mode == "unit":
+                assert weights.strides == (0,)
+                assert not weights.flags.writeable
+            if case != "parallel":
+                # without repeats the keys are the columns, in place, and
+                # the weights the ones given
+                assert indices is given[0]
+                assert weight_mode == "unit" or weights is given[1]
+            else:
+                assert indices.size < key.size
+
+
 class TestBuildCig:
     def test_complementary_pair(self):
         f = CnfFormula.from_clauses(3, [[1, 2], [-1, 3]])
@@ -390,6 +442,16 @@ class TestBuildCig:
             _assert_csr(g, _clause_pair_csr(clauses))
         assert seen_dup and seen_taut
 
+    def test_never_from_edges(self, monkeypatch):
+        """The CIG goes from its clause-pair keys to _csr directly."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_cig called Graph.from_edges")
+        monkeypatch.setattr(Graph, "from_edges", refuse)
+        clauses = [(1, -2, 3), (-1, 2), (2, -2, 3), (-3, 1, 1), (-3,), ()]
+        f = CnfFormula(3, tuple(clauses))
+        _assert_csr(build_cig(f), _clause_pair_csr(clauses))
+        assert build_cig(random_3cnf(200, 850, seed=3)).edge_count > 0
+
     def test_huge_ids_match_ranked_twin(self):
         """Variable ids near 2**62 and 2**63 put 2 * m * span past int64, so
         the literal keys rank them: the CIG is the brute-force one, and the
@@ -414,9 +476,10 @@ class TestBuildCig:
                 _assert_csr(build_cig(ranked), want)
 
     def test_build_peak_memory(self):
-        """Each occurrence array is dropped once spent, and the unmasked
-        edge arrays before Graph.from_edges is called: the build peaks
-        within 3 times the bytes of the graph it returns."""
+        """Each occurrence array is dropped once spent, and both directions
+        of the clause pairs are sorted in one buffer: the build peaks within
+        2.25 times the bytes of the graph it returns (through
+        Graph.from_edges it peaked at 2.45 times)."""
         f = random_3cnf(10000, 100000, seed=1)
         f.literal_arrays()
         tracemalloc.start()
@@ -425,7 +488,7 @@ class TestBuildCig:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * (g.indptr.nbytes + g.indices.nbytes)
+        assert peak <= 2.25 * (g.indptr.nbytes + g.indices.nbytes)
 
     def test_tautological_no_self_loop(self):
         f = CnfFormula.from_clauses(2, [[1, -1, 2]])
