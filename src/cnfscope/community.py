@@ -39,7 +39,7 @@ class Partition:
         if a.size:
             if a.min() < 0 or a.max() >= cc:
                 raise ValueError("community ids out of range")
-            if np.unique(a).size != cc:
+            if not (cc <= a.size and np.bincount(a, minlength=cc).all()):
                 raise ValueError("community ids must be contiguous 0..count-1")
         elif cc != 0:
             raise ValueError("empty assignment with nonzero community count")
@@ -103,18 +103,9 @@ class ModularityResult:
 class _LevelGraph:
     """Working graph during folding: a Graph without self-loops plus a
     per-node self-loop weight (a self-loop of weight w adds w to w_in and 2w
-    to strength), and the rows that _local_moving visits.
-
-    The rows are built once per level graph, so every restart of a small
-    graph, and the refinement pass that ends each one, reuses its base
-    level's. rows = (nbrs, ws, gets): per node, a tuple of its neighbour
-    ids and a tuple of its edge weights, in CSR order, and a getter that
-    reads the neighbours' communities in that order (see _rows). The rows
-    share their objects, one int per node id and one float per distinct
-    weight, so they cost a pointer per directed edge in each of the two
-    rows, and a row header and a getter per node; the getters share the id
-    tuples. A weighted VIG has few distinct weights (the VIG of a random
-    3-CNF at n=1e5 has two)."""
+    to strength), the node strengths and the total weight. It holds no
+    rows: _local_moving builds a level's rows when its pass starts, so they
+    are freed when the pass returns, before the level aggregates."""
 
     def __init__(self, g: Graph, selfw: np.ndarray):
         self.g = g
@@ -125,7 +116,6 @@ class _LevelGraph:
             deg_w[nonempty] = np.add.reduceat(g.weights, g.indptr[:-1][nonempty])
         self.strength = deg_w + 2.0 * selfw
         self.total = g.total_weight + float(selfw.sum())
-        self.rows = _rows(g)
 
     def aggregate(self, labels: np.ndarray, n_comm: int) -> "_LevelGraph":
         u, v, w = self.g.edge_arrays()
@@ -135,20 +125,25 @@ class _LevelGraph:
         if loop.any():
             selfw += np.bincount(u[loop], weights=w[loop], minlength=n_comm)
         keep = ~loop
-        return _LevelGraph(Graph.from_edges(n_comm, u[keep], v[keep], w[keep]),
-                           selfw)
+        # only the kept edges, and no mask, live through from_edges
+        u, v, w = u[keep], v[keep], w[keep]
+        del loop, keep
+        return _LevelGraph(Graph.from_edges(n_comm, u, v, w), selfw)
 
 
 def _rows(g: Graph) -> tuple[list[tuple[int, ...]], list[tuple[float, ...]],
                              list[Callable]]:
-    """Per node, its neighbour ids and its edge weights as tuples and a
-    getter of its neighbours' communities, cut from one node range at a
-    time so the temporaries stay small. Ids come from one object array of
-    the node ids and weights from one of the distinct weights, so the rows
-    point at shared objects, and each row is a slice of one tuple per
-    range. A getter called with the community list returns the row's
-    communities as a tuple in CSR order: itemgetter(*row) keeps the row
-    tuple it is called with, so it copies nothing. A node of degree 1 gets
+    """The rows that _local_moving visits, (nbrs, ws, gets): per node a
+    tuple of its neighbour ids and one of its edge weights, in CSR order,
+    and a getter of its neighbours' communities. They are cut from one node
+    range at a time, so the temporaries stay small, each row a slice of one
+    tuple per range. Ids come from one object array of the node ids and
+    weights from one of the distinct weights (a weighted VIG has few: two
+    for a random 3-CNF at n=1e5), so the rows cost a pointer per directed
+    edge in each of the two rows, and a row header and a getter per node.
+    A getter called with the community list returns the row's communities
+    as a tuple in CSR order: itemgetter(*row) keeps the row tuple it is
+    called with, so it copies nothing. A node of degree 1 gets
     itemgetter(v, v), whose pair the weight zip cuts to one entry and whose
     second entry the gain loop finds already reset; one of degree 0 gets a
     function that returns ()."""
@@ -220,8 +215,8 @@ def _flagged(lg: _LevelGraph, comm, sigma) -> np.ndarray:
     return flags
 
 
-def _local_moving(lg: _LevelGraph, rng: np.random.Generator, start=None
-                  ) -> tuple[np.ndarray, float, int]:
+def _local_moving(lg: _LevelGraph, rng: np.random.Generator, start=None,
+                  rows=None) -> tuple[np.ndarray, float, int]:
     """Move nodes greedily between communities until no single move raises
     modularity. Returns (labels, total gain, rounds).
 
@@ -250,10 +245,13 @@ def _local_moving(lg: _LevelGraph, rng: np.random.Generator, start=None
     communities of equal strength, whose sigmas differ in the last bit,
     can see each as one ulp better than staying and move back and forth.
 
+    The pass builds its rows, _rows(lg.g), when it starts, unless given
+    them, so a level's rows are freed when its pass returns.
+
     Plain-list state: the loop is node-at-a-time by nature and python list
     indexing beats numpy scalar access by a wide margin here. A visit reads
-    its neighbours' communities with its node's getter (lg.rows), one
-    itemgetter call on the community list, and sums the weights into each
+    its neighbours' communities with its node's getter, one itemgetter call
+    on the community list, and sums the weights into each
     neighbour community in one flat accumulator indexed by community, acc,
     left to right in CSR neighbour order, as _flagged does. The gain loop
     walks the neighbours' communities and takes each nonzero entry once,
@@ -276,7 +274,7 @@ def _local_moving(lg: _LevelGraph, rng: np.random.Generator, start=None
         todo = []
     total_w = lg.total
     two_w2 = 2.0 * total_w * total_w
-    nbrs, ws, gets = lg.rows
+    nbrs, ws, gets = _rows(lg.g) if rows is None else rows
     acc = [0.0] * n
     no_gain = -np.inf
     total_gain = 0.0
@@ -331,18 +329,21 @@ def _local_moving(lg: _LevelGraph, rng: np.random.Generator, start=None
     return np.asarray(comm, dtype=np.int64), total_gain, rounds
 
 
-def _fold_once(lg: _LevelGraph, q_inc: float, rng: np.random.Generator
-               ) -> tuple[np.ndarray, float, int, int]:
+def _fold_once(lg: _LevelGraph, q_inc: float, rng: np.random.Generator,
+               rows=None) -> tuple[np.ndarray, float, int, int]:
+    # rows, if given, are lg's, for the first level only
     flat = np.arange(lg.g.node_count, dtype=np.int64)
     levels = 0
     passes = 0
     while True:
-        labels, gain, level_passes = _local_moving(lg, rng)
+        labels, gain, level_passes = _local_moving(lg, rng, rows=rows)
+        rows = None
         passes += level_passes
         q_inc += gain
-        uniq = np.unique(labels)
-        n_comm = uniq.size
-        compact = np.searchsorted(uniq, labels)
+        # number the used labels in id order
+        used = np.bincount(labels) > 0
+        n_comm = int(used.sum())
+        compact = (used.cumsum() - 1)[labels]
         flat = compact[flat]
         if n_comm == lg.g.node_count or gain <= MIN_GAIN:
             break
@@ -362,8 +363,10 @@ def fold_communities(g: Graph, seed: int = 42) -> ModularityResult:
     pass: local moving over the input graph from the restart's flat
     partition, on the restart's generator, whose gain and rounds add to
     q_incremental and passes. After it no single node move raises Q, which
-    aggregation alone does not promise. Larger graphs get one restart,
-    unrefined.
+    aggregation alone does not promise. Such a graph's rows are built once,
+    for the first level of every restart and every refinement pass. Larger
+    graphs get one restart, unrefined, and every level builds its rows in
+    its own pass.
     The reported q is recomputed from scratch on the returned flat partition;
     q_incremental tracks the accumulated move gains for cross-checking,
     from the singleton Q, computed once per call. Edge weights must be
@@ -378,19 +381,15 @@ def fold_communities(g: Graph, seed: int = 42) -> ModularityResult:
     if base.total == 0.0:
         return ModularityResult(0.0, Partition.singletons(g.node_count), 0, 0, 0.0)
     q_singletons = modularity(g, Partition.singletons(g.node_count))
-    # a small graph keeps base for its refinement passes; a large graph's
-    # only restart holds the only reference to base, so the base rows are
-    # freed once it aggregates
-    refine = base if g.node_count <= SMALL_GRAPH else None
-    restarts = 1 if refine is None else SMALL_GRAPH_RESTARTS
-    bases = [base] * restarts
-    del base
+    small = g.node_count <= SMALL_GRAPH
+    rows = _rows(g) if small else None
     best = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
+    for child in np.random.SeedSequence(seed).spawn(
+            SMALL_GRAPH_RESTARTS if small else 1):
         rng = np.random.default_rng(child)
-        flat, q_inc, levels, passes = _fold_once(bases.pop(), q_singletons, rng)
-        if refine is not None:
-            flat, gain, rounds = _local_moving(refine, rng, flat)
+        flat, q_inc, levels, passes = _fold_once(base, q_singletons, rng, rows)
+        if small:
+            flat, gain, rounds = _local_moving(base, rng, flat, rows)
             q_inc += gain
             passes += rounds
         part = Partition.from_labels(flat)
@@ -398,4 +397,3 @@ def fold_communities(g: Graph, seed: int = 42) -> ModularityResult:
         if best is None or q > best.q:
             best = ModularityResult(q, part, levels, passes, q_inc)
     return best
-

@@ -476,7 +476,7 @@ def best_move_gain(g: Graph, labels, groups=None) -> float:
     return best
 
 
-def dict_local_moving(lg, rng: np.random.Generator, start=None
+def dict_local_moving(lg, rng: np.random.Generator, start=None, rows=None
                       ) -> tuple[np.ndarray, float, int]:
     """community._local_moving as it was before the flat accumulator: the
     same visits, gains, tie rule and queue, with each visit's weights per
@@ -485,7 +485,8 @@ def dict_local_moving(lg, rng: np.random.Generator, start=None
     makes moves cycle it never returns; wherever it returns, the seen
     partition rule of _local_moving ends the level in the same round. Given
     start, it begins at the check from that partition, with the community
-    strengths summed from it."""
+    strengths summed from it. It reads lg.g's CSR arrays and ignores rows,
+    which _local_moving takes, so it can stand in for it."""
     n = lg.g.node_count
     strength = lg.strength.tolist()
     if start is None:
