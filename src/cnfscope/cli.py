@@ -54,8 +54,10 @@ def _resolve_seed(arg_seed) -> int:
 
 
 def _check_readable(paths):
+    """A missing path or a directory is an error; anything else (a file, a
+    pipe such as /dev/stdin) is read as it comes."""
     for p in paths:
-        if not os.path.isfile(p):
+        if not os.path.exists(p) or os.path.isdir(p):
             raise FileNotFoundError(f"input not readable: {p}")
 
 
@@ -65,7 +67,7 @@ def _parsed(parse, path):
     data = cnf.read_input(path)
     try:
         return parse(data)
-    except ValueError as exc:  # DimacsError, TraceError, UnicodeDecodeError
+    except ValueError as exc:  # DimacsError, TraceError
         raise ValueError(f"{path}: {exc}") from None
 
 

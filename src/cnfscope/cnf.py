@@ -270,7 +270,9 @@ class CnfFormula:
         key, span, _ = _literal_keys(self._lengths, self._lits)
         key.sort()
         pair = (np.diff(key) == 1) & (key[:-1] % 2 == 0)
-        return tuple(np.unique(key[1:][pair] // (2 * span)).tolist())
+        # the keys are sorted, so the clause ids of the pairs are too
+        ids = key[1:][pair] // (2 * span)
+        return tuple(ids[run_starts(ids)].tolist())
 
     @classmethod
     def from_clauses(cls, num_vars: int, clauses) -> "CnfFormula":
@@ -333,10 +335,10 @@ def read_input(path) -> bytes:
         raise OSError(f"{path}: corrupt or truncated input ({exc})") from None
 
 
-# The reader takes the input in chunks of about CHUNK_BYTES that end at a
-# line end. An ASCII chunk is read as arrays, its bytes classed by _CLASS:
-# 0 digit, 1 other ink, 2 blank (space, tab, \x1f) and 3 line break (the
-# ASCII ones of str.splitlines: \n, \r, \v, \f, \x1c-\x1e).
+# The reader takes the input as bytes, in chunks of about CHUNK_BYTES that
+# end at a line end, its bytes classed by _CLASS: 0 digit, 1 other ink (a
+# byte >= 0x80 too), 2 blank (space, tab, \x1f) and 3 line break (\n, \r,
+# \v, \f, \x1c-\x1e: the ASCII breaks of str.splitlines).
 CHUNK_BYTES = 2 ** 18
 _CLASS = np.ones(256, dtype=np.uint8)
 _CLASS[48:58] = 0
@@ -346,8 +348,6 @@ _DIGIT = np.zeros(256, dtype=np.int64)
 _DIGIT[48:58] = np.arange(10)
 # a plain token is an optional "-" and at most this many digits: within int64
 _PLAIN_DIGITS = 18
-# a byte that UTF-8 rejects, as decoding with surrogateescape keeps it
-_ESCAPED = re.compile("[\udc80-\udcff]")
 
 
 class _Blocks:
@@ -367,19 +367,16 @@ class _Blocks:
         self.open = []             # per block: literals after its last 0
         self.stopped = False       # a % line ended the input
 
-    def words(self, words: list[str], done: int) -> None:
-        """Clause data as text tokens, each read by int()."""
-        if words and not self.heads:
-            raise self.error(f"clause data before {self.what}")
-        self.tokens(_tokens(words, self.error), done)
-
-    def tokens(self, toks: np.ndarray, done: int) -> None:
+    def tokens(self, toks: np.ndarray, done: int, words=None) -> None:
         """Clause data as int64 tokens, 0 ending a clause, read up to byte
-        `done` of the input."""
+        `done` of the input. words, when given, is (indices, texts): the
+        tokens at those indices are read from their texts by int()."""
         if not toks.size:
             return
         if not self.heads:
             raise self.error(f"clause data before {self.what}")
+        if words is not None:
+            toks[words[0]] = _tokens(words[1], self.error)
         ends = np.flatnonzero(toks == 0)
         lits = toks[toks != 0]
         end = self.n + lits.size
@@ -415,29 +412,26 @@ class _Blocks:
 
 def _read_blocks(source, tag: str, what: str, error
                  ) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """Split DIMACS-style input (str, bytes or a file-like object) into
+    """Split DIMACS-style input (bytes, str or a file-like object) into
     blocks: each directive line (one starting with `tag`) with the (lengths,
-    literals) arrays of the 0-terminated clauses that follow it. Blank and
-    `c` lines are skipped, and a line starting with `%` ends the input, as
-    in SATLIB files. Lines end where str.splitlines() ends them. A token is
-    whatever int() reads, within int64. Malformed clause data raises
-    `error`; `what` names the directive in its messages. Comment lines, and
-    whatever follows a `%` line, are not decoded: only clause data and
-    directive lines must be UTF-8."""
+    literals) arrays of the 0-terminated clauses that follow it. The input
+    is read as bytes, a str encoded as UTF-8 first. Blank and `c` lines are
+    skipped, and a line starting with `%` ends the input, as in SATLIB
+    files. Blanks and line breaks are the ASCII ones of _CLASS. A token is
+    whatever int() reads of its ASCII text, within int64. A byte >= 0x80
+    reads as \\xNN there and in a directive line, which no token and no
+    directive accepts; comment lines, and whatever follows a `%` line, may
+    hold any bytes. Malformed clause data raises `error`; `what` names the
+    directive in its messages."""
     data = source if isinstance(source, (str, bytes)) else source.read()
-    out = _Blocks(len(data), tag, what, error)
     if isinstance(data, str):
-        if not data.isascii():
-            _read_text(out, data, len(data))
-            return out.blocks()
-        data = data.encode("ascii")
+        data = data.encode("utf-8", "surrogatepass")
+    out = _Blocks(len(data), tag, what, error)
     buf = np.frombuffer(data, dtype=np.uint8)
     a, mid = 0, False
     while a < len(data) and not out.stopped:
         z, in_line = _chunk_end(data, buf, a, mid)
-        if buf[a:z].max() >= 128 or not _read_plain(out, buf[a:z], z, mid):
-            _read_text(out, data[a:z].decode("utf-8", "surrogateescape"), z,
-                       data, a, mid)
+        _read_plain(out, buf[a:z], z, mid)
         a, mid = z, in_line
     return out.blocks()
 
@@ -446,8 +440,8 @@ def _chunk_end(data: bytes, buf: np.ndarray, a: int, mid: bool
                ) -> tuple[int, bool]:
     """The end of the chunk starting at byte a (within a line when mid),
     and whether it ends within a line: just past the last \\n or \\r in the
-    next CHUNK_BYTES bytes. Without one there, a line of ASCII clause data
-    (led by a digit, "-" or "+", or the line the last chunk cut) is cut past
+    next CHUNK_BYTES bytes. Without one there, a line of clause data (led
+    by a digit, "-" or "+", or the line the last chunk cut) is cut past
     its last blank there, so no line costs more than a chunk to read; any
     other line runs to the first \\n or \\r after them."""
     z = a + CHUNK_BYTES
@@ -457,28 +451,27 @@ def _chunk_end(data: bytes, buf: np.ndarray, a: int, mid: bool
     if cut >= 0:
         return cut + 1, False
     window = buf[a:z]
-    if window.max() < 128:
-        cls = _CLASS[window]
-        breaks = np.flatnonzero(cls == 3)
-        start = int(breaks[-1]) + 1 if breaks.size else 0   # of the last line
-        if start or not mid:
-            # a line that starts in the window is cut past its lead only
-            lead = start + np.flatnonzero(cls[start:] < 2)[:1]
-            start = int(lead[0]) if lead.size and (
-                cls[lead[0]] == 0 or window[lead[0]] in b"-+") else cls.size
-        blanks = np.flatnonzero(cls[start:] == 2)
-        if blanks.size:
-            return a + start + int(blanks[-1]) + 1, True
+    cls = _CLASS[window]
+    breaks = np.flatnonzero(cls == 3)
+    start = int(breaks[-1]) + 1 if breaks.size else 0   # of the last line
+    if start or not mid:
+        # a line that starts in the window is cut past its lead only
+        lead = start + np.flatnonzero(cls[start:] < 2)[:1]
+        start = int(lead[0]) if lead.size and (
+            cls[lead[0]] == 0 or window[lead[0]] in b"-+") else cls.size
+    blanks = np.flatnonzero(cls[start:] == 2)
+    if blanks.size:
+        return a + start + int(blanks[-1]) + 1, True
     cut = min([i for i in (data.find(b"\n", z), data.find(b"\r", z)) if i >= 0],
               default=len(data) - 1)
     return cut + 1, False
 
 
-def _read_plain(out: _Blocks, b: np.ndarray, done: int, mid: bool) -> bool:
-    """Read an ASCII chunk into out with array arithmetic; when mid, its
-    first line goes on a line of clause data. False, with nothing read, when
-    its clause data holds a token other than an optional "-" and 1 to
-    _PLAIN_DIGITS digits."""
+def _read_plain(out: _Blocks, b: np.ndarray, done: int, mid: bool) -> None:
+    """Read a chunk of the input into out; when mid, its first line goes on
+    a line of clause data. Plain tokens (an optional "-" and 1 to
+    _PLAIN_DIGITS digits) are decoded with array arithmetic; any other
+    token is read from its _ascii text by int()."""
     cls = _CLASS[b]
     starts, ends = _token_bounds(cls)
     lead = b[starts]
@@ -499,16 +492,23 @@ def _read_plain(out: _Blocks, b: np.ndarray, done: int, mid: bool) -> bool:
                 stop = True
                 break
             if b[p] == ord(out.tag):
-                heads.append((p, b[p:end].tobytes().decode("ascii").strip()))
+                heads.append((p, _ascii(b[p:end]).strip()))
             cls[p:end] = 2
         starts, ends = _token_bounds(cls)
         lead = b[starts]
     neg = lead == ord("-")
     digits = ends - starts - neg
-    # each non-digit of the clause data must be the sign of a signed token
+    odd = None
+    # plain clause data (each non-digit the sign of a signed token) skips the
+    # search for odd tokens: those with other ink, no digit or too many
+    # digits, which int() reads and the digit loop skips
     if starts.size and (digits.min() < 1 or digits.max() > _PLAIN_DIGITS
                         or np.count_nonzero(cls == 1) != np.count_nonzero(neg)):
-        return False
+        cls[starts[neg]] = 0
+        odd = (digits < 1) | (digits > _PLAIN_DIGITS)
+        odd[np.searchsorted(starts, np.flatnonzero(cls == 1), "right") - 1] = True
+        odd = np.flatnonzero(odd)
+        digits[odd] = 1
     toks = _DIGIT[b[ends - 1]]
     pos = ends - 1
     for k in range(1, int(digits.max(initial=0))):
@@ -519,14 +519,23 @@ def _read_plain(out: _Blocks, b: np.ndarray, done: int, mid: bool) -> bool:
         toks += d
     np.negative(toks, out=toks, where=neg)
     at = 0
-    for p, line in heads:
+    for p, line in [*heads, (b.size, None)]:
         cut = int(np.searchsorted(starts, p))
-        out.tokens(toks[at:cut], done)
-        out.head(line)
+        words = None
+        if odd is not None:
+            i = odd[(odd >= at) & (odd < cut)]
+            words = i - at, [_ascii(b[s:e]) for s, e in
+                             zip(starts[i].tolist(), ends[i].tolist())]
+        out.tokens(toks[at:cut], done, words)
+        if line is not None:
+            out.head(line)
         at = cut
-    out.tokens(toks[at:], done)
     out.stopped = stop
-    return True
+
+
+def _ascii(b: np.ndarray) -> str:
+    """The bytes as ASCII text, a byte >= 0x80 as \\xNN."""
+    return b.tobytes().decode("ascii", "backslashreplace")
 
 
 def _token_bounds(cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -535,46 +544,6 @@ def _token_bounds(cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.less(cls, 2, out=ink[1:-1])
     bounds = np.flatnonzero(ink[1:] != ink[:-1])
     return bounds[::2], bounds[1::2]
-
-
-def _read_text(out: _Blocks, text: str, done: int, raw: bytes | None = None,
-               offset: int = 0, mid: bool = False) -> None:
-    """Read text into out line by line, its tokens by int(); when mid, its
-    first line goes on a line of clause data. When text was decoded from
-    raw[offset:] with surrogateescape, a byte that did not decode is an
-    error outside comment lines."""
-    lines = []                   # (lead, position, line), comments left out
-    pos = 0
-    for i, line in enumerate(text.splitlines(keepends=True)):
-        lead = "" if mid and not i else line.lstrip()[:1]
-        if lead != "c":
-            lines.append((lead if lead in ("%", out.tag) else "", pos, line))
-        if lead == "%":
-            break
-        pos += len(line)
-    if raw is not None:
-        for lead, pos, line in lines:
-            bad = _ESCAPED.search(line)
-            if bad and lead != "%":
-                at = offset + len(text[:pos + bad.start()].encode(
-                    "utf-8", "surrogateescape"))
-                try:   # the error strict decoding raises there
-                    raw[at:at + 4].decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise UnicodeDecodeError(exc.encoding, raw, at + exc.start,
-                                             at + exc.end, exc.reason) from None
-    data = []
-    for lead, _, line in lines:
-        if not lead:
-            data.append(line)
-            continue
-        out.words("".join(data).split(), done)
-        data = []
-        if lead == "%":
-            out.stopped = True
-        else:
-            out.head(line.strip())
-    out.words("".join(data).split(), done)
 
 
 def _tokens(tokens: list[str], error) -> np.ndarray:
@@ -636,8 +605,10 @@ def _clause_lines(lengths: np.ndarray, lits: np.ndarray) -> str:
 
 
 def parse_dimacs(source) -> CnfFormula:
-    """Parse DIMACS CNF from a string, bytes, or file-like object.
+    """Parse DIMACS CNF from bytes, a string, or a file-like object.
 
+    The format is ASCII: a str is read as its UTF-8 bytes, and a byte >=
+    0x80 outside comment lines is a bad token or a malformed header.
     Duplicate literals within a clause are collapsed and tautological clauses
     are kept but flagged in formula.warnings. If the declared clause count
     disagrees with the actual one, the actual count wins and a warning is

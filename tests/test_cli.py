@@ -108,8 +108,7 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("text, message", (
         (b"p cnf 3 1\n1 5 0\n", "literal 5 out of range in clause 0 (n=3)"),
-        (b"p cnf 1 1\n1 \xe9 0\n", "'utf-8' codec can't decode byte 0xe9 in "
-                                   "position 12: invalid continuation byte"),
+        (b"p cnf 1 1\n1 \xe9 0\n", r"bad token '\\xe9'"),
     ), ids=("range", "utf8"))
     def test_formula(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.cnf"
@@ -205,6 +204,45 @@ class TestFeatures:
         code, _, err = _run(capsys, "features", "/nope/missing.cnf")
         assert code == 1
         assert "not readable" in err
+
+    def test_directory(self, tmp_path, capsys):
+        assert _run(capsys, "features", tmp_path) == (
+            1, "", f"error: input not readable: {tmp_path}\n")
+
+
+@pytest.fixture()
+def pipe():
+    """pipe(data): the /dev/fd path of a pipe holding data."""
+    fds = []
+
+    def make(data: bytes) -> str:
+        r, w = os.pipe()
+        fds.append(r)
+        os.write(w, data)
+        os.close(w)
+        return f"/dev/fd/{r}"
+    yield make
+    for fd in fds:
+        os.close(fd)
+
+
+class TestPipes:
+    """A pipe reads as the file it carries: `cat f.cnf | cnfscope ndr
+    /dev/stdin` prints what `cnfscope ndr f.cnf` prints."""
+
+    def test_ndr(self, cnf_file, capsys, pipe):
+        want = _run(capsys, "ndr", cnf_file)
+        assert want[0] == 0
+        assert _run(capsys, "ndr", pipe(cnf_file.read_bytes())) == want
+
+    def test_evolution(self, cnf_file, tmp_path, capsys, pipe):
+        trace = tmp_path / "run.trace"
+        trace.write_text("t 10\n1 -2 3 0\n4 5 0\nt 20\n-6 7 8 0\n")
+        want = _run(capsys, "evolution", cnf_file, "--trace", trace)
+        assert want[0] == 0
+        got = _run(capsys, "evolution", pipe(cnf_file.read_bytes()),
+                   "--trace", pipe(trace.read_bytes()))
+        assert got == want
 
 
 # Run as a script: extract_features SIGKILLs its own process for formulas

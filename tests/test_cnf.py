@@ -151,8 +151,7 @@ class TestParseDimacs:
 class TestTokens:
     """A literal token is whatever int() reads, within int64."""
 
-    @pytest.mark.parametrize("tok, lit", (("+3", 3), ("1_0", 10), ("\u0663", 3),
-                                          ("-2", -2)))
+    @pytest.mark.parametrize("tok, lit", (("+3", 3), ("1_0", 10), ("-2", -2)))
     def test_accepted(self, tok, lit):
         assert parse_dimacs(f"p cnf 10 1\n{tok} 0\n").clauses == ((lit,),)
         assert parse_trace(f"t 1\n{tok} 0\n").learnt_at(1) == ((lit,),)
@@ -160,7 +159,7 @@ class TestTokens:
     def test_minus_zero_ends_clause(self):
         assert parse_dimacs("p cnf 3 2\n1 2 -0 3 0\n").clauses == ((1, 2), (3,))
 
-    @pytest.mark.parametrize("tok", ("0x1", "3.0", "--1", "1-", "_1"))
+    @pytest.mark.parametrize("tok", ("0x1", "3.0", "--1", "1-", "_1", "\u0663"))
     def test_bad_token(self, tok):
         with pytest.raises(DimacsError, match="bad token"):
             parse_dimacs(f"p cnf 3 1\n1 {tok} 0\n")
@@ -675,7 +674,8 @@ def _blocks(read, source, tag):
 
 class TestReader:
     """The reader gives the blocks, and the errors, that str.splitlines()
-    and int() give on the decoded text, in chunks of any size."""
+    and int() give on the text with each byte >= 0x80 of its UTF-8 written
+    as \\xNN, in chunks of any size."""
 
     EDGE = ("p cnf 3 2\r\n1 -2 0\r\n2 3 0\r\n", "p cnf 3 2\r1 -2 0\r2 3 0\r",
             "p cnf 3 1\v1 2 0\n", "c x\v1 0\np cnf 1 1\n1 0\n",
@@ -690,8 +690,10 @@ class TestReader:
         monkeypatch.setattr(cnf, "CHUNK_BYTES", chunk)
         rng = random.Random(5)
         for text in [*self.EDGE, *(_text(rng) for _ in range(1500))]:
+            escaped = text.encode("utf-8", "surrogatepass").decode(
+                "ascii", "backslashreplace")
             for tag in "pt":
-                want = _blocks(text_blocks, text, tag)
+                want = _blocks(text_blocks, escaped, tag)
                 assert _blocks(_read_blocks, text, tag) == want, text
                 assert _blocks(_read_blocks, text.encode(), tag) == want, text
 
@@ -743,23 +745,32 @@ class TestReader:
     def test_bytes_after_percent_not_decoded(self):
         assert parse_dimacs(b"p cnf 1 1\n1 0\n%\n\xff\n").clauses == ((1,),)
 
-    @pytest.mark.parametrize("text", (b"p cnf 1 1\n1 0\xe9\n",
-                                      b"p cnf 1 1\nc ok\n1 \xe2\x82 0\n",
-                                      b"p cnf 1 1\xe9\n1 0\n",
-                                      b"p cnf 1 1\n1 0 \xf0\x90\x80"))
+    UNDECODABLE = {
+        b"p cnf 1 1\n1 0\xe9\n": r"bad token '0\\xe9'",
+        b"p cnf 1 1\nc ok\n1 \xe2\x82 0\n": r"bad token '\\xe2\\x82'",
+        b"p cnf 1 1\xe9\n1 0\n": r"malformed header: 'p cnf 1 1\\xe9'",
+        b"p cnf 1 1\n1 0 \xf0\x90\x80": r"bad token '\\xf0\\x90\\x80'",
+    }
+
+    @pytest.mark.parametrize("text", UNDECODABLE)
     def test_undecodable_data(self, text):
-        """A byte that is not UTF-8 in clause data or a directive line is
-        the codec's error at its place in the input."""
-        with pytest.raises(UnicodeDecodeError) as want:
-            text.decode("utf-8")
-        with pytest.raises(UnicodeDecodeError) as got:
-            parse_dimacs(text)
-        assert str(got.value) == str(want.value)
-        # past a comment that does not decode, at its place in the input
-        text = b"c caf\xe9\n" + text
-        with pytest.raises(UnicodeDecodeError) as got:
-            parse_dimacs(text)
-        assert got.value.start == want.value.start + 7
+        """A byte >= 0x80 in clause data or a directive line reads as \\xNN,
+        which no token and no header accepts; a comment line before it that
+        is not UTF-8 changes nothing."""
+        for data in (text, b"c caf\xe9\n" + text):
+            with pytest.raises(DimacsError) as got:
+                parse_dimacs(data)
+            assert str(got.value) == self.UNDECODABLE[text]
+
+    def test_only_odd_tokens_read_by_int(self, monkeypatch):
+        """A chunk of plain tokens and one +3 hands only +3 to int()."""
+        seen = []
+        tokens = cnf._tokens
+        monkeypatch.setattr(cnf, "_tokens", lambda words, error:
+                            seen.append(words) or tokens(words, error))
+        f = random_3cnf(30, 120, seed=4)
+        assert parse_dimacs(write_dimacs(f).replace(" 3 ", " +3 ", 1)) == f
+        assert seen == [["+3"]]
 
     def test_plain_tokens_extremes(self):
         big = "9" * 18
