@@ -47,7 +47,7 @@ def d_b(formula):
 
 print(f"\noriginal: d_b = {d_b(f):.2f}")
 print(f"{'decisions':>10} {'d_b (trace clauses)':>20} {'d_b (random subst.)':>20}")
-for k, _ in trace.checkpoints:
+for k in trace.decision_counts:
     with_trace = d_b(augment_with_learnt(f, trace, k))
     with_random = d_b(random_replacement(f, trace, k, seed=k))
     print(f"{k:>10} {with_trace:>20.2f} {with_random:>20.2f}")

@@ -14,7 +14,7 @@ import lzma
 import re
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -283,32 +283,53 @@ class CnfFormula:
         return cls.from_arrays(num_vars, *_normalized(num_vars, *raw))
 
 
-@dataclass(frozen=True)
 class ClauseTrace:
     """Learnt clauses recorded at solver decision checkpoints.
 
-    checkpoints is a tuple of (decision_count, clauses) with strictly
-    increasing decision counts.
-    """
+    ClauseTrace(((decision_count, clauses), ...)) takes tuple clauses, the
+    counts strictly increasing, and keeps each checkpoint as a CnfFormula
+    over its largest variable: `checkpoints` and learnt_at() are tuple views,
+    built on each access. Traces are immutable, equal and hashed by value."""
 
-    checkpoints: tuple[tuple[int, tuple[Clause, ...]], ...]
+    def __init__(self, checkpoints):
+        self._set([(k, _arrays(tuple(clauses))) for k, clauses in checkpoints])
 
-    def __post_init__(self):
-        counts = [k for k, _ in self.checkpoints]
-        if any(b <= a for a, b in zip(counts, counts[1:])):
+    def _set(self, checkpoints) -> None:
+        # checkpoints: (decision_count, (lengths, literals)) int64 arrays
+        if any(b <= a for (a, _), (b, _) in zip(checkpoints, checkpoints[1:])):
             raise TraceError("checkpoint decision counts must be strictly increasing")
+        # the largest variable in Python ints: np.abs(-2**63) wraps
+        object.__setattr__(self, "_learnt", {k: CnfFormula.from_arrays(
+            max(int(lits.max(initial=0)), -int(lits.min(initial=0))), lengths, lits)
+            for k, (lengths, lits) in checkpoints})
+
+    __setattr__ = CnfFormula.__setattr__
+
+    def __eq__(self, other):
+        return isinstance(other, ClauseTrace) and self._learnt == other._learnt
+
+    def __hash__(self):
+        return hash(tuple(self._learnt.items()))
+
+    def __repr__(self):
+        return f"ClauseTrace(checkpoints={self.checkpoints!r})"
+
+    @property
+    def checkpoints(self) -> tuple[tuple[int, tuple[Clause, ...]], ...]:
+        return tuple((k, f.clauses) for k, f in self._learnt.items())
 
     @property
     def decision_counts(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.checkpoints)
+        return tuple(self._learnt)
 
     def learnt_at(self, checkpoint: int) -> tuple[Clause, ...]:
-        for k, cls_ in self.checkpoints:
-            if k == checkpoint:
-                return cls_
-        raise ValueError(
-            f"checkpoint {checkpoint} not in trace (have {self.decision_counts})"
-        )
+        return self._at(checkpoint).clauses
+
+    def _at(self, checkpoint: int) -> CnfFormula:
+        if checkpoint in self._learnt:
+            return self._learnt[checkpoint]
+        raise ValueError(f"checkpoint {checkpoint} not in trace "
+                         f"(have {self.decision_counts})")
 
 
 # ---------------------------------------------------------------------------
@@ -662,15 +683,17 @@ def parse_trace(source) -> ClauseTrace:
             k, = map(int, fields)
         except ValueError:
             raise TraceError(f"malformed checkpoint line: {_head(repr(line))}") from None
-        checkpoints.append((k, _tuples(lengths, lits)))
-    return ClauseTrace(tuple(checkpoints))
+        checkpoints.append((k, (lengths, lits)))
+    trace = ClauseTrace.__new__(ClauseTrace)
+    trace._set(checkpoints)
+    return trace
 
 
 def write_trace(trace: ClauseTrace) -> str:
     pieces = []
-    for k, clauses in trace.checkpoints:
+    for k, learnt in trace._learnt.items():
         pieces.append(f"t {k}\n")
-        pieces.extend(_clause_text(*_arrays(clauses)))
+        pieces.extend(_clause_text(*learnt.literal_arrays()))
     return "".join(pieces)
 
 
@@ -814,12 +837,14 @@ def _with_learnt(f: CnfFormula, trace: ClauseTrace, checkpoint: int,
     """f plus the learnt clauses recorded at `checkpoint` (normalized, each
     replaced by replace(its number of distinct variables) when given),
     unit-propagated."""
-    lengths, lits, _ = _normalized(f.num_vars, *_arrays(trace.learnt_at(checkpoint)),
+    learnt = trace._at(checkpoint)
+    lengths, lits, _ = _normalized(f.num_vars, *learnt.literal_arrays(),
                                    label="learnt clause")
     if replace is not None:
-        # a tautological clause holds fewer distinct variables than literals
-        rows = CnfFormula.from_arrays(f.num_vars, lengths, lits).clause_vars[0]
-        lengths = np.diff(rows)
+        # a tautological clause holds fewer distinct variables than
+        # literals; clause_vars is read once the range check has passed,
+        # as it takes np.abs of the literals, which wraps at -2**63
+        lengths = np.diff(learnt.clause_vars[0])
         lits = np.concatenate([lits[:0], *map(replace, lengths.tolist())])
     base_lengths, base_lits = f.literal_arrays()
     result, _ = unit_propagate(CnfFormula.from_arrays(

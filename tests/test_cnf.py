@@ -465,8 +465,13 @@ class TestAugment:
 
     def test_unknown_checkpoint(self):
         f = CnfFormula.from_clauses(2, [[1, 2]])
-        with pytest.raises(ValueError):
-            augment_with_learnt(f, _trace((10, [])), 99)
+        want = r"^checkpoint 99 not in trace \(have \(10, 100\)\)$"
+        for t in (_trace((10, []), (100, [[1]])), parse_trace("t 10\nt 100\n1 0\n")):
+            for call in (lambda: t.learnt_at(99),
+                         lambda: augment_with_learnt(f, t, 99),
+                         lambda: random_replacement(f, t, 99, seed=1)):
+                with pytest.raises(ValueError, match=want):
+                    call()
 
     def test_conflict_reported(self):
         f = CnfFormula.from_clauses(2, [[1, 2]])
@@ -601,6 +606,66 @@ class TestTrace:
         with pytest.raises(TraceError, match="malformed checkpoint line") as err:
             parse_trace("t " + "1" * 5000 + "\n1 0\n")
         assert len(str(err.value)) < 70
+
+    CHECKPOINTS = ((100, ((1, -2), (3,), ())), (200, ()),
+                   (1000, ((-1, 2, 3), (4, -4, 1), (2, 2))))
+    TEXT = "t 100\n1 -2 0\n3 0\n 0\nt 200\nt 1000\n-1 2 3 0\n4 -4 1 0\n2 2 0\n"
+
+    def test_tuples_and_text_equal(self):
+        """A trace built from tuple clauses and the same trace parsed from
+        text are equal and hash alike; a change of a count, a clause or a
+        literal makes another trace."""
+        built, parsed = ClauseTrace(self.CHECKPOINTS), parse_trace(self.TEXT)
+        assert built == parsed and hash(built) == hash(parsed)
+        assert len({built, parsed}) == 1
+        for other in (ClauseTrace(self.CHECKPOINTS[:2]),
+                      ClauseTrace(((100, self.CHECKPOINTS[0][1]), (200, ()),
+                                   (999, self.CHECKPOINTS[2][1]))),
+                      ClauseTrace(((100, ((1, -2), (3,))), *self.CHECKPOINTS[1:])),
+                      ClauseTrace(((100, ((1, 2), (3,), ())), *self.CHECKPOINTS[1:]))):
+            assert other != built
+        assert built != self.CHECKPOINTS
+
+    def test_views_return_input_tuples(self):
+        for t in (ClauseTrace(self.CHECKPOINTS), parse_trace(self.TEXT)):
+            assert t.checkpoints == self.CHECKPOINTS
+            assert t.decision_counts == (100, 200, 1000)
+            assert tuple((k, t.learnt_at(k)) for k in t.decision_counts) == \
+                self.CHECKPOINTS
+            assert write_trace(t) == self.TEXT
+
+    def test_immutable(self):
+        t = parse_trace(self.TEXT)
+        with pytest.raises(FrozenInstanceError):
+            t.checkpoints = ()
+        with pytest.raises(FrozenInstanceError):
+            t.extra = 1
+        assert t == ClauseTrace(self.CHECKPOINTS)
+
+    def test_parsed_never_as_tuples(self, monkeypatch):
+        """A parsed trace is written, augmented and replaced from the
+        reader's arrays: no clause goes through tuples and back."""
+        f = CnfFormula.from_clauses(6, [[1, 2, 3], [-4, 5, 6], [2, -3]])
+        data = "t 10\n1 -2 0\n-1 -1 4 0\nt 20\n5 -6 0\n6 1 -6 0\n4 0\n"
+        twin = parse_trace(data)
+        want = (augment_with_learnt(f, twin, 20),
+                random_replacement(f, twin, 10, seed=3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trace went through tuple clauses")
+        monkeypatch.setattr(cnf, "_arrays", refuse)
+        monkeypatch.setattr(cnf, "_tuples", refuse)
+        t = parse_trace(data)
+        assert write_trace(t) == data
+        assert (augment_with_learnt(f, t, 20),
+                random_replacement(f, t, 10, seed=3)) == want
+
+    @pytest.mark.parametrize("lit", (2**63, -2**63 - 1, 2**70))
+    def test_beyond_int64_when_built(self, lit):
+        """A literal beyond int64 is an error when the trace is built, not
+        first when it is written or augmented."""
+        with pytest.raises(ValueError, match=f"^literal {lit} out of range$"):
+            ClauseTrace(((1, ((1, 2),)), (2, ((3, lit), (4,)))))
 
 
 class TestReadInput:
@@ -876,6 +941,33 @@ class TestPeakMemory:
         f, data = big
         text, peak = _peak(write_dimacs, f)
         assert text.encode() == data
+        assert peak <= 2.5 * len(data)
+
+    def test_parse_trace(self):
+        """A trace keeps the reader's arrays, one formula per checkpoint: a
+        6.4 MB trace (3 checkpoints of 16,000 clauses of 2-39 literals over
+        n=1e5) keeps at most 1.5 times its text and peaks within 2.5 times
+        (held as tuple clauses, it kept 6.5 times and peaked at 8)."""
+        rng = np.random.default_rng(7)
+        pieces = []
+        for k in (100, 200, 300):
+            lengths = rng.integers(2, 40, size=16000)
+            lits = rng.integers(1, 100001, size=int(lengths.sum()))
+            lits *= rng.choice((-1, 1), size=lits.size)
+            text = write_dimacs(CnfFormula.from_arrays(100000, lengths, lits))
+            pieces.append(f"t {k}\n" + text.split("\n", 1)[1])
+        data = "".join(pieces).encode()
+        assert len(data) > 6e6
+        parse_trace(data[:10000].rsplit(b"\n", 1)[0] + b"\n")   # warm caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = parse_trace(data)
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert write_trace(got).encode() == data
+        assert kept <= 1.5 * len(data)
         assert peak <= 2.5 * len(data)
 
     def test_random_3cnf(self):
